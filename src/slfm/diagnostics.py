@@ -208,11 +208,8 @@ def component_swap(anchor, substitute) -> SwapPair:
     s = np.asarray(substitute, dtype=np.float64)
     if a.shape != s.shape or a.ndim != 1:
         raise DimensionMismatch("component_swap takes two vectors of equal dimension")
-    ra = float(np.linalg.norm(a))
-    rs = float(np.linalg.norm(s))
-    if ra < NORM_FLOOR or rs < NORM_FLOOR:
-        raise NearZeroNorm("token norm below floor, direction undefined")
-    return SwapPair(keep_direction=(rs / ra) * a, keep_radius=(ra / rs) * s)
+    keep_direction, keep_radius = component_swap_rows(a, s)
+    return SwapPair(keep_direction=keep_direction[0], keep_radius=keep_radius[0])
 
 
 def component_swap_rows(anchors, substitutes):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import container
 from .errors import (
+    ContainerFormatError,
     DimensionMismatch,
     DivergenceDetected,
     RadiusMismatch,
@@ -248,9 +249,13 @@ def forward(field: VelocityField, z, t: float, cond: int) -> np.ndarray:
 def loss_and_grad(field: VelocityField, batch, kind: str):
     """Mean squared velocity error over a batch and its exact gradient.
 
-    ``batch`` is (z0, z1, t, cond) row stacks.  The ``slerp`` kind tangent-
-    projects both the model output and the target at z_t; backprop runs
-    through the output's projection (the target's is parameter-free).
+    ``batch`` is (z0, z1, t, cond) row stacks.  The ``slerp`` kind scores
+    only the tangent part of the residual: it projects ``pred - u_t`` once
+    at z_t, relying on the geodesic target ``u_t`` being tangent already.
+    The projection is linear, symmetric and idempotent, so the gradient of
+    the squared projected residual is the projected residual itself, and
+    both kinds backprop ``2 * diff / n``.  Endpoints off the field's
+    sphere raise :class:`RadiusMismatch` from :func:`path_rows`.
     Returns (loss, grads) with grads parallel to ``field.parameters()``.
 
     A non-finite model output (a diverged field) yields a non-finite loss
@@ -269,12 +274,6 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
         if not np.all(np.isfinite(x)):
             raise ValueError(f"non-finite values in {name}")
     if kind == "slerp":
-        for name, z in (("z0", z0), ("z1", z1)):
-            dev = np.max(np.abs(np.linalg.norm(z, axis=-1) - field.radius))
-            if dev > ON_SPHERE_RTOL * field.radius:
-                raise RadiusMismatch(
-                    f"{name} rows off the field's sphere by up to {dev!r}"
-                )
         z_t, u_t = path_rows(z0, z1, t, PathKind.SLERP, radius=field.radius)
     else:
         z_t, u_t = path_rows(z0, z1, t, PathKind.LINEAR)
@@ -284,15 +283,11 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
         # checked here, before the validating tangent projection can mistake
         # the field's own overflow for bad input
         return float("nan"), [np.full_like(p, np.nan) for p in field.parameters()]
-    n = pred.shape[0]
+    diff = pred - u_t
     if kind == "slerp":
-        diff = tangent_rows(pred, z_t) - tangent_rows(u_t, z_t)
-        g_pred = tangent_rows(2.0 * diff / n, z_t)
-    else:
-        diff = pred - u_t
-        g_pred = 2.0 * diff / n
+        diff = tangent_rows(diff, z_t)
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    return loss, _backward_rows(field, cache, g_pred)
+    return loss, _backward_rows(field, cache, 2.0 * diff / pred.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +583,35 @@ def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = Non
         fh.write("\n")
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# What load_checkpoint needs from a sidecar: key -> validity test.
+_SIDECAR_SCHEMA = {
+    "widths": lambda v: type(v) is list and len(v) >= 2 and all(_is_count(w) and w > 0 for w in v),
+    "n_cond": _is_count,
+    "cond_dim": _is_count,
+    "time_dim": _is_count,
+    "kind": lambda v: type(v) is str,
+    "radius": lambda v: type(v) in (int, float) and np.isfinite(v),
+    "param_count": _is_count,
+}
+
+
 def load_checkpoint(path):
-    """Rebuild (field, sidecar dict) from :func:`save_checkpoint` output."""
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+    """Rebuild (field, sidecar dict) from :func:`save_checkpoint` output.
+
+    A sidecar missing a key of ``_SIDECAR_SCHEMA``, or holding a value of
+    the wrong type there, raises :class:`ContainerFormatError`."""
+    sidecar = str(path) + ".json"
+    with open(sidecar, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ContainerFormatError(f"{sidecar}: not a JSON object")
+    for key, valid in _SIDECAR_SCHEMA.items():
+        if not valid(meta.get(key)):
+            raise ContainerFormatError(f"{sidecar}: {key!r} missing or invalid: {meta.get(key)!r}")
     flat = container.read_container(path).ravel()
     if flat.size != meta["param_count"]:
         raise DimensionMismatch(

@@ -67,21 +67,17 @@ class RadialSplit:
             raise ValueError("share must lie in [0, 1]")
 
 
-def _check_time(t: float) -> float:
+def _path_point(z0, z1, t: float, kind: PathKind, radius: float | None = None) -> PathPoint:
+    """One pair through :func:`path_rows`, which checks the shapes;
+    :class:`PathPoint` checks that ``t`` lies in [0, 1]."""
     t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t = {t!r} outside [0, 1]")
-    return t
+    z_t, u_t = path_rows(z0, z1, t, kind, radius=radius)
+    return PathPoint(z_t, u_t, t, kind)
 
 
 def linear_path(z0, z1, t: float) -> PathPoint:
     """Straight-line interpolation; velocity is the constant chord z1 - z0."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    z1 = np.asarray(z1, dtype=np.float64)
-    if z0.shape != z1.shape:
-        raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
-    t = _check_time(t)
-    return PathPoint((1.0 - t) * z0 + t * z1, z1 - z0, t, PathKind.LINEAR)
+    return _path_point(z0, z1, t, PathKind.LINEAR)
 
 
 def shell_path(z0, z1, t: float) -> PathPoint:
@@ -90,22 +86,13 @@ def shell_path(z0, z1, t: float) -> PathPoint:
     The velocity is the exact product-rule derivative
     ``(r1 - r0) * dir_t + r_t * d(dir_t)/dt``, not a finite difference.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
-    z1 = np.asarray(z1, dtype=np.float64)
-    if z0.shape != z1.shape:
-        raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
-    t = _check_time(t)
-    z_t, u_t = path_rows(z0, z1, t, PathKind.SHELL)
-    return PathPoint(z_t, u_t, t, PathKind.SHELL)
+    return _path_point(z0, z1, t, PathKind.SHELL)
 
 
 def slerp_path(z0: SphereToken, z1: SphereToken, t: float) -> PathPoint:
-    """Constant-radius geodesic; the velocity target is tangent-projected."""
-    t = _check_time(t)
-    z_t, u_t = path_rows(
-        z0.values, z1.values, t, PathKind.SLERP, radius=sphere._check_common_radius(z0, z1)
-    )
-    return PathPoint(z_t, u_t, t, PathKind.SLERP)
+    """Constant-radius geodesic; the velocity target is tangent at z_t."""
+    radius = sphere._check_common_radius(z0, z1)
+    return _path_point(z0.values, z1.values, t, PathKind.SLERP, radius=radius)
 
 
 def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
@@ -135,8 +122,7 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
     u1 = z1 / r1[..., None]
 
     if kind is PathKind.SHELL:
-        dir_t = sphere.slerp_rows(u0, u1, t)
-        dir_v = sphere.slerp_velocity_rows(u0, u1, t)
+        dir_t, dir_v = sphere.geodesic_rows(u0, u1, t)
         r_t = ((1.0 - t) * r0 + t * r1)[..., None]
         z_t = r_t * dir_t
         u_t = (r1 - r0)[..., None] * dir_t + r_t * dir_v
@@ -152,9 +138,8 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
             raise RadiusMismatch(
                 f"endpoints off the common sphere: max deviation {dev!r} at radius {radius!r}"
             )
-        z_t = radius * sphere.slerp_rows(u0, u1, t)
-        u_raw = radius * sphere.slerp_velocity_rows(u0, u1, t)
-        return z_t, sphere.tangent_rows(u_raw, z_t)
+        pos, vel = sphere.geodesic_rows(u0, u1, t)
+        return radius * pos, radius * vel
 
     raise ValueError(f"unknown path kind: {kind!r}")
 

@@ -107,10 +107,6 @@ class GaussianNormStats:
 # row-wise primitives
 
 
-def norm_rows(x) -> np.ndarray:
-    return np.linalg.norm(np.asarray(x, dtype=np.float64), axis=-1)
-
-
 def unit_rows(x) -> np.ndarray:
     """Normalise rows to unit length; raises on rows below the norm floor."""
     x = _as_vectors(x)
@@ -166,8 +162,9 @@ def orthonormal_rows(u) -> np.ndarray:
     return r / np.linalg.norm(r, axis=-1, keepdims=True)
 
 
-def slerp_rows(u0, u1, t) -> np.ndarray:
-    """Spherical linear interpolation between unit rows.
+def geodesic_rows(u0, u1, t):
+    """Spherical linear interpolation between unit rows and its time
+    derivative, as ``(position, velocity)``.
 
     Three regimes by the angle ``w`` between the rows: below
     ``SMALL_ANGLE`` the path is a renormalised lerp (avoids 0/0 in
@@ -178,6 +175,10 @@ def slerp_rows(u0, u1, t) -> np.ndarray:
     the arccos clamp floors computed angles at about 1.4e-3, which would
     otherwise make the small-angle branch unreachable.  ``t`` broadcasts
     against the rows and may lie outside ``[0, 1]`` (geodesic extension).
+
+    The velocity differentiates the path of its row's regime (norm ``w``
+    in the standard regime) and is analytically tangent to the position in
+    all three regimes, so callers need no tangent projection.
     """
     u0 = _as_vectors(u0)
     u1 = _as_vectors(u1)
@@ -189,47 +190,37 @@ def slerp_rows(u0, u1, t) -> np.ndarray:
     anti = dots < math.cos(math.pi - ANTIPODAL_MARGIN)
     omega = np.arccos(np.clip(dots, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP))
     safe = np.where(small | anti, 0.5 * np.pi, omega)[..., None]
-    out = (np.sin((1.0 - tt) * safe) * u0 + np.sin(tt * safe) * u1) / np.sin(safe)
+    a = (1.0 - tt) * safe
+    b = tt * safe
+    sin_safe = np.sin(safe)
+    pos = (np.sin(a) * u0 + np.sin(b) * u1) / sin_safe
+    vel = (safe / sin_safe) * (-np.cos(a) * u0 + np.cos(b) * u1)
     if np.any(small):
-        lerp = (1.0 - tt) * u0 + tt * u1
-        lerp /= np.linalg.norm(lerp, axis=-1, keepdims=True)
-        out = np.where(small[..., None], lerp, out)
-    if np.any(anti):
-        nhat = orthonormal_rows(np.broadcast_to(u0, out.shape))
-        arc = np.cos(np.pi * tt) * u0 + np.sin(np.pi * tt) * nhat
-        out = np.where(anti[..., None], arc, out)
-    return out
-
-
-def slerp_velocity_rows(u0, u1, t) -> np.ndarray:
-    """Time derivative of :func:`slerp_rows` (norm ``w`` in the standard
-    regime; degenerate regimes differentiate their fallback paths).  Regime
-    dispatch mirrors :func:`slerp_rows` exactly."""
-    u0 = _as_vectors(u0)
-    u1 = _as_vectors(u1)
-    dots = np.einsum("...i,...i->...", u0, u1)
-    dots, t = np.broadcast_arrays(dots, np.asarray(t, dtype=np.float64))
-    tt = t[..., None]
-
-    small = dots > math.cos(SMALL_ANGLE)
-    anti = dots < math.cos(math.pi - ANTIPODAL_MARGIN)
-    omega = np.arccos(np.clip(dots, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP))
-    safe = np.where(small | anti, 0.5 * np.pi, omega)[..., None]
-    out = (safe / np.sin(safe)) * (
-        -np.cos((1.0 - tt) * safe) * u0 + np.cos(tt * safe) * u1
-    )
-    if np.any(small):
-        # derivative of the renormalised lerp l(t)/||l(t)||
+        # the renormalised lerp l(t)/||l(t)|| and its derivative
         lerp = (1.0 - tt) * u0 + tt * u1
         dl = u1 - u0
         nsq = np.sum(lerp * lerp, axis=-1, keepdims=True)
+        nl = np.sqrt(nsq)
         tang = dl - lerp * (np.sum(lerp * dl, axis=-1, keepdims=True) / nsq)
-        out = np.where(small[..., None], tang / np.sqrt(nsq), out)
+        pos = np.where(small[..., None], lerp / nl, pos)
+        vel = np.where(small[..., None], tang / nl, vel)
     if np.any(anti):
-        nhat = orthonormal_rows(np.broadcast_to(u0, out.shape))
-        arc = np.pi * (-np.sin(np.pi * tt) * u0 + np.cos(np.pi * tt) * nhat)
-        out = np.where(anti[..., None], arc, out)
-    return out
+        nhat = orthonormal_rows(np.broadcast_to(u0, pos.shape))
+        c = np.cos(np.pi * tt)
+        s = np.sin(np.pi * tt)
+        pos = np.where(anti[..., None], c * u0 + s * nhat, pos)
+        vel = np.where(anti[..., None], np.pi * (-s * u0 + c * nhat), vel)
+    return pos, vel
+
+
+def slerp_rows(u0, u1, t) -> np.ndarray:
+    """Position part of :func:`geodesic_rows`."""
+    return geodesic_rows(u0, u1, t)[0]
+
+
+def slerp_velocity_rows(u0, u1, t) -> np.ndarray:
+    """Velocity part of :func:`geodesic_rows`."""
+    return geodesic_rows(u0, u1, t)[1]
 
 
 def tangent_rows(v, z) -> np.ndarray:
@@ -330,8 +321,8 @@ def slerp(x0: SphereToken, x1: SphereToken, t: float) -> SphereToken:
 def slerp_velocity(x0: SphereToken, x1: SphereToken, t: float) -> TangentVector:
     """Velocity of the slerp path at time ``t`` (constant speed R * w)."""
     radius = _check_common_radius(x0, x1)
-    vec = slerp_velocity_rows(x0.direction, x1.direction, float(t)) * radius
-    return TangentVector(vec, slerp(x0, x1, t))
+    pos, vel = geodesic_rows(x0.direction, x1.direction, float(t))
+    return TangentVector(vel * radius, SphereToken(pos * radius, radius))
 
 
 def tangent_project(v, z: SphereToken) -> TangentVector:
@@ -350,9 +341,6 @@ def exp_map(p: SphereToken, v: TangentVector) -> SphereToken:
     inner = abs(float(np.dot(vec, p.values)))
     if inner > TANGENT_RTOL * float(np.linalg.norm(vec)) * p.radius:
         raise ValueError("velocity is not tangent at p")
-    nv = float(np.linalg.norm(vec))
-    if nv == 0.0:
-        return SphereToken(p.values.copy(), p.radius)
     return SphereToken(expmap_rows(p.values, vec, p.radius), p.radius)
 
 

@@ -341,6 +341,25 @@ def test_sample_missing_checkpoint(tmp_path):
     assert main(["sample", str(tmp_path / "no.slfm"), "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda meta: meta.pop("widths"), lambda meta: meta.update(widths="abc")],
+    ids=["missing-widths", "string-widths"],
+)
+def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit):
+    ckpt = tmp_path / "model.slfm"
+    assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0
+    sidecar = tmp_path / "model.slfm.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["sample", str(ckpt), "--seed", "0", "--n", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "widths" in err
+
+
 def test_sample_plain_euler_drifts(tmp_path, capsys):
     ckpt = tmp_path / "model.slfm"
     assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0

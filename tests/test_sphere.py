@@ -330,6 +330,54 @@ def test_slerp_velocity_antipodal_matches_fallback_path():
         assert_allclose(v, fd, atol=1e-7)
 
 
+def _mixed_regime_pairs(rng, d, per_regime):
+    """Unit pairs whose angles fall in each slerp regime: below
+    SMALL_ANGLE, within ANTIPODAL_MARGIN of pi, and in between, shuffled
+    so that neighbouring rows take different branches."""
+    n = 3 * per_regime
+    u0 = rng.standard_normal((n, d))
+    u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
+    ortho = rng.standard_normal((n, d))
+    ortho -= np.sum(ortho * u0, axis=1, keepdims=True) * u0
+    ortho /= np.linalg.norm(ortho, axis=1, keepdims=True)
+    angles = np.concatenate([
+        rng.uniform(1e-5, 5e-5, per_regime),
+        rng.uniform(math.pi - 0.09, math.pi - 0.02, per_regime),
+        rng.uniform(0.3, 2.5, per_regime),
+    ])
+    rng.shuffle(angles)
+    u1 = np.cos(angles)[:, None] * u0 + np.sin(angles)[:, None] * ortho
+    return u0, u1
+
+
+def test_geodesic_rows_mixed_regimes_in_one_call():
+    rng = np.random.default_rng(21)
+    per_regime = 12
+    u0, u1 = _mixed_regime_pairs(rng, 7, per_regime)
+    dots = np.sum(u0 * u1, axis=1)
+    small = dots > math.cos(sphere.SMALL_ANGLE)
+    anti = dots < math.cos(math.pi - sphere.ANTIPODAL_MARGIN)
+    assert small.sum() == anti.sum() == per_regime
+    t = rng.uniform(0.05, 0.95, u0.shape[0])
+    pos, vel = sphere.geodesic_rows(u0, u1, t)
+
+    # the masks select per row: a stacked call agrees with one-row calls
+    for i in range(u0.shape[0]):
+        pos_i, vel_i = sphere.geodesic_rows(u0[i], u1[i], t[i])
+        assert_allclose(pos[i], pos_i, rtol=0, atol=1e-14)
+        assert_allclose(vel[i], vel_i, rtol=0, atol=1e-13)
+
+    # velocity is the time derivative of the position in every regime,
+    # small-angle rows included (speed ~1e-5 there)
+    h = 1e-4
+    fd = (sphere.geodesic_rows(u0, u1, t + h)[0] - sphere.geodesic_rows(u0, u1, t - h)[0]) / (2 * h)
+    speed = np.linalg.norm(vel, axis=1)
+    assert np.max(np.linalg.norm(fd - vel, axis=1) / speed) <= 1e-6
+
+    # and tangent to the unit position without any projection
+    assert np.max(np.abs(np.sum(pos * vel, axis=1)) / speed) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # tangent projection
 
