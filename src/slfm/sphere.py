@@ -171,10 +171,12 @@ def geodesic_rows(u0, u1, t):
     ``sin w``); above ``pi - ANTIPODAL_MARGIN`` it traces the great circle
     ``cos(pi t) u0 + sin(pi t) n`` through the deterministic orthogonal
     unit ``n``; otherwise the standard sine-weighted formula.  The regime
-    dispatch compares the raw cosine against the cosines of the thresholds;
-    the arccos clamp floors computed angles at about 1.4e-3, which would
-    otherwise make the small-angle branch unreachable.  ``t`` broadcasts
-    against the rows and may lie outside ``[0, 1]`` (geodesic extension).
+    dispatch compares the raw cosine against the cosines of the thresholds,
+    and the standard regime takes the arccos of the raw cosine: the
+    ``COS_CLAMP`` clamp of :func:`angle_rows` floors angles at about
+    1.4e-3, and a standard row below that floor would follow a curve
+    whose velocity has a radial part.  ``t`` broadcasts against the rows
+    and may lie outside ``[0, 1]`` (geodesic extension).
 
     The velocity differentiates the path of its row's regime (norm ``w``
     in the standard regime) and is analytically tangent to the position in
@@ -188,7 +190,7 @@ def geodesic_rows(u0, u1, t):
 
     small = dots > math.cos(SMALL_ANGLE)
     anti = dots < math.cos(math.pi - ANTIPODAL_MARGIN)
-    omega = np.arccos(np.clip(dots, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP))
+    omega = np.arccos(np.clip(dots, -1.0, 1.0))  # clip: rounding past +/-1
     safe = np.where(small | anti, 0.5 * np.pi, omega)[..., None]
     a = (1.0 - tt) * safe
     b = tt * safe

@@ -159,6 +159,26 @@ def test_slerp_path_constant_speed():
     assert_allclose(speeds, math.sqrt(32) * w, rtol=1e-6)
 
 
+@pytest.mark.parametrize("w", [1.5e-4, 3e-4, 1e-3, 1.4e-3])
+def test_slerp_path_near_coincident_endpoints(w):
+    # angles above SMALL_ANGLE but below the ~1.4e-3 floor of clamped
+    # arccos angles: the standard regime must use the true angle
+    rng = np.random.default_rng(8)
+    radius = 3.0
+    u0 = rng.standard_normal(9)
+    u0 /= np.linalg.norm(u0)
+    n = rng.standard_normal(9)
+    n -= np.dot(n, u0) * u0
+    n /= np.linalg.norm(n)
+    x0 = SphereToken(radius * u0, radius)
+    x1 = SphereToken(radius * (math.cos(w) * u0 + math.sin(w) * n), radius)
+    for t in (0.0, 0.2, 0.5, 0.9, 1.0):
+        p = slerp_path(x0, x1, t)
+        assert radial_split(p.u_t, p.z_t).share <= 1e-20
+        assert np.linalg.norm(p.u_t) == pytest.approx(radius * w, rel=1e-9)
+        assert np.linalg.norm(p.z_t) == pytest.approx(radius, rel=1e-14)
+
+
 def test_slerp_path_radius_mismatch():
     x0 = SphereToken(np.array([2.0, 0.0, 0.0]), 2.0)
     x1 = SphereToken(np.array([0.0, 2.5, 0.0]), 2.5)

@@ -333,8 +333,10 @@ def test_slerp_velocity_antipodal_matches_fallback_path():
 def _mixed_regime_pairs(rng, d, per_regime):
     """Unit pairs whose angles fall in each slerp regime: below
     SMALL_ANGLE, within ANTIPODAL_MARGIN of pi, and in between, shuffled
-    so that neighbouring rows take different branches."""
-    n = 3 * per_regime
+    so that neighbouring rows take different branches.  The standard
+    regime is drawn twice: generic angles, and angles between SMALL_ANGLE
+    and the ~1.4e-3 floor that COS_CLAMP puts on clamped arccos angles."""
+    n = 4 * per_regime
     u0 = rng.standard_normal((n, d))
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
     ortho = rng.standard_normal((n, d))
@@ -344,6 +346,7 @@ def _mixed_regime_pairs(rng, d, per_regime):
         rng.uniform(1e-5, 5e-5, per_regime),
         rng.uniform(math.pi - 0.09, math.pi - 0.02, per_regime),
         rng.uniform(0.3, 2.5, per_regime),
+        rng.uniform(2e-4, 1.2e-3, per_regime),
     ])
     rng.shuffle(angles)
     u1 = np.cos(angles)[:, None] * u0 + np.sin(angles)[:, None] * ortho
