@@ -50,6 +50,14 @@ def _emit_json(obj, stream=None) -> None:
     stream.write("\n")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for radii: a finite float above zero."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="shell statistics of a latent container")
     p.add_argument("input", help="container path")
-    p.add_argument("--project", type=float, default=None, metavar="R", help="project tokens to radius R first")
+    p.add_argument("--project", type=_positive_float, default=None, metavar="R", help="project tokens to radius R first")
     _add_format(p)
     p.set_defaults(func=cmd_stats)
 
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--radius", type=float, default=None, help="defaults to sqrt(d)")
+    p.add_argument("--radius", type=_positive_float, default=None, help="defaults to sqrt(d)")
     p.add_argument("--centers", type=int, default=2)
     p.add_argument("--spread", type=float, default=0.15)
     p.add_argument("--weights", default=None, help="comma list, e.g. 0.6,0.4")
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deficit", help="projected-Euler arc-length deficit, analytical vs measured")
     p.add_argument("--h", type=float, required=True, help="step size")
     p.add_argument("--omega", type=float, required=True, help="angle between endpoints")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_positive_float, default=1.0)
     _add_format(p)
     p.set_defaults(func=cmd_deficit)
 

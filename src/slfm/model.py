@@ -10,6 +10,7 @@ the gradient path is fully auditable against finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ TIME_SAMPLING = ("uniform", "logit-normal")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+CHECKPOINT_FORMAT = "slfm-checkpoint"
+CHECKPOINT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +108,8 @@ class VelocityField:
     """Feedforward net v(z, t, cond): tanh hidden layers, linear output.
 
     Input is the concatenation of the token, a sinusoidal time embedding,
-    and a learned per-condition embedding row.
+    and a learned per-condition embedding row.  All parameters are views of
+    one float64 vector ``flat``, in the layout of :func:`_param_views`.
     """
 
     weights: list
@@ -135,8 +140,12 @@ class VelocityField:
             raise DimensionMismatch(
                 f"first layer width {self.weights[0].shape[0]} != d + embeddings {expect}"
             )
-        if not all(np.all(np.isfinite(p)) for p in self.parameters()):
+        pairs = [p for w, b in zip(self.weights, self.biases) for p in (w, b)]
+        self.flat = np.concatenate([p.ravel() for p in (*pairs, self.cond_table)])
+        if not np.all(np.isfinite(self.flat)):
             raise ValueError("non-finite parameters")
+        p = self._params = _param_views(self.flat, self.widths, self.cond_table.shape)
+        self.weights, self.biases, self.cond_table = p[0:-1:2], p[1:-1:2], p[-1]
 
     @property
     def d(self) -> int:
@@ -151,12 +160,7 @@ class VelocityField:
         return [int(w.shape[0]) for w in self.weights] + [self.d]
 
     def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        out.append(self.cond_table)
-        return out
+        return self._params
 
     @classmethod
     def create(
@@ -184,6 +188,23 @@ class VelocityField:
         return cls(weights, biases, cond_table, kind, radius, time_dim)
 
 
+def _param_views(flat: np.ndarray, widths, cond_shape) -> list:
+    """The parameter layout: C-order views [W0, b0, W1, b1, ..., table] of
+    the 1-d vector ``flat``, W_i of shape (widths[i], widths[i+1]), b_i of
+    shape (widths[i+1],), the table of ``cond_shape``.  Raises
+    :class:`ContainerFormatError` unless the layout fills ``flat`` exactly."""
+    layers = list(zip(widths[:-1], widths[1:]))
+    size = sum((n_in + 1) * n_out for n_in, n_out in layers) + math.prod(cond_shape)
+    if size != flat.size:
+        raise ContainerFormatError(f"parameter layout holds {size} values, not {flat.size}")
+    views, offset = [], 0
+    for n_in, n_out in layers:
+        end = offset + n_in * n_out
+        views += [flat[offset:end].reshape(n_in, n_out), flat[end : end + n_out]]
+        offset = end + n_out
+    return views + [flat[offset:].reshape(cond_shape)]
+
+
 def _forward_rows(field: VelocityField, z, t, cond):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != field.d:
@@ -208,25 +229,15 @@ def _forward_rows(field: VelocityField, z, t, cond):
 def _backward_rows(field: VelocityField, cache, g_out):
     """Gradients of sum(out * g_out) w.r.t. every parameter."""
     acts, cond = cache
-    n_layers = len(field.weights)
-    g_w = [None] * n_layers
-    g_b = [None] * n_layers
+    grads = _param_views(np.zeros(field.flat.size), field.widths, field.cond_table.shape)
     g = g_out
-    g_w[-1] = acts[-1].T @ g
-    g_b[-1] = g.sum(axis=0)
-    g = g @ field.weights[-1].T
-    for i in range(n_layers - 2, -1, -1):
-        g = g * (1.0 - acts[i + 1] ** 2)
-        g_w[i] = acts[i].T @ g
-        g_b[i] = g.sum(axis=0)
+    for i in range(len(field.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, g, out=grads[2 * i])
+        np.sum(g, axis=0, out=grads[2 * i + 1])
         g = g @ field.weights[i].T
-    g_table = np.zeros_like(field.cond_table)
-    np.add.at(g_table, cond, g[:, field.d + field.time_dim :])
-    grads = []
-    for gw, gb in zip(g_w, g_b):
-        grads.append(gw)
-        grads.append(gb)
-    grads.append(g_table)
+        if i:
+            g = g * (1.0 - acts[i] ** 2)
+    np.add.at(grads[-1], cond, g[:, field.d + field.time_dim :])
     return grads
 
 
@@ -282,7 +293,8 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
     if not np.all(np.isfinite(pred)):
         # checked here, before the validating tangent projection can mistake
         # the field's own overflow for bad input
-        return float("nan"), [np.full_like(p, np.nan) for p in field.parameters()]
+        nan = np.full_like(field.flat, np.nan)
+        return float("nan"), _param_views(nan, field.widths, field.cond_table.shape)
     diff = pred - u_t
     if kind == "slerp":
         diff = tangent_rows(diff, z_t)
@@ -387,6 +399,8 @@ def random_dataset(
     weights=None,
 ) -> SyntheticDataset:
     """Dataset with uniformly drawn centers; weights default to uniform."""
+    if n_centers < 1:
+        raise ValueError("need at least one center")
     centers = uniform_rows(n_centers, d, radius, rng)
     if weights is None:
         weights = np.full(n_centers, 1.0 / n_centers)
@@ -561,18 +575,17 @@ def sample(
 def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = None, extra: dict | None = None) -> None:
     """Parameter blob as a 1-item container plus a JSON sidecar at
     ``path + ".json"``.  Parameters are stored in 32-bit like any payload."""
-    flat = np.concatenate([p.ravel() for p in field.parameters()])
-    container.write_container(path, flat.reshape(1, flat.size, 1, 1))
+    container.write_container(path, field.flat.reshape(1, field.flat.size, 1, 1))
     meta = {
-        "format": "slfm-checkpoint",
-        "format_version": 1,
+        "format": CHECKPOINT_FORMAT,
+        "format_version": CHECKPOINT_VERSION,
         "widths": field.widths,
         "time_dim": field.time_dim,
         "n_cond": field.n_cond,
         "cond_dim": int(field.cond_table.shape[1]),
         "kind": field.kind,
         "radius": field.radius,
-        "param_count": int(flat.size),
+        "param_count": int(field.flat.size),
     }
     if config is not None:
         meta["config"] = asdict(config)
@@ -589,6 +602,8 @@ def _is_count(value) -> bool:
 
 # What load_checkpoint needs from a sidecar: key -> validity test.
 _SIDECAR_SCHEMA = {
+    "format": lambda v: v == CHECKPOINT_FORMAT,
+    "format_version": lambda v: type(v) is int and v == CHECKPOINT_VERSION,
     "widths": lambda v: type(v) is list and len(v) >= 2 and all(_is_count(w) and w > 0 for w in v),
     "n_cond": _is_count,
     "cond_dim": _is_count,
@@ -617,17 +632,8 @@ def load_checkpoint(path):
         raise DimensionMismatch(
             f"blob holds {flat.size} parameters, sidecar says {meta['param_count']}"
         )
-    widths = meta["widths"]
-    weights = []
-    biases = []
-    offset = 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(flat[offset : offset + fan_out])
-        offset += fan_out
-    table = flat[offset:].reshape(meta["n_cond"], meta["cond_dim"])
+    params = _param_views(flat, meta["widths"], (meta["n_cond"], meta["cond_dim"]))
     field = VelocityField(
-        weights, biases, table, meta["kind"], meta["radius"], meta["time_dim"]
+        params[0:-1:2], params[1:-1:2], params[-1], meta["kind"], meta["radius"], meta["time_dim"]
     )
     return field, meta

@@ -51,13 +51,27 @@ def gauss_shell_pairs(
     return _shell_rows(n, d, r0, cv, rng), _shell_rows(n, d, r1, cv, rng)
 
 
+def _radius(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError("expected a finite positive number")
+    return value
+
+
+def _cv(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError("expected a finite nonnegative number")
+    return value
+
+
 def parse_spec(text: str) -> dict:
     """Parse a synthetic spec string into a dict with a ``family`` key."""
     family, _, rest = text.partition(":")
     family = family.strip()
     schemas = {
-        "sphere": {"d": int, "R": float},
-        "gauss-shells": {"d": int, "r0": float, "r1": float, "cv": float},
+        "sphere": {"d": int, "R": _radius},
+        "gauss-shells": {"d": int, "r0": _radius, "r1": _radius, "cv": _cv},
     }
     if family not in schemas:
         raise ValueError(
@@ -79,8 +93,8 @@ def parse_spec(text: str) -> dict:
         seen.add(key)
         try:
             out[key] = schema[key](value.strip())
-        except ValueError:
-            raise ValueError(f"bad value for {key!r}: {value.strip()!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key!r}: {value.strip()!r} ({exc})") from None
     missing = set(schema) - seen
     if missing:
         raise ValueError(f"missing synthetic parameters: {sorted(missing)}")

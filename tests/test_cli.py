@@ -342,11 +342,17 @@ def test_sample_missing_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [lambda meta: meta.pop("widths"), lambda meta: meta.update(widths="abc")],
-    ids=["missing-widths", "string-widths"],
+    ("edit", "key"),
+    [
+        (lambda meta: meta.pop("widths"), "widths"),
+        (lambda meta: meta.update(widths="abc"), "widths"),
+        (lambda meta: meta.update(format="npz"), "format"),
+        (lambda meta: meta.update(format_version=2), "format_version"),
+        (lambda meta: meta.update(n_cond=2), "layout"),
+    ],
+    ids=["missing-widths", "string-widths", "wrong-format", "wrong-version", "layout-mismatch"],
 )
-def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit):
+def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit, key):
     ckpt = tmp_path / "model.slfm"
     assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0
     sidecar = tmp_path / "model.slfm.json"
@@ -357,7 +363,7 @@ def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit):
     assert main(["sample", str(ckpt), "--seed", "0", "--n", "8"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "widths" in err
+    assert key in err
 
 
 def test_sample_plain_euler_drifts(tmp_path, capsys):
@@ -395,6 +401,35 @@ def test_deficit_rejects_bad_domain(capsys):
 
 # ---------------------------------------------------------------------------
 # parser behavior
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--out", "{tmp}/x.slfm", "--seed", "0", "--centers", "0"],
+        ["train", "--out", "{tmp}/x.slfm", "--seed", "0", "--radius", "nan"],
+        ["stats", "{tmp}/lat.slfm", "--project", "nan"],
+        ["stats", "{tmp}/lat.slfm", "--project", "inf"],
+        ["stats", "{tmp}/lat.slfm", "--project", "-2"],
+        ["paths", "--synthetic", "sphere:d=4,R=nan", "--kind", "linear"],
+        ["paths", "--synthetic", "sphere:d=4,R=nan", "--kind", "slerp"],
+        ["paths", "--synthetic", "sphere:d=4,R=-1", "--kind", "linear"],
+        ["paths", "--synthetic", "gauss-shells:d=4,r0=1,r1=inf,cv=0.1", "--kind", "linear"],
+        ["paths", "--synthetic", "gauss-shells:d=4,r0=1,r1=2,cv=nan", "--kind", "linear"],
+        ["deficit", "--h", "0.1", "--omega", "1", "--radius", "-1"],
+    ],
+    ids=[
+        "train-centers-0", "train-radius-nan", "stats-project-nan", "stats-project-inf",
+        "stats-project-negative", "paths-R-nan-linear", "paths-R-nan-slerp",
+        "paths-R-negative", "paths-r1-inf", "paths-cv-nan", "deficit-radius-negative",
+    ],
+)
+def test_out_of_domain_values_exit_2(tmp_path, capsys, argv):
+    # non-finite or nonpositive radii, a NaN cv and no centers are bad input, not a report
+    _write_rows(tmp_path / "lat.slfm", np.random.default_rng(8).standard_normal((4, 3)))
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slfm import sphere
+from slfm import container, sphere
 from slfm.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -714,6 +714,27 @@ def test_checkpoint_sidecar_is_json(tmp_path):
     meta = json.loads(text)
     assert meta["format"] == "slfm-checkpoint"
     assert meta["param_count"] == sum(p.size for p in field.parameters())
+
+
+def test_checkpoint_blob_order(tmp_path):
+    # distinct values per parameter pin the stored order W0, b0, W1, b1,
+    # table; a save/load pair that merely agree would pass the round trips
+    w0 = np.arange(8 * 3, dtype=np.float64).reshape(8, 3) / 7.0
+    b0 = 100.0 + np.arange(3) / 3.0
+    w1 = -np.arange(3 * 4, dtype=np.float64).reshape(3, 4) / 9.0
+    b1 = 200.0 + np.arange(4) / 11.0
+    table = 300.0 + np.arange(2 * 2, dtype=np.float64).reshape(2, 2) / 13.0
+    field = VelocityField([w0, w1], [b0, b1], table, "linear", 2.0, 2)
+    path = tmp_path / "ckpt.slfm"
+    save_checkpoint(path, field)
+    expect = np.concatenate([w0.ravel(), b0, w1.ravel(), b1, table.ravel()])
+    blob = container.read_container(path).ravel()
+    assert np.array_equal(blob, expect.astype(np.float32).astype(np.float64))
+
+
+def test_random_dataset_needs_a_center():
+    with pytest.raises(ValueError):
+        random_dataset(4, 2.0, 0, 0.2, np.random.default_rng(50))
 
 
 def test_checkpoint_detects_count_mismatch(tmp_path):

@@ -97,6 +97,28 @@ def test_parse_spec_rejects(text):
         parse_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sphere:d=4,R=nan",
+        "sphere:d=4,R=inf",
+        "sphere:d=4,R=-1",
+        "sphere:d=4,R=0",
+        "gauss-shells:d=4,r0=0,r1=2,cv=0.1",
+        "gauss-shells:d=4,r0=1,r1=inf,cv=0.1",
+        "gauss-shells:d=4,r0=1,r1=2,cv=nan",
+        "gauss-shells:d=4,r0=1,r1=2,cv=-0.1",
+    ],
+)
+def test_parse_spec_rejects_out_of_domain_reals(text):
+    with pytest.raises(ValueError):
+        parse_spec(text)
+
+
+def test_parse_spec_accepts_zero_cv():
+    assert parse_spec("gauss-shells:d=4,r0=1,r1=2,cv=0")["cv"] == 0.0
+
+
 def test_pairs_from_spec_dispatch():
     rng = np.random.default_rng(5)
     z0, z1 = pairs_from_spec(parse_spec("sphere:d=4,R=2.0"), 32, rng)
