@@ -7,6 +7,12 @@ direction/radius component-swap construction.
 All aggregation goes through ``math.fsum``, which is exactly rounded and
 therefore independent of summation order: permuting the input pairs changes
 no profile value.
+
+:func:`path_profile` computes the per-pair geometry (endpoint norms, unit
+rows, angles, regime masks) once per profile and evaluates every grid point
+from it into buffers it reuses.  Each value is still the exact fsum of the
+per-row values, bit-identical to evaluating :func:`~slfm.paths.path_rows`
+at that grid point.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
-from .paths import PathKind, path_rows, radial_share_rows
+from .paths import PathKind, _path_at, _path_setup, radial_share_rows
 from .sphere import NORM_FLOOR
 
 # Population std below DEGENERATE_RTOL * mean is rounding noise from a
@@ -181,17 +187,20 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     shell1 = shell_stats(z1s)
     absolute = shell0.std_radius == 0.0 or shell1.std_radius == 0.0
 
+    pairs = _path_setup(z0s, z1s, kind)
+    z_t, u_t, scratch = (np.empty(z0s.shape) for _ in range(3))
     mean_norm = np.empty_like(t_grid)
     std_norm = np.empty_like(t_grid)
     mean_off = np.empty_like(t_grid)
     mean_share = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):
-        z_t, u_t = path_rows(z0s, z1s, float(t), kind)
-        norms = np.linalg.norm(z_t, axis=-1)
+        z, u = _path_at(pairs, float(t), (z_t, u_t, scratch))
+        # the reduction np.linalg.norm(z, axis=-1) makes (same bits), in scratch
+        norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=scratch), axis=-1))
         mean_norm[i] = _fsum_mean(norms)
         std_norm[i] = _fsum_std(norms, mean_norm[i])
         mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
-        mean_share[i] = _fsum_mean(radial_share_rows(u_t, z_t))
+        mean_share[i] = _fsum_mean(radial_share_rows(u, z))
     return PathProfile(
         t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute, shell0, shell1
     )

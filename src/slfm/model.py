@@ -9,8 +9,10 @@ the gradient path is fully auditable against finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,6 +89,9 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "time_mean", "time_std", "shift", "weight_decay", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")
         if self.batch_size < 1 or self.steps < 0:
@@ -129,6 +134,8 @@ class VelocityField:
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         self.cond_table = np.asarray(self.cond_table, dtype=np.float64)
+        if self.cond_table.ndim != 2:
+            raise DimensionMismatch("condition table must be 2-d (n_cond, cond_dim)")
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise DimensionMismatch("layer shapes inconsistent")
@@ -574,8 +581,12 @@ def sample(
 
 def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = None, extra: dict | None = None) -> None:
     """Parameter blob as a 1-item container plus a JSON sidecar at
-    ``path + ".json"``.  Parameters are stored in 32-bit like any payload."""
-    container.write_container(path, field.flat.reshape(1, field.flat.size, 1, 1))
+    ``path + ".json"``.  Parameters are stored in 32-bit like any payload.
+
+    Both files are written to temporary names beside their targets,
+    flushed to disk, and moved over them with ``os.replace`` only once both
+    writes succeeded, so a failed write leaves the previous checkpoint as it
+    was and a crash cannot leave a renamed file without its data."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_VERSION,
@@ -591,9 +602,31 @@ def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = Non
         meta["config"] = asdict(config)
     if extra:
         meta["extra"] = extra
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    blob, sidecar = str(path), str(path) + ".json"
+    temps = [f"{target}.{os.getpid()}.tmp" for target in (blob, sidecar)]
+    try:
+        container.write_container(temps[0], field.flat.reshape(1, field.flat.size, 1, 1))
+        with open(temps[1], "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for temp in temps:
+            _fsync(temp)
+        os.replace(temps[0], blob)
+        os.replace(temps[1], sidecar)
+        _fsync(os.path.dirname(blob) or ".")  # the renames themselves
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
+def _fsync(path) -> None:
+    """Flush a written file, or a directory's entries, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _is_count(value) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,16 +104,35 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
     For ``SLERP`` all endpoint rows must lie on one common radius (pass
     ``radius`` to pin it; otherwise it is inferred from the data).
     """
+    t = np.asarray(t, dtype=np.float64)
+    return _path_at(_path_setup(z0, z1, kind, radius, t.shape), t)
+
+
+class _PathPairs(NamedTuple):
+    """The t-independent part of :func:`path_rows` (see :func:`_path_setup`)."""
+
+    kind: PathKind
+    z0: np.ndarray
+    z1: np.ndarray
+    chord: np.ndarray | None = None    # LINEAR: z1 - z0
+    r0: np.ndarray | None = None       # SHELL: the endpoint norms
+    r1: np.ndarray | None = None
+    radius: float | None = None        # SLERP: the common radius
+    geodesic: sphere._Geodesic | None = None  # SHELL, SLERP: the unit rows
+
+
+def _path_setup(z0, z1, kind: PathKind, radius: float | None = None, lead=()) -> _PathPairs:
+    """Check the pairs and compute what does not depend on ``t``: the
+    chord, or the endpoint norms, the unit rows and their geodesic set-up,
+    broadcast against the leading shape ``lead`` of the times.  Raises as
+    :func:`path_rows` does."""
     z0 = np.asarray(z0, dtype=np.float64)
     z1 = np.asarray(z1, dtype=np.float64)
     if z0.shape != z1.shape:
         raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
-    t = np.asarray(t, dtype=np.float64)
 
     if kind is PathKind.LINEAR:
-        tt = t[..., None] if t.ndim else t
-        z_t = (1.0 - tt) * z0 + tt * z1
-        return z_t, np.broadcast_to(z1 - z0, z_t.shape).copy()
+        return _PathPairs(kind, z0, z1, chord=z1 - z0)
 
     r0 = np.linalg.norm(z0, axis=-1)
     r1 = np.linalg.norm(z1, axis=-1)
@@ -122,11 +142,7 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
     u1 = z1 / r1[..., None]
 
     if kind is PathKind.SHELL:
-        dir_t, dir_v = sphere.geodesic_rows(u0, u1, t)
-        r_t = ((1.0 - t) * r0 + t * r1)[..., None]
-        z_t = r_t * dir_t
-        u_t = (r1 - r0)[..., None] * dir_t + r_t * dir_v
-        return z_t, u_t
+        return _PathPairs(kind, z0, z1, r0=r0, r1=r1, geodesic=sphere._geodesic_setup(u0, u1, lead))
 
     if kind is PathKind.SLERP:
         if radius is None:
@@ -138,10 +154,39 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
             raise RadiusMismatch(
                 f"endpoints off the common sphere: max deviation {dev!r} at radius {radius!r}"
             )
-        pos, vel = sphere.geodesic_rows(u0, u1, t)
-        return radius * pos, radius * vel
+        geodesic = sphere._geodesic_setup(u0, u1, lead)
+        return _PathPairs(kind, z0, z1, radius=radius, geodesic=geodesic)
 
     raise ValueError(f"unknown path kind: {kind!r}")
+
+
+def _path_at(pairs: _PathPairs, t, out=None):
+    """``(z_t, u_t)`` of the pairs at ``t``.  With ``out = (z_t, u_t,
+    scratch)``, arrays of the pairs' shape, the result is written into
+    those; a LINEAR ``u_t`` is the pairs' own chord either way."""
+    t = np.asarray(t, dtype=np.float64)
+    z_t, _, scratch = (None, None, None) if out is None else out
+
+    if pairs.kind is PathKind.LINEAR:
+        tt = t[..., None] if t.ndim else t
+        z_t = np.multiply(1.0 - tt, pairs.z0, out=z_t)
+        np.add(z_t, np.multiply(tt, pairs.z1, out=scratch), out=z_t)
+        if pairs.chord.shape == z_t.shape:
+            return z_t, pairs.chord
+        return z_t, np.broadcast_to(pairs.chord, z_t.shape).copy()
+
+    dir_t, dir_v = sphere._geodesic_at(pairs.geodesic, t, out)
+    if pairs.kind is PathKind.SHELL:
+        # z_t = r_t dir_t and u_t = (r1 - r0) dir_t + r_t d(dir_t)/dt
+        r_t = ((1.0 - t) * pairs.r0 + t * pairs.r1)[..., None]
+        np.multiply(r_t, dir_v, out=dir_v)
+        dr = (pairs.r1 - pairs.r0)[..., None]
+        np.add(np.multiply(dr, dir_t, out=scratch), dir_v, out=dir_v)
+        np.multiply(r_t, dir_t, out=dir_t)
+        return dir_t, dir_v
+    np.multiply(pairs.radius, dir_t, out=dir_t)
+    np.multiply(pairs.radius, dir_v, out=dir_v)
+    return dir_t, dir_v
 
 
 def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -162,6 +163,82 @@ def orthonormal_rows(u) -> np.ndarray:
     return r / np.linalg.norm(r, axis=-1, keepdims=True)
 
 
+class _Geodesic(NamedTuple):
+    """The t-independent part of :func:`geodesic_rows` for pairs of unit
+    rows broadcast to one shape (see :func:`_geodesic_setup`)."""
+
+    u0: np.ndarray
+    u1: np.ndarray
+    small: np.ndarray     # regime masks over the leading shape
+    anti: np.ndarray
+    safe: np.ndarray      # (..., 1) angle; pi/2 on small and antipodal rows
+    sin_safe: np.ndarray
+    speed: np.ndarray     # safe / sin_safe
+    nhat: np.ndarray | None  # orthonormal unit of each antipodal row
+
+
+def _geodesic_setup(u0, u1, lead=()) -> _Geodesic:
+    """Regime masks, angles and antipodal fallback units of the unit rows
+    ``u0``/``u1``, broadcast against each other and against the leading
+    shape ``lead`` of the times they will be evaluated at; nothing here
+    depends on ``t`` itself."""
+    u0 = _as_vectors(u0)
+    u1 = _as_vectors(u1)
+    shape = np.broadcast_shapes(u0.shape, u1.shape, tuple(lead) + (1,))
+    if u0.shape != shape or u1.shape != shape:
+        u0, u1 = np.broadcast_to(u0, shape), np.broadcast_to(u1, shape)
+    dots = np.einsum("...i,...i->...", u0, u1)
+    small = dots > math.cos(SMALL_ANGLE)
+    anti = dots < math.cos(math.pi - ANTIPODAL_MARGIN)
+    omega = np.arccos(np.clip(dots, -1.0, 1.0))  # clip: rounding past +/-1
+    safe = np.where(small | anti, 0.5 * np.pi, omega)[..., None]
+    sin_safe = np.sin(safe)
+    nhat = orthonormal_rows(u0[anti]) if np.any(anti) else None
+    return _Geodesic(u0, u1, small, anti, safe, sin_safe, safe / sin_safe, nhat)
+
+
+def _geodesic_at(g: _Geodesic, t, out=None):
+    """Position and velocity of the pairs ``g`` at ``t``, whose shape the
+    set-up was broadcast against.  With ``out = (pos, vel, scratch)``,
+    arrays of the pairs' shape, they are written into ``pos`` and ``vel``;
+    otherwise into new arrays.  The small-angle and antipodal rows are
+    overwritten from their own formulas, evaluated on those rows only."""
+    pos, vel, scratch = (None, None, None) if out is None else out
+    t = np.asarray(t, dtype=np.float64)
+    tt = t[..., None]
+    a = (1.0 - tt) * g.safe
+    b = tt * g.safe
+    pos = np.multiply(np.sin(a), g.u0, out=pos)
+    scratch = np.multiply(np.sin(b), g.u1, out=scratch)
+    np.add(pos, scratch, out=pos)
+    np.divide(pos, g.sin_safe, out=pos)
+    vel = np.multiply(-np.cos(a), g.u0, out=vel)
+    np.multiply(np.cos(b), g.u1, out=scratch)
+    np.add(vel, scratch, out=vel)
+    np.multiply(g.speed, vel, out=vel)
+    if np.any(g.small):
+        # the renormalised lerp l(t)/||l(t)|| and its derivative
+        m = g.small
+        tm = np.broadcast_to(tt, m.shape + (1,))[m]
+        u0, u1 = g.u0[m], g.u1[m]
+        lerp = (1.0 - tm) * u0 + tm * u1
+        dl = u1 - u0
+        nsq = np.sum(lerp * lerp, axis=-1, keepdims=True)
+        nl = np.sqrt(nsq)
+        tang = dl - lerp * (np.sum(lerp * dl, axis=-1, keepdims=True) / nsq)
+        pos[m] = lerp / nl
+        vel[m] = tang / nl
+    if g.nhat is not None:
+        m = g.anti
+        tm = np.broadcast_to(tt, m.shape + (1,))[m]
+        u0 = g.u0[m]
+        c = np.cos(np.pi * tm)
+        s = np.sin(np.pi * tm)
+        pos[m] = c * u0 + s * g.nhat
+        vel[m] = np.pi * (-s * u0 + c * g.nhat)
+    return pos, vel
+
+
 def geodesic_rows(u0, u1, t):
     """Spherical linear interpolation between unit rows and its time
     derivative, as ``(position, velocity)``.
@@ -182,37 +259,8 @@ def geodesic_rows(u0, u1, t):
     in the standard regime) and is analytically tangent to the position in
     all three regimes, so callers need no tangent projection.
     """
-    u0 = _as_vectors(u0)
-    u1 = _as_vectors(u1)
-    dots = np.einsum("...i,...i->...", u0, u1)
-    dots, t = np.broadcast_arrays(dots, np.asarray(t, dtype=np.float64))
-    tt = t[..., None]
-
-    small = dots > math.cos(SMALL_ANGLE)
-    anti = dots < math.cos(math.pi - ANTIPODAL_MARGIN)
-    omega = np.arccos(np.clip(dots, -1.0, 1.0))  # clip: rounding past +/-1
-    safe = np.where(small | anti, 0.5 * np.pi, omega)[..., None]
-    a = (1.0 - tt) * safe
-    b = tt * safe
-    sin_safe = np.sin(safe)
-    pos = (np.sin(a) * u0 + np.sin(b) * u1) / sin_safe
-    vel = (safe / sin_safe) * (-np.cos(a) * u0 + np.cos(b) * u1)
-    if np.any(small):
-        # the renormalised lerp l(t)/||l(t)|| and its derivative
-        lerp = (1.0 - tt) * u0 + tt * u1
-        dl = u1 - u0
-        nsq = np.sum(lerp * lerp, axis=-1, keepdims=True)
-        nl = np.sqrt(nsq)
-        tang = dl - lerp * (np.sum(lerp * dl, axis=-1, keepdims=True) / nsq)
-        pos = np.where(small[..., None], lerp / nl, pos)
-        vel = np.where(small[..., None], tang / nl, vel)
-    if np.any(anti):
-        nhat = orthonormal_rows(np.broadcast_to(u0, pos.shape))
-        c = np.cos(np.pi * tt)
-        s = np.sin(np.pi * tt)
-        pos = np.where(anti[..., None], c * u0 + s * nhat, pos)
-        vel = np.where(anti[..., None], np.pi * (-s * u0 + c * nhat), vel)
-    return pos, vel
+    t = np.asarray(t, dtype=np.float64)
+    return _geodesic_at(_geodesic_setup(u0, u1, t.shape), t)
 
 
 def slerp_rows(u0, u1, t) -> np.ndarray:

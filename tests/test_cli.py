@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,36 @@ def test_out_of_domain_values_exit_2(tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--lr", "nan"),
+        ("--lr", "inf"),
+        ("--weight-decay", "nan"),
+        ("--weight-decay", "inf"),
+        ("--time-mean", "nan"),
+        ("--time-mean", "inf"),
+        ("--time-std", "nan"),
+        ("--time-std", "inf"),
+        ("--shift", "nan"),
+        ("--shift", "inf"),
+    ],
+)
+def test_train_non_finite_config_exits_2(tmp_path, capsys, flag, value):
+    # a bad argument is bad input (2), not divergence (3), and stderr holds
+    # the one error line: no traceback and no numpy warning
+    argv = ["train", "--out", str(tmp_path / "m.slfm"), "--seed", "0", "--steps", "20",
+            "--batch", "8", flag, value]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ") and err.count("\n") == 1
+    assert not (tmp_path / "m.slfm").exists()
 
 
 def test_unknown_command_exits_2(capsys):

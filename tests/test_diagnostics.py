@@ -16,8 +16,9 @@ from slfm.diagnostics import (
     shell_stats,
 )
 from slfm.errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
-from slfm.paths import PathKind
+from slfm.paths import PathKind, path_rows, radial_share_rows
 from slfm.sphere import radial_project, unit_rows
+from test_sphere import _mixed_regime_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,67 @@ def test_profile_order_independent():
     assert np.array_equal(a.std_norm, b.std_norm)
     assert np.array_equal(a.mean_offshell_sigma, b.mean_offshell_sigma)
     assert np.array_equal(a.mean_radial_share, b.mean_radial_share)
+
+
+
+def _mixed_regime_path_pairs(kind, rng):
+    """Endpoint pairs whose directions mix every slerp regime (see
+    ``_mixed_regime_pairs`` in test_sphere.py); on one radius for SLERP,
+    on per-row radii otherwise."""
+    u0, u1 = _mixed_regime_pairs(rng, 6, 16)
+    if kind is PathKind.SLERP:
+        return 2.5 * u0, 2.5 * u1
+    n = u0.shape[0]
+    return rng.uniform(1.0, 3.0, (n, 1)) * u0, rng.uniform(1.0, 3.0, (n, 1)) * u1
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_profile_is_the_fsum_of_fresh_path_rows(kind):
+    # the profile evaluates the grid from one set-up into reused buffers; each
+    # column must equal, bit for bit, the fsum aggregation of an independent
+    # path_rows call at that grid point (repeated and endpoint t included)
+    rng = np.random.default_rng(12)
+    z0, z1 = _mixed_regime_path_pairs(kind, rng)
+    grid = np.array([0.0, 0.0, 0.1, 0.37, 0.5, 0.5, 0.5, 0.93, 1.0, 1.0])
+    prof = path_profile(z0, z1, kind, grid)
+    s0, s1 = shell_stats(z0), shell_stats(z1)
+    n = z0.shape[0]
+    for i, t in enumerate(grid):
+        z_t, u_t = path_rows(z0, z1, float(t), kind)
+        norms = np.linalg.norm(z_t, axis=-1)
+        mean = math.fsum(norms) / n
+        dev = norms - mean
+        d0 = np.abs(norms - s0.mean_radius)
+        d1 = np.abs(norms - s1.mean_radius)
+        if prof.offshell_is_absolute:
+            off = np.minimum(d0, d1)
+        else:
+            off = np.minimum(d0 / s0.std_radius, d1 / s1.std_radius)
+        assert prof.mean_norm[i] == mean
+        assert prof.std_norm[i] == math.sqrt(math.fsum(dev * dev) / n)
+        assert prof.mean_offshell_sigma[i] == math.fsum(off) / n
+        assert prof.mean_radial_share[i] == math.fsum(radial_share_rows(u_t, z_t)) / n
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_path_results_do_not_alias(kind):
+    rng = np.random.default_rng(13)
+    z0, z1 = _mixed_regime_path_pairs(kind, rng)
+    inputs = (z0.copy(), z1.copy())
+    first = path_rows(z0, z1, 0.4, kind)
+    kept = [a.copy() for a in first]
+    second = path_rows(z0, z1, 0.4, kind)
+    assert not any(np.shares_memory(a, b) for a in first for b in (*second, z0, z1))
+    for b in second:
+        b[...] = np.nan
+    assert all(np.array_equal(a, k) for a, k in zip(first, kept))
+
+    grid = np.linspace(0.0, 1.0, 7)
+    a = path_profile(z0, z1, kind, grid)
+    b = path_profile(z0, z1, kind, grid)
+    for name in ("mean_norm", "std_norm", "mean_offshell_sigma", "mean_radial_share"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(z0, inputs[0]) and np.array_equal(z1, inputs[1])
 
 
 def test_profile_rejects_mismatched_batches():

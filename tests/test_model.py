@@ -3,12 +3,13 @@ checkpoints."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slfm import container, sphere
+from slfm import container, model, sphere
 from slfm.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -148,6 +149,23 @@ def test_config_rejects_bad_values():
         TrainConfig(loss_kind="ot")
     with pytest.raises(ValueError):
         TrainConfig(grad_clip=0.0)
+
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["learning_rate", "weight_decay", "grad_clip", "time_mean", "time_std", "shift"]
+)
+def test_config_rejects_non_finite_reals(name, value):
+    # NaN slips through every range comparison, so finiteness is its own check
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("table", [np.zeros(2), np.zeros((1, 2, 1))], ids=["1-d", "3-d"])
+def test_field_rejects_non_2d_condition_table(table):
+    with pytest.raises(DimensionMismatch):
+        VelocityField([np.zeros((6, 3))], [np.zeros(3)], table, "linear", 1.0, 2)
 
 
 def test_create_is_reproducible():
@@ -747,3 +765,53 @@ def test_checkpoint_detects_count_mismatch(tmp_path):
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(DimensionMismatch):
         load_checkpoint(path)
+
+
+def _fail_partway_through_blob(path, array):
+    with open(path, "wb") as fh:
+        fh.write(b"SLFM partial")
+    raise OSError("disk full")
+
+
+def _fail_partway_through_sidecar(obj, fh, **kwargs):
+    fh.write('{"format": ')
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "target, attr, failing",
+    [
+        (container, "write_container", _fail_partway_through_blob),
+        (json, "dump", _fail_partway_through_sidecar),
+    ],
+    ids=["blob", "sidecar"],
+)
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch, target, attr, failing):
+    path = tmp_path / "ckpt.slfm"
+    old = _tiny_field(np.random.default_rng(51))
+    save_checkpoint(path, old, TrainConfig(seed=1))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(target, attr, failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _tiny_field(np.random.default_rng(52)), TrainConfig(seed=2))
+    monkeypatch.undo()
+    # both files are the previous ones, byte for byte, and no temporary is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded, meta = load_checkpoint(path)
+    assert meta["config"]["seed"] == 1
+    assert np.array_equal(loaded.flat, old.flat.astype(np.float32).astype(np.float64))
+
+
+def test_checkpoint_files_reach_disk_before_they_are_renamed(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = model._fsync, os.replace
+    monkeypatch.setattr(model, "_fsync", lambda p: (events.append(("fsync", str(p))), real_fsync(p)))
+    monkeypatch.setattr(os, "replace", lambda a, b: (events.append(("replace", str(a))), real_replace(a, b)))
+    path = tmp_path / "ckpt.slfm"
+    save_checkpoint(path, _tiny_field(np.random.default_rng(53)), TrainConfig(seed=3))
+    kinds = [kind for kind, _ in events]
+    # both temporaries are flushed before either rename, the directory after both
+    assert kinds == ["fsync", "fsync", "replace", "replace", "fsync"]
+    assert [p for kind, p in events[:2]] == [p for kind, p in events[2:4]]
+    assert events[4][1] == str(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.slfm", "ckpt.slfm.json"]
