@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 
 import numpy as np
@@ -242,10 +243,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_deficit(args) -> int:
-    if args.h <= 0.0:
-        raise ValueError("step h must be positive")
-    if not 0.0 < args.omega < np.pi:
-        raise ValueError("omega must lie strictly between 0 and pi")
     analytical = sphere.one_step_deficit(args.h, args.omega, args.radius)
     measured = sphere.one_step_gap_measured(args.h, args.omega, args.radius)
     rel = abs(measured - analytical) / analytical if analytical > 0.0 else 0.0
@@ -270,12 +267,22 @@ def cmd_deficit(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads negative reals in exponent form
+    (``-1e-3``, ``-2E+0``) as option values, as argparse already does for
+    ``-1`` and ``-.5``.  Subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_format(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slfm",
         description="spherical latent flow matching: geometry diagnostics and a toy trainer",
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
-from .paths import PathKind, _path_at, _path_setup, radial_share_rows
+from .paths import PathKind, _path_at, _path_setup, _radial_energy_rows
 from .sphere import NORM_FLOOR
 
 # Population std below DEGENERATE_RTOL * mean is rounding noise from a
@@ -145,14 +145,13 @@ def off_shell_sigma(z_t, shell0: ShellStats, shell1: ShellStats) -> float:
     unit and raise; use the absolute deviation for those."""
     if shell0.std_radius == 0.0 or shell1.std_radius == 0.0:
         raise DegenerateShell("zero-spread shell has no sigma unit")
-    r = float(np.linalg.norm(np.asarray(z_t, dtype=np.float64)))
-    return min(
-        abs(r - shell0.mean_radius) / shell0.std_radius,
-        abs(r - shell1.mean_radius) / shell1.std_radius,
-    )
+    r = np.linalg.norm(np.asarray(z_t, dtype=np.float64))
+    return float(_offshell_rows(r, shell0, shell1, absolute=False))
 
 
 def _offshell_rows(norms: np.ndarray, shell0: ShellStats, shell1: ShellStats, absolute: bool):
+    """Row-wise distance of ``norms`` from the nearest endpoint shell mean,
+    absolute or in that shell's standard deviations."""
     d0 = np.abs(norms - shell0.mean_radius)
     d1 = np.abs(norms - shell1.mean_radius)
     if absolute:
@@ -200,7 +199,7 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
         mean_norm[i] = _fsum_mean(norms)
         std_norm[i] = _fsum_std(norms, mean_norm[i])
         mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
-        mean_share[i] = _fsum_mean(radial_share_rows(u, z))
+        mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms)[2])
     return PathProfile(
         t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute, shell0, shell1
     )

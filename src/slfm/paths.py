@@ -43,14 +43,9 @@ class PathPoint:
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t = {self.t!r} outside [0, 1]")
         if self.kind is PathKind.SLERP:
-            inner = abs(float(np.dot(self.u_t, self.z_t)))
-            bound = (
-                sphere.TANGENT_RTOL
-                * float(np.linalg.norm(self.u_t))
-                * float(np.linalg.norm(self.z_t))
-            )
-            if inner > bound:
-                raise ValueError("slerp velocity is not tangent at z_t")
+            # the tangency certificate at z_t, on the sphere of z_t's own norm
+            base = SphereToken(self.z_t, float(np.linalg.norm(self.z_t)))
+            sphere.TangentVector(self.u_t, base)
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,10 @@ def _path_setup(z0, z1, kind: PathKind, radius: float | None = None, lead=()) ->
     """Check the pairs and compute what does not depend on ``t``: the
     chord, or the endpoint norms, the unit rows and their geodesic set-up,
     broadcast against the leading shape ``lead`` of the times.  Raises as
-    :func:`path_rows` does."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    z1 = np.asarray(z1, dtype=np.float64)
+    :func:`path_rows` does, ``ValueError`` on non-finite endpoints for
+    every kind."""
+    z0 = sphere._as_vectors(z0)
+    z1 = sphere._as_vectors(z1)
     if z0.shape != z1.shape:
         raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
 
@@ -207,28 +203,12 @@ def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
     )
 
 
-def radial_split(u, z) -> RadialSplit:
-    """Split the squared norm of ``u`` into components along and across ``z``."""
-    u = np.asarray(u, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if u.shape != z.shape or u.ndim != 1:
-        raise DimensionMismatch("radial_split takes two vectors of equal dimension")
-    zn = float(np.linalg.norm(z))
-    if zn < NORM_FLOOR:
-        raise NearZeroNorm("reference point norm below floor")
-    along = float(np.dot(u, z)) / zn
-    radial = along * along
-    total = float(np.dot(u, u))
-    tangential = max(total - radial, 0.0)
-    share = radial / total if total > 0.0 else 0.0
-    return RadialSplit(radial, tangential, min(share, 1.0))
-
-
-def radial_share_rows(u, z) -> np.ndarray:
-    """Row-wise radial share of ``u`` at ``z``; zero-velocity rows give 0."""
-    u = np.asarray(u, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    zn = np.linalg.norm(z, axis=-1)
+def _radial_energy_rows(u: np.ndarray, z: np.ndarray, zn: np.ndarray):
+    """Row-wise ``(radial, total, share)`` of the velocities ``u`` at ``z``,
+    given the norms ``zn`` of ``z``: the radial energy ``<u, z>^2 / ||z||^2``,
+    the total energy ``||u||^2`` and their ratio, at most 1 and 0 on
+    zero-velocity rows.  Raises :class:`NearZeroNorm` where ``zn`` is below
+    the floor."""
     if np.any(zn < NORM_FLOOR):
         raise NearZeroNorm("reference point norm below floor")
     along = np.einsum("...i,...i->...", u, z) / zn
@@ -236,4 +216,21 @@ def radial_share_rows(u, z) -> np.ndarray:
     total = np.einsum("...i,...i->...", u, u)
     with np.errstate(invalid="ignore", divide="ignore"):
         share = np.where(total > 0.0, radial / np.where(total > 0.0, total, 1.0), 0.0)
-    return np.minimum(share, 1.0)
+    return radial, total, np.minimum(share, 1.0)
+
+
+def radial_split(u, z) -> RadialSplit:
+    """Split the squared norm of ``u`` into components along and across ``z``."""
+    u = np.asarray(u, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if u.shape != z.shape or u.ndim != 1:
+        raise DimensionMismatch("radial_split takes two vectors of equal dimension")
+    radial, total, share = map(float, _radial_energy_rows(u, z, np.linalg.norm(z, axis=-1)))
+    return RadialSplit(radial, max(total - radial, 0.0), share)
+
+
+def radial_share_rows(u, z) -> np.ndarray:
+    """Row-wise radial share of ``u`` at ``z``; zero-velocity rows give 0."""
+    u = np.asarray(u, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    return _radial_energy_rows(u, z, np.linalg.norm(z, axis=-1))[2]

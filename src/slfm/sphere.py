@@ -135,16 +135,6 @@ def uniform_rows(n: int, d: int, radius: float, rng: np.random.Generator) -> np.
     return eps * (float(radius) / norms)[..., None]
 
 
-def cos_rows(u0, u1) -> np.ndarray:
-    """Clamped cosine between unit rows."""
-    dots = np.einsum("...i,...i->...", np.asarray(u0, float), np.asarray(u1, float))
-    return np.clip(dots, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
-
-
-def angle_rows(u0, u1) -> np.ndarray:
-    return np.arccos(cos_rows(u0, u1))
-
-
 def orthonormal_rows(u) -> np.ndarray:
     """Deterministic unit vector orthogonal to each unit row.
 
@@ -177,13 +167,12 @@ class _Geodesic(NamedTuple):
     nhat: np.ndarray | None  # orthonormal unit of each antipodal row
 
 
-def _geodesic_setup(u0, u1, lead=()) -> _Geodesic:
+def _geodesic_setup(u0: np.ndarray, u1: np.ndarray, lead=()) -> _Geodesic:
     """Regime masks, angles and antipodal fallback units of the unit rows
     ``u0``/``u1``, broadcast against each other and against the leading
     shape ``lead`` of the times they will be evaluated at; nothing here
-    depends on ``t`` itself."""
-    u0 = _as_vectors(u0)
-    u1 = _as_vectors(u1)
+    depends on ``t`` itself.  The rows are taken as they are: finite
+    float64 arrays that the caller has checked."""
     shape = np.broadcast_shapes(u0.shape, u1.shape, tuple(lead) + (1,))
     if u0.shape != shape or u1.shape != shape:
         u0, u1 = np.broadcast_to(u0, shape), np.broadcast_to(u1, shape)
@@ -250,7 +239,7 @@ def geodesic_rows(u0, u1, t):
     unit ``n``; otherwise the standard sine-weighted formula.  The regime
     dispatch compares the raw cosine against the cosines of the thresholds,
     and the standard regime takes the arccos of the raw cosine: the
-    ``COS_CLAMP`` clamp of :func:`angle_rows` floors angles at about
+    ``COS_CLAMP`` clamp of :func:`angle_between` floors angles at about
     1.4e-3, and a standard row below that floor would follow a curve
     whose velocity has a radial part.  ``t`` broadcasts against the rows
     and may lie outside ``[0, 1]`` (geodesic extension).
@@ -260,7 +249,7 @@ def geodesic_rows(u0, u1, t):
     all three regimes, so callers need no tangent projection.
     """
     t = np.asarray(t, dtype=np.float64)
-    return _geodesic_at(_geodesic_setup(u0, u1, t.shape), t)
+    return _geodesic_at(_geodesic_setup(_as_vectors(u0), _as_vectors(u1), t.shape), t)
 
 
 def slerp_rows(u0, u1, t) -> np.ndarray:
@@ -359,13 +348,14 @@ def angle_between(x0: SphereToken, x1: SphereToken) -> float:
     report a small positive angle (just below pi) rather than exactly 0 (pi).
     """
     _check_common_radius(x0, x1)
-    return float(angle_rows(x0.direction, x1.direction))
+    cos = np.einsum("...i,...i->...", x0.direction, x1.direction)
+    return float(np.arccos(np.clip(cos, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)))
 
 
 def slerp(x0: SphereToken, x1: SphereToken, t: float) -> SphereToken:
     radius = _check_common_radius(x0, x1)
-    out = slerp_rows(x0.direction, x1.direction, float(t)) * radius
-    return SphereToken(out, radius)
+    pos, _ = geodesic_rows(x0.direction, x1.direction, float(t))
+    return SphereToken(pos * radius, radius)
 
 
 def slerp_velocity(x0: SphereToken, x1: SphereToken, t: float) -> TangentVector:
@@ -384,14 +374,25 @@ def tangent_project(v, z: SphereToken) -> TangentVector:
 
 
 def exp_map(p: SphereToken, v: TangentVector) -> SphereToken:
-    """Follow the geodesic from ``p`` with initial velocity ``v`` for unit time."""
-    vec = v.vector
-    if vec.shape != p.values.shape:
-        raise ValueError("velocity and base point dimensions differ")
-    inner = abs(float(np.dot(vec, p.values)))
-    if inner > TANGENT_RTOL * float(np.linalg.norm(vec)) * p.radius:
-        raise ValueError("velocity is not tangent at p")
-    return SphereToken(expmap_rows(p.values, vec, p.radius), p.radius)
+    """Follow the geodesic from ``p`` with initial velocity ``v`` for unit time.
+
+    ``v`` is re-certified as a :class:`TangentVector` at ``p`` itself, so a
+    velocity certified at another base point must also be tangent here.
+    """
+    v = TangentVector(v.vector, p)
+    return SphereToken(expmap_rows(p.values, v.vector, p.radius), p.radius)
+
+
+def _deficit_domain(h: float, omega: float):
+    """``(h, omega)`` as floats, or ``ValueError`` outside the deficit's
+    domain: a finite step ``h > 0`` and an angle in ``(0, pi)``."""
+    h = float(h)
+    omega = float(omega)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
+    if not 0.0 < omega < math.pi:
+        raise ValueError(f"omega must lie strictly between 0 and pi, got {omega!r}")
+    return h, omega
 
 
 def one_step_deficit(h: float, omega: float, radius: float = 1.0) -> float:
@@ -401,12 +402,7 @@ def one_step_deficit(h: float, omega: float, radius: float = 1.0) -> float:
     Uses the odd series below ``x = 1e-3`` where the direct difference
     would cancel catastrophically.
     """
-    h = float(h)
-    omega = float(omega)
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    if not 0.0 < omega < math.pi:
-        raise ValueError("omega must lie in (0, pi)")
+    h, omega = _deficit_domain(h, omega)
     x = h * omega
     if x < 1e-3:
         x2 = x * x
@@ -422,16 +418,14 @@ def one_step_gap_measured(h: float, omega: float, radius: float = 1.0) -> float:
     and returns the arc length between the two landing points via the
     half-chord angle, which stays accurate where arccos would not.
     """
-    h = float(h)
-    omega = float(omega)
+    h, omega = _deficit_domain(h, omega)
     radius = float(radius)
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    if not 0.0 < omega < math.pi:
-        raise ValueError("omega must lie in (0, pi)")
     p = np.array([radius, 0.0, 0.0])
-    v = np.array([0.0, radius * omega, 0.0])
-    landed_exp = expmap_rows(p, h * v, radius)
-    landed_euler = project_rows(p + h * v, radius)
+    step = np.array([0.0, h * (radius * omega), 0.0])  # h v, with ||v|| = R w
+    with np.errstate(over="ignore", invalid="ignore"):
+        landed_exp = expmap_rows(p, step, radius)
+    if not np.all(np.isfinite(landed_exp)):
+        raise ValueError(f"step h = {h!r} overflows: the exp-map landing point is not finite")
+    landed_euler = project_rows(p + step, radius)
     half_chord = float(np.linalg.norm(landed_exp - landed_euler)) / (2.0 * radius)
     return 2.0 * math.asin(half_chord) * radius

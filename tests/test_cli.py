@@ -400,8 +400,39 @@ def test_deficit_rejects_bad_domain(capsys):
     assert main(["deficit", "--h", "0.1", "--omega", "-0.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--h", "nan", "--omega", "1.0"],
+        ["--h", "inf", "--omega", "1.0"],
+        ["--h", "1e308", "--omega", "1.0"],
+        ["--h", "1e308", "--omega", "3.0"],
+    ],
+    ids=["h-nan", "h-inf", "h-overflow", "h-omega-overflow"],
+)
+def test_deficit_non_finite_or_overflowing_step_exits_2(capsys, argv):
+    # one error line on stderr: no report of NaNs, no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["deficit"] + argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR step h") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # parser behavior
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+0", "-.5", "-1.5e2"])
+def test_negative_reals_in_exponent_form_are_option_values(tmp_path, value):
+    ckpt = tmp_path / "m.slfm"
+    argv = ["train", "--out", str(ckpt), "--seed", "0", "--steps", "1", "--batch", "8",
+            "--time-mean", value]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "m.slfm.json").read_text())
+    assert meta["config"]["time_mean"] == float(value)
 
 
 @pytest.mark.parametrize(

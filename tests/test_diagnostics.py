@@ -239,6 +239,14 @@ def test_path_results_do_not_alias(kind):
     assert np.array_equal(z0, inputs[0]) and np.array_equal(z1, inputs[1])
 
 
+def test_profile_rejects_linear_path_through_zero():
+    # the midpoint of a pair of opposite vectors is 0, where the radial
+    # share has no reference direction; the profile's own norms say so
+    z0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(NearZeroNorm):
+        path_profile(z0, -z0, PathKind.LINEAR, np.array([0.0, 0.5, 1.0]))
+
+
 def test_profile_rejects_mismatched_batches():
     with pytest.raises(DimensionMismatch):
         path_profile(np.zeros((4, 3)), np.zeros((5, 3)), PathKind.LINEAR)

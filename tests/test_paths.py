@@ -377,6 +377,25 @@ def test_path_point_slerp_tangency_certificate():
         PathPoint(z, z.copy(), 0.5, PathKind.SLERP)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("end", [0, 1], ids=["z0", "z1"])
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_path_rows_rejects_non_finite_endpoints(kind, end, bad):
+    # every kind checks its endpoints once, at the boundary
+    ends = [np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.0, 2.0], [-2.0, 0.0]])]
+    ends[end][1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        path_rows(ends[0], ends[1], 0.5, kind)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["z0", "z1"])
+def test_linear_path_rejects_non_finite_endpoint(end):
+    ends = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    ends[end][0] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linear_path(ends[0], ends[1], 0.5)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -445,6 +445,15 @@ def test_exp_map_exact_along_slerp():
                 assert np.linalg.norm(stepped.values - target.values) <= 1e-5 * radius
 
 
+def test_exp_map_certifies_velocity_at_p():
+    # a velocity certified at another base point must be tangent at p too
+    q = _tok([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not tangent"):
+        exp_map(_tok([0.0, 1.0, 0.0]), TangentVector(np.array([0.0, 0.5, 0.0]), q))
+    with pytest.raises(ValueError, match="dimensions differ"):
+        exp_map(_tok([0.0, 1.0]), TangentVector(np.array([0.0, 0.5, 0.0]), q))
+
+
 def test_exp_map_stays_on_sphere():
     rng = np.random.default_rng(12)
     p = radial_project(rng.standard_normal(16), 4.0)
@@ -507,6 +516,24 @@ def test_deficit_rejects_bad_domain():
         one_step_deficit(0.1, 0.0)
     with pytest.raises(ValueError):
         one_step_deficit(0.1, math.pi)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn", [one_step_deficit, one_step_gap_measured])
+def test_deficit_rejects_non_finite_step(fn, h):
+    # NaN slips through h <= 0, so finiteness is part of the one domain check
+    with pytest.raises(ValueError, match="finite and positive"):
+        fn(h, 1.0)
+
+
+@pytest.mark.parametrize(
+    ("h", "omega", "radius"),
+    [(1e308, 1.0, 1.0), (1e308, 3.0, 1.0), (1e200, 1.0, 1.0), (1e300, 1.0, 1e10)],
+)
+def test_deficit_measured_rejects_overflowing_step(h, omega, radius):
+    # h R w, or its norm, overflows: the exp-map landing point is not finite
+    with pytest.raises(ValueError, match="not finite"):
+        one_step_gap_measured(h, omega, radius)
 
 
 # ---------------------------------------------------------------------------
