@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import re
 import sys
 
@@ -87,12 +88,17 @@ def cmd_gaussian_norms(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    tensor = container.read_container(args.input)
-    rows = container.token_rows(tensor)
-    log.info("read %d tokens of dimension %d", rows.shape[0], rows.shape[1])
-    if args.project is not None:
-        rows = sphere.project_rows(rows, args.project)
-    stats = diagnostics.shell_stats(rows)
+    # one norm per token is all that outlives a block
+    with container.BlockReader(args.input) as reader:
+        log.info("read %d tokens of dimension %d", reader.n_tokens, reader.shape[1])
+        norms = np.empty(reader.n_tokens)
+        first = 0
+        for rows in reader.token_blocks():
+            if args.project is not None:
+                rows = sphere.project_rows(rows, args.project)
+            norms[first : first + rows.shape[0]] = np.linalg.norm(rows, axis=-1)
+            first += rows.shape[0]
+    stats = diagnostics._shell_stats_of_norms(norms)
     emit_report(
         [
             {
@@ -142,17 +148,28 @@ def cmd_paths(args) -> int:
 
 
 def cmd_swap(args) -> int:
-    anchor = container.read_container(args.anchor)
-    substitute = container.read_container(args.substitute)
-    if anchor.shape != substitute.shape:
-        raise DimensionMismatch(
-            f"container shapes differ: {anchor.shape} vs {substitute.shape}"
-        )
-    keep_dir, keep_rad = diagnostics.component_swap_rows(
-        container.token_rows(anchor), container.token_rows(substitute)
-    )
-    container.write_container(args.out_direction, container.rows_to_tensor(keep_dir, anchor.shape))
-    container.write_container(args.out_radius, container.rows_to_tensor(keep_rad, anchor.shape))
+    targets = [args.out_direction, args.out_radius]
+    if os.path.realpath(targets[0]) == os.path.realpath(targets[1]):
+        raise ValueError(f"--out-direction and --out-radius name the same file: {targets[0]}")
+    # both hybrids go to temporaries, renamed over the targets only once both
+    # are complete; inputs are closed before then, so a target may name one
+    with container.replacing(targets) as (dir_temp, rad_temp):
+        with (
+            container.BlockReader(args.anchor) as anchor,
+            container.BlockReader(args.substitute) as substitute,
+        ):
+            if anchor.shape != substitute.shape:
+                raise DimensionMismatch(
+                    f"container shapes differ: {anchor.shape} vs {substitute.shape}"
+                )
+            with (
+                container.BlockWriter(dir_temp, anchor.shape) as out_dir,
+                container.BlockWriter(rad_temp, anchor.shape) as out_rad,
+            ):
+                for a, s in zip(anchor.token_blocks(), substitute.token_blocks()):
+                    keep_dir, keep_rad = diagnostics.component_swap_rows(a, s)
+                    out_dir.write_rows(keep_dir)
+                    out_rad.write_rows(keep_rad)
     log.info("wrote hybrids to %s and %s", args.out_direction, args.out_radius)
     return 0
 

@@ -17,6 +17,7 @@ at that grid point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,9 @@ from .sphere import NORM_FLOOR
 # constant-radius set, not a measured spread; it is snapped to exactly 0 so
 # the CV of projected tokens is 0 and the degenerate dispatch is reachable.
 DEGENERATE_RTOL = 1e-12
+
+# Values per chunk of the std's squared deviations.
+_FSUM_CHUNK = 1 << 12
 
 DEFAULT_GRID = 101
 DEFAULT_PAIRS = 2048
@@ -115,8 +119,14 @@ def _fsum_mean(values: np.ndarray) -> float:
 
 
 def _fsum_std(values: np.ndarray, mean: float) -> float:
-    dev = values - mean
-    return math.sqrt(math.fsum(dev * dev) / values.shape[0])
+    # squared deviations a chunk at a time, so that no second array as long
+    # as ``values`` is held; one fsum over all of them is exact, so the
+    # chunking moves no bit
+    chunks = (
+        np.square(values[i : i + _FSUM_CHUNK] - mean).tolist()
+        for i in range(0, values.shape[0], _FSUM_CHUNK)
+    )
+    return math.sqrt(math.fsum(itertools.chain.from_iterable(chunks)) / values.shape[0])
 
 
 def shell_stats(tokens) -> ShellStats:
@@ -126,17 +136,20 @@ def shell_stats(tokens) -> ShellStats:
     mean) reports as exactly 0, so projected token sets have cv = 0.
     """
 
-    rows = _token_rows(tokens)
-    if rows.shape[0] == 0:
+    return _shell_stats_of_norms(np.linalg.norm(_token_rows(tokens), axis=-1))
+
+
+def _shell_stats_of_norms(norms: np.ndarray) -> ShellStats:
+    """:func:`shell_stats` from the per-token norms alone."""
+    if norms.shape[0] == 0:
         raise EmptyInput("no tokens")
-    norms = np.linalg.norm(rows, axis=-1)
     mean = _fsum_mean(norms)
     if mean <= 0.0:
         raise NearZeroNorm("all token norms are zero")
     std = _fsum_std(norms, mean)
     if std <= DEGENERATE_RTOL * mean:
         std = 0.0
-    return ShellStats(rows.shape[0], mean, std, std / mean)
+    return ShellStats(norms.shape[0], mean, std, std / mean)
 
 
 def off_shell_sigma(z_t, shell0: ShellStats, shell1: ShellStats) -> float:

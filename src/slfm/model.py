@@ -9,10 +9,8 @@ the gradient path is fully auditable against finite differences.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -601,30 +599,16 @@ def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = Non
     if extra:
         meta["extra"] = extra
     blob, sidecar = str(path), str(path) + ".json"
-    temps = [f"{target}.{os.getpid()}.tmp" for target in (blob, sidecar)]
-    try:
-        container.write_container(temps[0], field.flat.reshape(1, field.flat.size, 1, 1))
-        with open(temps[1], "w", encoding="utf-8") as fh:
+    with container.replacing([blob, sidecar], fsync=_fsync) as (blob_temp, sidecar_temp):
+        container.write_container(blob_temp, field.flat.reshape(1, field.flat.size, 1, 1))
+        with open(sidecar_temp, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for temp in temps:
-            _fsync(temp)
-        os.replace(temps[0], blob)
-        os.replace(temps[1], sidecar)
-        _fsync(os.path.dirname(blob) or ".")  # the renames themselves
-    finally:
-        for temp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
 
 
-def _fsync(path) -> None:
-    """Flush a written file, or a directory's entries, to disk."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+# the flush save_checkpoint hands to container.replacing, named here so that
+# the order of a save's flushes and renames can be watched
+_fsync = container._fsync
 
 
 def _is_count(value) -> bool:

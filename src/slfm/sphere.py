@@ -416,7 +416,9 @@ def one_step_gap_measured(h: float, omega: float, radius: float = 1.0) -> float:
     Builds the actual configuration in R^3 (point, tangent velocity of norm
     R * w), takes one exponential-map step and one Euler-then-project step,
     and returns the arc length between the two landing points via the
-    half-chord angle, which stays accurate where arccos would not.
+    half-chord angle, which stays accurate where arccos would not.  That arc
+    is at most pi R, so a step whose deficit R (h w - arctan(h w)) reaches
+    pi R raises ``ValueError``, as does a landing point that overflows.
     """
     h, omega = _deficit_domain(h, omega)
     radius = float(radius)
@@ -426,6 +428,11 @@ def one_step_gap_measured(h: float, omega: float, radius: float = 1.0) -> float:
         landed_exp = expmap_rows(p, step, radius)
     if not np.all(np.isfinite(landed_exp)):
         raise ValueError(f"step h = {h!r} overflows: the exp-map landing point is not finite")
+    if h * omega - math.atan(h * omega) >= math.pi:
+        raise ValueError(
+            f"step h = {h!r} at omega = {omega!r} puts the deficit at or past pi R, "
+            "beyond what the arc between the landing points can measure"
+        )
     landed_euler = project_rows(p + step, radius)
     half_chord = float(np.linalg.norm(landed_exp - landed_euler)) / (2.0 * radius)
     return 2.0 * math.asin(half_chord) * radius

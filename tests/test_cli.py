@@ -512,3 +512,14 @@ def test_verbose_logs_to_stderr_only(tmp_path, capsys):
     header, _ = _csv_rows(captured.out)
     assert header == ["n_tokens", "mean_radius", "std_radius", "cv"]
     assert "tokens" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--h", "2", "--omega", "3"], ["--h", "1e150", "--omega", "1.0"]], ids=["past-antipode", "huge-step"]
+)
+def test_deficit_past_pi_r_exits_2(capsys, argv):
+    # the measured column is an arc of at most pi R and cannot match
+    assert main(["deficit"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR step h") and captured.err.count("\n") == 1

@@ -584,3 +584,21 @@ def test_property_tangent_projection_orthogonal(d, seed):
     v = rng.standard_normal(d)
     out = tangent_project(v, z)
     assert abs(np.dot(out.vector, z.values)) <= 1e-10 * max(np.linalg.norm(v), 1.0)
+
+
+@pytest.mark.parametrize(("h", "omega"), [(2.0, 3.0), (1e150, 1.0), (4.0, 1.2)])
+def test_deficit_measured_rejects_a_deficit_past_pi_r(h, omega):
+    # the landing points' shorter arc is at most pi R; a deficit of pi R or
+    # more (h w - arctan(h w) >= pi) has no measurement to compare with
+    assert h * omega - math.atan(h * omega) >= math.pi
+    with pytest.raises(ValueError, match="pi R"):
+        one_step_gap_measured(h, omega, 2.0)
+
+
+def test_deficit_measured_matches_just_below_pi_r():
+    # x - arctan(x) = 3.1 just below pi: the arc still measures the deficit
+    x = 4.45
+    assert 3.0 < x - math.atan(x) < math.pi
+    assert one_step_gap_measured(x / 2.0, 2.0, 1.5) == pytest.approx(
+        one_step_deficit(x / 2.0, 2.0, 1.5), rel=1e-12
+    )
