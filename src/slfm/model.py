@@ -43,6 +43,12 @@ ADAM_EPS = 1e-8
 CHECKPOINT_FORMAT = "slfm-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# Rows per block for sample and assignment_histogram.  sample integrates its
+# chains SAMPLE_BLOCK at a time through forward buffers allocated once per
+# call, so its memory beyond the n x d prior and outputs stays fixed, and a
+# chain's result does not depend on how many chains run beside it.
+SAMPLE_BLOCK = 1024
+
 
 # ---------------------------------------------------------------------------
 # time handling
@@ -210,6 +216,28 @@ def _param_views(flat: np.ndarray, widths, cond_shape) -> list:
     return views + [flat[offset:].reshape(cond_shape)]
 
 
+def _check_conditions(field: VelocityField, cond: np.ndarray) -> None:
+    if cond.size and (cond.min() < 0 or cond.max() >= field.n_cond):
+        raise UnknownCondition(
+            f"condition ids must lie in [0, {field.n_cond}), got {cond.min()}..{cond.max()}"
+        )
+
+
+def _layers(field: VelocityField, x: np.ndarray, outs: list) -> list:
+    """The layer loop: layer i of the field maps the rows before it into
+    ``outs[i]``, an (n, widths[i+1]) buffer, as tanh(a @ W + b) for hidden
+    layers and a @ W + b for the last.  Returns ``outs``."""
+    a = x
+    last = len(outs) - 1
+    for i, (w, b, out) in enumerate(zip(field.weights, field.biases, outs)):
+        np.matmul(a, w, out=out)
+        out += b
+        if i < last:
+            np.tanh(out, out=out)
+        a = out
+    return outs
+
+
 def _forward_rows(field: VelocityField, z, t, cond):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != field.d:
@@ -217,17 +245,10 @@ def _forward_rows(field: VelocityField, z, t, cond):
     n = z.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
     cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (n,))
-    if cond.size and (cond.min() < 0 or cond.max() >= field.n_cond):
-        raise UnknownCondition(
-            f"condition ids must lie in [0, {field.n_cond}), got {cond.min()}..{cond.max()}"
-        )
+    _check_conditions(field, cond)
     x = np.concatenate([z, time_embedding(t, field.time_dim), field.cond_table[cond]], axis=1)
-    acts = [x]
-    a = x
-    for w, b in zip(field.weights[:-1], field.biases[:-1]):
-        a = np.tanh(a @ w + b)
-        acts.append(a)
-    out = acts[-1] @ field.weights[-1] + field.biases[-1]
+    acts = [x, *_layers(field, x, [np.empty((n, w)) for w in field.widths[1:]])]
+    out = acts.pop()
     return out, (acts, cond)
 
 
@@ -416,9 +437,13 @@ def assignment_histogram(outputs, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=np.float64)
     if outputs.ndim != 2 or centers.ndim != 2 or outputs.shape[1] != centers.shape[1]:
         raise DimensionMismatch("outputs and centers must be row stacks of equal width")
-    d2 = np.sum((outputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    nearest = np.argmin(d2, axis=1)
-    counts = np.bincount(nearest, minlength=centers.shape[0])
+    # the (rows, k, d) differences are formed SAMPLE_BLOCK rows at a time;
+    # each row's nearest center is independent of the others
+    counts = np.zeros(centers.shape[0], dtype=np.int64)
+    for start in range(0, outputs.shape[0], SAMPLE_BLOCK):
+        block = outputs[start : start + SAMPLE_BLOCK]
+        d2 = np.sum((block[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        counts += np.bincount(np.argmin(d2, axis=1), minlength=centers.shape[0])
     return counts / outputs.shape[0]
 
 
@@ -510,10 +535,10 @@ class SampleRun:
         if self.nfe < 1:
             raise ValueError("nfe must be at least 1")
         self.outputs = np.asarray(self.outputs, dtype=np.float64)
+        dev = self._max_abs_deviation = np.max(
+            np.abs(np.linalg.norm(self.outputs, axis=-1) - self.radius)
+        )
         if self.kind == "slerp" and self.sampler in ("euler_project", "exp_map"):
-            dev = np.max(
-                np.abs(np.linalg.norm(self.outputs, axis=-1) - self.radius)
-            )
             if dev > 1e-5 * self.radius:
                 raise ValueError(
                     f"sphere-preserving sampler left the sphere by {dev!r}"
@@ -522,8 +547,7 @@ class SampleRun:
     @property
     def max_radius_deviation(self) -> float:
         """max |norm - R| / R over the outputs."""
-        dev = np.abs(np.linalg.norm(self.outputs, axis=-1) - self.radius)
-        return float(np.max(dev)) / self.radius
+        return float(self._max_abs_deviation) / self.radius
 
 
 def integrate(vel_fn, z0, nfe: int, sampler: str, radius: float) -> np.ndarray:
@@ -558,17 +582,41 @@ def sample(
     cond: int,
     rng: np.random.Generator,
 ) -> SampleRun:
-    """Integrate ``n`` chains from the field's prior."""
+    """Integrate ``n`` chains from the field's prior, :data:`SAMPLE_BLOCK`
+    rows at a time: one :func:`integrate` per block, with the forward pass
+    run through buffers allocated once per call."""
     if n < 1:
         raise ValueError("need at least one chain")
+    cond = int(cond)
+    _check_conditions(field, np.asarray(cond))
     z0 = prior_rows(field, n, rng)
+    outputs = np.empty_like(z0)
+    rows = min(n, SAMPLE_BLOCK)
+    x = np.empty((rows, field.widths[0]))
+    x[:, field.d + field.time_dim :] = field.cond_table[cond]
+    acts = [np.empty((rows, w)) for w in field.widths[1:]]
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        m = block.stop - start
+        vel = _block_velocity(field, x[:m], [a[:m] for a in acts])
+        outputs[block] = integrate(vel, z0[block], nfe, sampler, field.radius)
+    return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
+
+
+def _block_velocity(field: VelocityField, x: np.ndarray, acts: list):
+    """``vel_fn`` for :func:`integrate` over the rows of ``x``, the block
+    input [token, time embedding, condition] with its condition columns
+    filled: each call writes the tokens and one time-embedding row into
+    ``x`` and runs :func:`_layers` into ``acts``.  The velocity it returns
+    is ``acts[-1]``, overwritten by the next call."""
+    d, time_dim = field.d, field.time_dim
 
     def vel(z, t):
-        out, _ = _forward_rows(field, z, t, int(cond))
-        return out
+        x[:, :d] = z
+        x[:, d : d + time_dim] = time_embedding(t, time_dim)
+        return _layers(field, x, acts)[-1]
 
-    outputs = integrate(vel, z0, nfe, sampler, field.radius)
-    return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
+    return vel
 
 
 # ---------------------------------------------------------------------------

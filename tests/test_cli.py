@@ -367,6 +367,19 @@ def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit, key):
     assert key in err
 
 
+@pytest.mark.parametrize("cond", ["1", "-1"])
+def test_sample_unknown_condition_exits_2(tmp_path, capsys, cond):
+    # the checkpoint holds one condition, so only --cond 0 names one
+    ckpt = tmp_path / "model.slfm"
+    assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0
+    capsys.readouterr()
+    assert main(["sample", str(ckpt), "--seed", "0", "--n", "8", "--cond", cond]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR condition ids must lie in [0, 1)")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_sample_plain_euler_drifts(tmp_path, capsys):
     ckpt = tmp_path / "model.slfm"
     assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0

@@ -4,6 +4,7 @@ checkpoints."""
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -677,6 +678,85 @@ def test_sample_deterministic():
     a = sample(field, 16, "euler_project", 8, 0, np.random.default_rng(43))
     b = sample(field, 16, "euler_project", 8, 0, np.random.default_rng(43))
     assert np.array_equal(a.outputs, b.outputs)
+
+
+@pytest.mark.parametrize("sampler", model.SAMPLERS)
+def test_sample_matches_integrating_the_forward_pass(monkeypatch, sampler):
+    # the block buffers give the velocity _forward_rows gives
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 16)
+    field = _tiny_field(np.random.default_rng(59), kind="slerp")
+    run = sample(field, 40, sampler, 5, 2, np.random.default_rng(60))
+    z0 = prior_rows(field, 40, np.random.default_rng(60))
+
+    def vel(z, t):
+        return model._forward_rows(field, z, t, 2)[0]
+
+    ref = integrate(vel, z0, 5, sampler, field.radius)
+    assert_allclose(run.outputs, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sampler", model.SAMPLERS)
+def test_sample_is_a_row_prefix_of_a_larger_sample(sampler):
+    # 3000 chains run as blocks of 1024, 1024 and 952; the first block is
+    # the whole of the 1024-chain run, so its rows agree bit for bit
+    field = _tiny_field(np.random.default_rng(50), kind="slerp")
+    small = sample(field, 1024, sampler, 4, 1, np.random.default_rng(51))
+    large = sample(field, 3000, sampler, 4, 1, np.random.default_rng(51))
+    assert np.array_equal(small.outputs, large.outputs[:1024])
+
+
+@pytest.mark.parametrize("sampler", model.SAMPLERS)
+def test_sample_in_small_blocks_matches_one_block(monkeypatch, sampler):
+    field = _tiny_field(np.random.default_rng(52), kind="slerp")
+    whole = sample(field, 20, sampler, 6, 2, np.random.default_rng(53))
+    blocks = []
+    integrate_all = model.integrate
+
+    def integrate_block(vel_fn, z0, *args):
+        blocks.append(len(z0))
+        return integrate_all(vel_fn, z0, *args)
+
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(model, "integrate", integrate_block)
+    blocked = sample(field, 20, sampler, 6, 2, np.random.default_rng(53))
+    assert blocks == [7, 7, 6]
+    assert_allclose(blocked.outputs, whole.outputs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cond", [-1, 3])
+def test_sample_rejects_unknown_condition(cond):
+    field = _tiny_field(np.random.default_rng(54), n_cond=3)
+    with pytest.raises(UnknownCondition, match=f"got {cond}..{cond}"):
+        sample(field, 4, "exp_map", 2, cond, np.random.default_rng(55))
+
+
+def test_sample_memory_grows_only_by_prior_and_outputs(monkeypatch):
+    # with 16-row blocks, 64 -> 2048 chains may add per chain only the
+    # prior's draw and its projection (up to three d-rows at once, the
+    # outputs among them) and two norms; forward buffers stay one block
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 16)
+    field = _tiny_field(np.random.default_rng(56), kind="slerp")
+    peaks = {}
+    for n in (64, 2048):
+        sample(field, n, "exp_map", 3, 0, np.random.default_rng(57))  # warm
+        tracemalloc.start()
+        try:
+            sample(field, n, "exp_map", 3, 0, np.random.default_rng(57))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_chain = 8 * (3 * field.d + 2)
+    assert peaks[2048] - peaks[64] <= (2048 - 64) * per_chain + 4096
+
+
+def test_assignment_histogram_in_small_blocks_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(58)
+    centers = sphere.uniform_rows(4, 5, 2.0, rng)
+    outputs = sphere.uniform_rows(50, 5, 2.0, rng)
+    whole = assignment_histogram(outputs, centers)
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 7)
+    assert np.array_equal(assignment_histogram(outputs, centers), whole)
+    assert whole.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
