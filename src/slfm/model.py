@@ -9,8 +9,10 @@ the gradient path is fully auditable against finite differences.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,14 +66,19 @@ def timestep_shift(u, s: float):
     return float(out) if out.ndim == 0 else out
 
 
-def time_embedding(t, dim: int) -> np.ndarray:
-    """Sinusoidal features sin/cos(pi * 2**j * t), j = 0..dim/2-1."""
+def time_embedding(t, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sinusoidal features sin/cos(pi * 2**j * t), j = 0..dim/2-1, written
+    into ``out`` (an (n, dim) array or view) when it is given."""
     if dim < 2 or dim % 2:
         raise ValueError("embedding width must be even and at least 2")
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     freqs = np.pi * 2.0 ** np.arange(dim // 2)
     phase = t[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+    if out is None:
+        return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+    np.sin(phase, out=out[:, : dim // 2])
+    np.cos(phase, out=out[:, dim // 2 :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +153,7 @@ class VelocityField:
         for a, b in zip(self.weights[:-1], self.weights[1:]):
             if a.shape[1] != b.shape[0]:
                 raise DimensionMismatch("consecutive layer widths do not chain")
+        _check_widths(self.widths)
         expect = self.d + self.time_dim + self.cond_table.shape[1]
         if self.weights[0].shape[0] != expect:
             raise DimensionMismatch(
@@ -190,6 +198,7 @@ class VelocityField:
         if radius is None:
             radius = float(np.sqrt(d))
         widths = [d + time_dim + cond_dim, *hidden, d]
+        _check_widths(widths)
         weights = []
         biases = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -197,6 +206,12 @@ class VelocityField:
             biases.append(np.zeros(fan_out))
         cond_table = rng.normal(0.0, 1.0, (n_cond, cond_dim))
         return cls(weights, biases, cond_table, kind, radius, time_dim)
+
+
+def _check_widths(widths) -> None:
+    """The sidecar schema's rule, for every field: no layer is empty."""
+    if min(widths) < 1:
+        raise DimensionMismatch(f"every layer width must be at least 1, got {list(widths)}")
 
 
 def _param_views(flat: np.ndarray, widths, cond_shape) -> list:
@@ -238,7 +253,29 @@ def _layers(field: VelocityField, x: np.ndarray, outs: list) -> list:
     return outs
 
 
-def _forward_rows(field: VelocityField, z, t, cond):
+class _StepBuffers:
+    """Every array a loss-and-gradient step over ``n`` rows writes into:
+    the block input ``x`` [token, time embedding, condition], the layer
+    outputs ``acts``, one ``(n, widths[i])`` buffer per layer for
+    ``g @ W_i.T``, one per hidden layer for ``1 - a**2``, and the flat
+    gradient ``grad`` with its parameter views ``grads``.  :func:`train`
+    allocates one set per call and reuses it every step; a step overwrites
+    what it reads."""
+
+    def __init__(self, field: VelocityField, n: int):
+        widths, cond_shape = field.widths, field.cond_table.shape
+        self.x = np.empty((n, widths[0]))
+        self.acts = [np.empty((n, w)) for w in widths[1:]]
+        self.back = [np.empty((n, w)) for w in widths[:-1]]
+        self.deriv = [np.empty((n, w)) for w in widths[1:-1]]
+        self.grad = np.empty(field.flat.size)
+        self.grads = _param_views(self.grad, widths, cond_shape)
+
+
+def _forward_rows(field: VelocityField, z, t, cond, work: _StepBuffers | None = None):
+    """The field at rows ``z``, run through ``work`` (fresh buffers when it
+    is None).  Returns (output, cache for :func:`_backward_rows`); the
+    output is ``work.acts[-1]``."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != field.d:
         raise DimensionMismatch(f"expected (n, {field.d}) tokens, got {z.shape}")
@@ -246,25 +283,34 @@ def _forward_rows(field: VelocityField, z, t, cond):
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
     cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (n,))
     _check_conditions(field, cond)
-    x = np.concatenate([z, time_embedding(t, field.time_dim), field.cond_table[cond]], axis=1)
-    acts = [x, *_layers(field, x, [np.empty((n, w)) for w in field.widths[1:]])]
-    out = acts.pop()
-    return out, (acts, cond)
+    if work is None:
+        work = _StepBuffers(field, n)
+    d, time_dim, x = field.d, field.time_dim, work.x
+    x[:, :d] = z
+    time_embedding(t, time_dim, out=x[:, d : d + time_dim])
+    np.take(field.cond_table, cond, axis=0, out=x[:, d + time_dim :])
+    return _layers(field, x, work.acts)[-1], (work, cond)
 
 
 def _backward_rows(field: VelocityField, cache, g_out):
-    """Gradients of sum(out * g_out) w.r.t. every parameter."""
-    acts, cond = cache
-    grads = _param_views(np.zeros(field.flat.size), field.widths, field.cond_table.shape)
+    """Gradient of sum(out * g_out) w.r.t. every parameter, written into
+    the cache's flat ``work.grad``, which it returns.  ``matmul`` and
+    ``sum`` overwrite the weight and bias views; only the condition table,
+    which ``np.add.at`` accumulates into, is zeroed first."""
+    work, cond = cache
+    acts, grads = [work.x, *work.acts[:-1]], work.grads
+    grads[-1].fill(0.0)
     g = g_out
     for i in range(len(field.weights) - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads[2 * i])
         np.sum(g, axis=0, out=grads[2 * i + 1])
-        g = g @ field.weights[i].T
+        g = np.matmul(g, field.weights[i].T, out=work.back[i])
         if i:
-            g = g * (1.0 - acts[i] ** 2)
+            deriv = np.square(acts[i], out=work.deriv[i - 1])
+            np.subtract(1.0, deriv, out=deriv)
+            g *= deriv
     np.add.at(grads[-1], cond, g[:, field.d + field.time_dim :])
-    return grads
+    return work.grad
 
 
 def forward(field: VelocityField, z, t: float, cond: int) -> np.ndarray:
@@ -293,7 +339,9 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
     the squared projected residual is the projected residual itself, and
     both kinds backprop ``2 * diff / n``.  Endpoints off the field's
     sphere raise :class:`RadiusMismatch` from :func:`path_rows`.
-    Returns (loss, grads) with grads parallel to ``field.parameters()``.
+    Returns (loss, grads) with grads parallel to ``field.parameters()``:
+    views of one fresh gradient vector.  :func:`train` runs the same step
+    through buffers it allocates once and reuses every step.
 
     A non-finite model output (a diverged field) yields a non-finite loss
     and NaN grads in either kind, which :func:`train` reports as
@@ -304,26 +352,37 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
 
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+    loss, grad = _loss_step(field, batch, kind)
+    return loss, _param_views(grad, field.widths, field.cond_table.shape)
+
+
+def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None = None):
+    """:func:`loss_and_grad`'s loss and flat gradient, run through ``work``
+    (fresh buffers when it is None); the gradient is ``work.grad``, or a
+    fresh NaN vector for a non-finite output."""
     z0, z1, t, cond = batch
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("non-finite values in t")
     if kind == "slerp":
         z_t, u_t = path_rows(z0, z1, t, PathKind.SLERP, radius=field.radius)
     else:
         z_t, u_t = path_rows(z0, z1, t, PathKind.LINEAR)
 
-    pred, cache = _forward_rows(field, z_t, t, cond)
-    if not np.all(np.isfinite(pred)):
+    pred, cache = _forward_rows(field, z_t, t, cond, work)
+    if not np.isfinite(pred).all():
         # checked here, before the validating tangent projection can mistake
         # the field's own overflow for bad input
-        nan = np.full_like(field.flat, np.nan)
-        return float("nan"), _param_views(nan, field.widths, field.cond_table.shape)
-    diff = pred - u_t
+        return float("nan"), np.full_like(field.flat, np.nan)
+    # the output buffer is not read by the backward pass, so the residual
+    # and then the output gradient 2 * diff / n overwrite it
+    diff = np.subtract(pred, u_t, out=pred)
     if kind == "slerp":
         diff = tangent_rows(diff, z_t)
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    return loss, _backward_rows(field, cache, 2.0 * diff / pred.shape[0])
+    loss = float((diff * diff).sum(axis=1).mean())
+    diff *= 2.0
+    diff /= pred.shape[0]
+    return loss, _backward_rows(field, cache, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +390,8 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
 
 
 class Adam:
-    """Adaptive-moment SGD with bias correction and decoupled weight decay."""
+    """Adaptive-moment SGD with bias correction and decoupled weight decay
+    (Kingma & Ba, arXiv:1412.6980; Loshchilov & Hutter, arXiv:1711.05101)."""
 
     def __init__(self, params, learning_rate: float, weight_decay: float = 0.0):
         self.params = list(params)
@@ -339,24 +399,42 @@ class Adam:
         self.weight_decay = float(weight_decay)
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
         self.t = 0
 
     def step(self, grads) -> None:
+        """Update every parameter in place through scratch allocated once.
+        Each element sees m = B1*m + (1-B1)*g, v = B2*v + ((1-B2)*g)*g,
+        p -= (lr*wd)*p, then p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        lr = self.learning_rate
+        for p, g, m, v, (s, r) in zip(self.params, grads, self.m, self.v, self._scratch):
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=s)
+            v += np.multiply(s, g, out=s)
             if self.weight_decay:
-                p[...] -= self.learning_rate * self.weight_decay * p
-            p[...] -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+                p -= np.multiply(lr * self.weight_decay, p, out=s)
+            np.divide(m, c1, out=s)
+            s *= lr
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += ADAM_EPS
+            p -= np.divide(s, r, out=s)
 
 
-def clip_gradients(grads, max_norm: float) -> float:
+def clip_gradients(grads, max_norm: float, squares=None) -> float:
     """Scale ``grads`` in place to global norm ``max_norm``; returns the
-    pre-clip norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    pre-clip norm.  The norm is the root of the sum, in order, of the sums
+    of ``squares``: the element squares of ``grads`` in parts, by default
+    ``g * g`` for each ``g``.  :func:`train` clips its flat gradient with
+    the squares split by parameter view, so it rounds as the views would."""
+    if squares is None:
+        squares = (g * g for g in grads)
+    total = float(np.sqrt(sum(float(s.sum()) for s in squares)))
     if total > max_norm > 0.0:
         scale = max_norm / total
         for g in grads:
@@ -495,25 +573,42 @@ def train(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Run mini-batch training in place; returns the per-step loss trace."""
+    """Run mini-batch training in place; returns the per-step loss trace.
+
+    Each step runs :func:`loss_and_grad`'s checks and arithmetic through
+    buffers allocated once per call, clips the flat gradient (the norm is
+    summed per parameter view, as :func:`clip_gradients` sums it) and
+    steps :class:`Adam` over ``field.flat`` as one vector, so the trace and
+    the parameters equal those of the same loop built from the public
+    pieces, bit for bit.  Overflow in a diverging step is not warned
+    about; its non-finite loss, or non-finite parameters after the last
+    step, raise :class:`DivergenceDetected`."""
     if config.loss_kind != field.kind:
         raise ValueError(
             f"config loss kind {config.loss_kind!r} does not match field kind {field.kind!r}"
         )
     if dataset.d != field.d:
         raise DimensionMismatch("dataset and field dimensions differ")
-    opt = Adam(field.parameters(), config.learning_rate, config.weight_decay)
+    n = config.batch_size
+    work = _StepBuffers(field, n)
+    squares = np.empty_like(field.flat)
+    square_views = _param_views(squares, field.widths, field.cond_table.shape)
+    opt = Adam([field.flat], config.learning_rate, config.weight_decay)
     trace = np.empty(config.steps)
-    for step in range(config.steps):
-        z1, cond = dataset.sample(config.batch_size, rng)
-        z0 = prior_rows(field, config.batch_size, rng)
-        t = sample_time(rng, config, size=config.batch_size)
-        loss, grads = loss_and_grad(field, (z0, z1, t, cond), config.loss_kind)
-        if not np.isfinite(loss):
-            raise DivergenceDetected(f"non-finite loss at step {step}")
-        clip_gradients(grads, config.grad_clip)
-        opt.step(grads)
-        trace[step] = loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            z1, cond = dataset.sample(n, rng)
+            z0 = prior_rows(field, n, rng)
+            t = sample_time(rng, config, size=n)
+            loss, grad = _loss_step(field, (z0, z1, t, cond), config.loss_kind, work)
+            if not np.isfinite(loss):
+                raise DivergenceDetected(f"non-finite loss at step {step}")
+            np.multiply(grad, grad, out=squares)
+            clip_gradients([grad], config.grad_clip, square_views)
+            opt.step([grad])
+            trace[step] = loss
+    if not np.all(np.isfinite(field.flat)):
+        raise DivergenceDetected(f"non-finite parameters after step {config.steps - 1}")
     return trace
 
 
@@ -625,7 +720,8 @@ def _block_velocity(field: VelocityField, x: np.ndarray, acts: list):
 
 def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = None, extra: dict | None = None) -> None:
     """Parameter blob as a 1-item container plus a JSON sidecar at
-    ``path + ".json"``.  Parameters are stored in 32-bit like any payload.
+    ``path + ".json"``.  Parameters are stored in 32-bit like any payload;
+    the sidecar's ``payload_sha256`` binds it to the blob's bytes.
 
     Both files are written to temporary names beside their targets,
     flushed to disk, and moved over them with ``os.replace`` only once both
@@ -649,6 +745,7 @@ def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = Non
     blob, sidecar = str(path), str(path) + ".json"
     with container.replacing([blob, sidecar], fsync=_fsync) as (blob_temp, sidecar_temp):
         container.write_container(blob_temp, field.flat.reshape(1, field.flat.size, 1, 1))
+        meta["payload_sha256"] = _sha256_of(blob_temp)
         with open(sidecar_temp, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -657,6 +754,11 @@ def save_checkpoint(path, field: VelocityField, config: TrainConfig | None = Non
 # the flush save_checkpoint hands to container.replacing, named here so that
 # the order of a save's flushes and renames can be watched
 _fsync = container._fsync
+
+
+def _sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _is_count(value) -> bool:
@@ -674,6 +776,7 @@ _SIDECAR_SCHEMA = {
     "kind": lambda v: type(v) is str,
     "radius": lambda v: type(v) in (int, float) and np.isfinite(v),
     "param_count": _is_count,
+    "payload_sha256": lambda v: type(v) is str and re.fullmatch("[0-9a-f]{64}", v) is not None,
 }
 
 
@@ -681,7 +784,9 @@ def load_checkpoint(path):
     """Rebuild (field, sidecar dict) from :func:`save_checkpoint` output.
 
     A sidecar missing a key of ``_SIDECAR_SCHEMA``, or holding a value of
-    the wrong type there, raises :class:`ContainerFormatError`."""
+    the wrong type there, or a blob whose sha256 is not the sidecar's
+    ``payload_sha256`` (a blob swapped for another, or a new blob beside an
+    old sidecar), raises :class:`ContainerFormatError`."""
     sidecar = str(path) + ".json"
     with open(sidecar, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -690,6 +795,8 @@ def load_checkpoint(path):
     for key, valid in _SIDECAR_SCHEMA.items():
         if not valid(meta.get(key)):
             raise ContainerFormatError(f"{sidecar}: {key!r} missing or invalid: {meta.get(key)!r}")
+    if _sha256_of(path) != meta["payload_sha256"]:
+        raise ContainerFormatError(f"{path}: blob does not match the sha256 its sidecar records")
     flat = container.read_container(path).ravel()
     if flat.size != meta["param_count"]:
         raise DimensionMismatch(

@@ -338,6 +338,39 @@ def test_train_divergence_nan_output_exit_code(tmp_path, kind):
         assert main(argv) == 3
 
 
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+def test_train_divergence_reports_one_error_line(tmp_path, capsys, kind, flag):
+    # the overflow of a diverging step is no numpy warning; divergence
+    # shows as the one ERROR line of exit 3
+    argv = ["train", "--out", str(tmp_path / "m.slfm"), "--seed", "0", "--steps", "5",
+            "--loss-kind", kind, flag, "1e308"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR non-finite") and err.count("\n") == 1
+    assert "Warning" not in err
+    assert not (tmp_path / "m.slfm").exists()
+
+
+def test_train_empty_hidden_layer_exits_2(tmp_path, capsys):
+    # such a field would save a checkpoint that sample refuses; train
+    # rejects it before training
+    ckpt = tmp_path / "m.slfm"
+    argv = ["train", "--out", str(ckpt), "--seed", "0", "--steps", "5", "--hidden", "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR every layer width must be at least 1")
+    assert captured.err.count("\n") == 1
+    assert not ckpt.exists()
+
+
 def test_sample_missing_checkpoint(tmp_path):
     assert main(["sample", str(tmp_path / "no.slfm"), "--seed", "0"]) == 2
 

@@ -1,6 +1,7 @@
 """Velocity-field network, losses, optimizer, training loop, samplers, and
 checkpoints."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from slfm import container, model, sphere
 from slfm.errors import (
+    ContainerFormatError,
     DimensionMismatch,
     DivergenceDetected,
     RadiusMismatch,
@@ -39,6 +41,7 @@ from slfm.model import (
     timestep_shift,
     train,
 )
+from slfm.paths import PathKind, path_rows
 
 
 def _tiny_field(rng, d=5, kind="slerp", hidden=(12,), n_cond=3):
@@ -223,6 +226,20 @@ def test_field_rejects_nonfinite_parameters():
         )
 
 
+@pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3,)], ids=["zero", "zero-second", "negative"])
+def test_create_rejects_empty_layers(hidden):
+    # a zero-width layer would train and save a checkpoint that the
+    # sidecar schema then refuses to load
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        _tiny_field(np.random.default_rng(5), hidden=hidden)
+
+
+def test_field_rejects_empty_layers():
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        VelocityField([np.zeros((6, 0)), np.zeros((0, 3))], [np.zeros(0), np.zeros(3)],
+                      np.zeros((1, 1)), "linear", 1.0, 2)
+
+
 # ---------------------------------------------------------------------------
 # forward evaluation
 
@@ -332,6 +349,45 @@ def test_gradients_match_finite_differences(kind):
         fd = _fd_grad(field, batch, kind, i_param, i_flat)
         scale = max(abs(an), abs(fd), 1e-4)
         assert abs(an - fd) / scale <= 1e-4
+
+
+def _reference_loss_and_grad(field, batch, kind):
+    """The loss and backprop written out with fresh temporaries."""
+    z0, z1, t, cond = batch
+    if kind == "slerp":
+        z_t, u_t = path_rows(z0, z1, t, PathKind.SLERP, radius=field.radius)
+    else:
+        z_t, u_t = path_rows(z0, z1, t, PathKind.LINEAR)
+    acts = [np.concatenate([z_t, time_embedding(t, field.time_dim), field.cond_table[cond]], axis=1)]
+    for i, (w, b) in enumerate(zip(field.weights, field.biases)):
+        a = acts[-1] @ w + b
+        acts.append(np.tanh(a) if i < len(field.weights) - 1 else a)
+    diff = acts.pop() - u_t
+    if kind == "slerp":
+        diff = sphere.tangent_rows(diff, z_t)
+    grads = [np.zeros_like(p) for p in field.parameters()]
+    g = 2.0 * diff / diff.shape[0]
+    for i in range(len(field.weights) - 1, -1, -1):
+        grads[2 * i] = acts[i].T @ g
+        grads[2 * i + 1] = np.sum(g, axis=0)
+        g = g @ field.weights[i].T
+        if i:
+            g = g * (1.0 - acts[i] ** 2)
+    np.add.at(grads[-1], cond, g[:, field.d + field.time_dim :])
+    return float(np.mean(np.sum(diff * diff, axis=1))), grads
+
+
+@pytest.mark.parametrize("kind", ["linear", "slerp"])
+def test_loss_and_grad_rounds_as_fresh_temporaries(kind):
+    # the step writes into buffers in place; every value must round as the
+    # same arithmetic on fresh arrays does
+    rng = np.random.default_rng(17)
+    field = _tiny_field(rng, kind=kind, hidden=(12, 9))
+    batch = _batch_for(field, 16, rng)
+    loss, grads = loss_and_grad(field, batch, kind)
+    ref_loss, ref_grads = _reference_loss_and_grad(field, batch, kind)
+    assert loss == ref_loss
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
 
 def test_slerp_loss_radial_invariance():
@@ -447,6 +503,38 @@ def test_adam_updates_in_place():
     opt.step([np.array([1.0, -1.0])])
     assert ref is p
     assert not np.array_equal(p, np.array([1.0, 1.0]))
+
+
+def test_adam_rounds_as_its_written_update():
+    # the in-place step must round exactly as the update written out with
+    # fresh temporaries, decay included; a large rate and decay keep the
+    # last bits of both terms visible in p
+    rng = np.random.default_rng(72)
+    p = rng.standard_normal(200)
+    ref_p, m, v = p.copy(), np.zeros(200), np.zeros(200)
+    lr, wd = 0.1, 0.9
+    opt = Adam([p], learning_rate=lr, weight_decay=wd)
+    for step in range(1, 6):
+        g = rng.standard_normal(200)
+        opt.step([g])
+        c1, c2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        ref_p = ref_p - lr * wd * ref_p
+        ref_p = ref_p - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        assert np.array_equal(p, ref_p)
+
+
+def test_clip_gradients_sums_the_given_squares():
+    # the flat-vector form: one vector clipped with its squares split into
+    # parts rounds as the parts clipped on their own
+    rng = np.random.default_rng(73)
+    flat = rng.standard_normal(30)
+    parts = [flat[:7].reshape(7, 1).copy(), flat[7:].copy()]
+    squares = flat * flat
+    pre = clip_gradients([flat], 0.5, [squares[:7], squares[7:]])
+    assert pre == clip_gradients(parts, 0.5)
+    assert np.array_equal(flat, np.concatenate([parts[0].ravel(), parts[1]]))
 
 
 def test_clip_gradients_scales_and_reports():
@@ -574,6 +662,66 @@ def test_train_rejects_kind_mismatch():
         train(field, ds, TrainConfig(loss_kind="slerp"), np.random.default_rng(35))
 
 
+def _labelled_dataset(d, rng):
+    # three centers under three condition ids, so a batch spreads its
+    # condition-table gradient over several rows (the np.add.at path)
+    centers = sphere.uniform_rows(3, d, math.sqrt(d), rng)
+    return SyntheticDataset(d, math.sqrt(d), centers, 0.2, np.full(3, 1.0 / 3.0), labels=[0, 1, 2])
+
+
+def _reference_train(field, dataset, config, rng):
+    """train as a loop of the public pieces; returns (trace, pre-clip norms)."""
+    opt = Adam(field.parameters(), config.learning_rate, config.weight_decay)
+    trace, norms = [], []
+    for _ in range(config.steps):
+        z1, cond = dataset.sample(config.batch_size, rng)
+        z0 = prior_rows(field, config.batch_size, rng)
+        t = sample_time(rng, config, size=config.batch_size)
+        loss, grads = loss_and_grad(field, (z0, z1, t, cond), config.loss_kind)
+        norms.append(clip_gradients(grads, config.grad_clip))
+        opt.step(grads)
+        trace.append(loss)
+    return np.array(trace), np.array(norms)
+
+
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_train_is_bit_identical_to_the_public_pieces(kind):
+    # the flat step (reused buffers, one-vector clip and Adam) must round
+    # exactly as loss_and_grad, clip_gradients and a per-array Adam do
+    cfg = TrainConfig(steps=40, batch_size=32, loss_kind=kind, weight_decay=0.01, grad_clip=0.05)
+    runs = []
+    for run in (train, _reference_train):
+        field = _tiny_field(np.random.default_rng(60), d=4, kind=kind)
+        dataset = _labelled_dataset(4, np.random.default_rng(61))
+        runs.append((run(field, dataset, cfg, np.random.default_rng(62)), field))
+    (trace, field), ((ref_trace, norms), ref_field) = runs
+    assert np.all(norms > cfg.grad_clip)  # every step clips
+    assert np.array_equal(trace, ref_trace)
+    assert np.array_equal(field.flat, ref_field.flat)
+
+
+def test_train_memory_grows_only_by_the_trace():
+    # the step's buffers are allocated once per call: 200 steps may hold
+    # only the 8-byte trace entries beyond what 20 steps hold.  The peak of
+    # one run moves by a few KiB with the interpreter's own allocations, so
+    # each count takes the lower peak of two runs
+    dataset = _labelled_dataset(4, np.random.default_rng(63))
+
+    def peak(steps):
+        field = _tiny_field(np.random.default_rng(64), d=4)
+        cfg = TrainConfig(steps=steps, batch_size=32, weight_decay=0.01)
+        tracemalloc.start()
+        try:
+            train(field, dataset, cfg, np.random.default_rng(65))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm
+    peaks = {steps: min(peak(steps), peak(steps)) for steps in (20, 200)}
+    assert peaks[200] - peaks[20] <= 8 * (200 - 20) + 4096
+
+
 def test_train_detects_divergence():
     field = _tiny_field(np.random.default_rng(36), d=4)
     ds = random_dataset(4, 2.0, 2, 0.2, np.random.default_rng(37))
@@ -583,6 +731,16 @@ def test_train_detects_divergence():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceDetected):
             train(field, ds, cfg, np.random.default_rng(38))
+
+
+def test_train_detects_non_finite_parameters_after_the_last_step():
+    # lr * wd overflows to inf, so the one step leaves NaN parameters
+    # behind a finite loss; train must not hand them back as a result
+    field = _tiny_field(np.random.default_rng(39), d=4)
+    ds = random_dataset(4, 2.0, 2, 0.2, np.random.default_rng(40))
+    cfg = TrainConfig(steps=1, batch_size=16, learning_rate=1e308, weight_decay=1e308)
+    with pytest.raises(DivergenceDetected, match="parameters"):
+        train(field, ds, cfg, np.random.default_rng(41))
 
 
 def test_smoothed_endpoints():
@@ -844,6 +1002,49 @@ def test_checkpoint_detects_count_mismatch(tmp_path):
     meta["param_count"] += 1
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(DimensionMismatch):
+        load_checkpoint(path)
+
+
+def test_checkpoint_sidecar_records_the_blob_sha256(tmp_path):
+    path = tmp_path / "ckpt.slfm"
+    save_checkpoint(path, _tiny_field(np.random.default_rng(66)))
+    meta = json.loads((tmp_path / "ckpt.slfm.json").read_text())
+    assert meta["payload_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_checkpoint_rejects_a_blob_swapped_for_one_of_the_same_size(tmp_path):
+    a, b = tmp_path / "a.slfm", tmp_path / "b.slfm"
+    save_checkpoint(a, _tiny_field(np.random.default_rng(67)))
+    save_checkpoint(b, _tiny_field(np.random.default_rng(68)))
+    assert a.stat().st_size == b.stat().st_size
+    a.write_bytes(b.read_bytes())
+    with pytest.raises(ContainerFormatError, match="sha256"):
+        load_checkpoint(a)
+
+
+def test_checkpoint_rejects_a_new_blob_beside_an_old_sidecar(tmp_path):
+    # as after a crash between the two renames of a save
+    path = tmp_path / "ckpt.slfm"
+    save_checkpoint(path, _tiny_field(np.random.default_rng(69)), TrainConfig(seed=1))
+    old_sidecar = (tmp_path / "ckpt.slfm.json").read_bytes()
+    save_checkpoint(path, _tiny_field(np.random.default_rng(70)), TrainConfig(seed=2))
+    (tmp_path / "ckpt.slfm.json").write_bytes(old_sidecar)
+    with pytest.raises(ContainerFormatError, match="sha256"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [None, "abc", "A" * 64, 12], ids=["missing", "short", "upper", "int"])
+def test_checkpoint_rejects_a_malformed_payload_sha256(tmp_path, value):
+    path = tmp_path / "ckpt.slfm"
+    save_checkpoint(path, _tiny_field(np.random.default_rng(71)))
+    sidecar = tmp_path / "ckpt.slfm.json"
+    meta = json.loads(sidecar.read_text())
+    if value is None:
+        del meta["payload_sha256"]
+    else:
+        meta["payload_sha256"] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ContainerFormatError, match="payload_sha256"):
         load_checkpoint(path)
 
 
