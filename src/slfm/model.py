@@ -75,7 +75,7 @@ def time_embedding(t, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     freqs = np.pi * 2.0 ** np.arange(dim // 2)
     phase = t[:, None] * freqs[None, :]
     if out is None:
-        return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+        out = np.empty((t.size, dim))
     np.sin(phase, out=out[:, : dim // 2])
     np.cos(phase, out=out[:, dim // 2 :])
     return out
@@ -362,7 +362,7 @@ def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None
     fresh NaN vector for a non-finite output."""
     z0, z1, t, cond = batch
     t = np.asarray(t, dtype=np.float64)
-    if not np.isfinite(t).all():
+    if not np.all(np.isfinite(t)):
         raise ValueError("non-finite values in t")
     if kind == "slerp":
         z_t, u_t = path_rows(z0, z1, t, PathKind.SLERP, radius=field.radius)
@@ -370,7 +370,7 @@ def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None
         z_t, u_t = path_rows(z0, z1, t, PathKind.LINEAR)
 
     pred, cache = _forward_rows(field, z_t, t, cond, work)
-    if not np.isfinite(pred).all():
+    if not np.all(np.isfinite(pred)):
         # checked here, before the validating tangent projection can mistake
         # the field's own overflow for bad input
         return float("nan"), np.full_like(field.flat, np.nan)
@@ -379,7 +379,7 @@ def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None
     diff = np.subtract(pred, u_t, out=pred)
     if kind == "slerp":
         diff = tangent_rows(diff, z_t)
-    loss = float((diff * diff).sum(axis=1).mean())
+    loss = float(np.mean(np.sum(diff * diff, axis=1)))
     diff *= 2.0
     diff /= pred.shape[0]
     return loss, _backward_rows(field, cache, diff)
@@ -426,15 +426,10 @@ class Adam:
             p -= np.divide(s, r, out=s)
 
 
-def clip_gradients(grads, max_norm: float, squares=None) -> float:
+def clip_gradients(grads, max_norm: float) -> float:
     """Scale ``grads`` in place to global norm ``max_norm``; returns the
-    pre-clip norm.  The norm is the root of the sum, in order, of the sums
-    of ``squares``: the element squares of ``grads`` in parts, by default
-    ``g * g`` for each ``g``.  :func:`train` clips its flat gradient with
-    the squares split by parameter view, so it rounds as the views would."""
-    if squares is None:
-        squares = (g * g for g in grads)
-    total = float(np.sqrt(sum(float(s.sum()) for s in squares)))
+    pre-clip norm."""
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if total > max_norm > 0.0:
         scale = max_norm / total
         for g in grads:
@@ -576,13 +571,13 @@ def train(
     """Run mini-batch training in place; returns the per-step loss trace.
 
     Each step runs :func:`loss_and_grad`'s checks and arithmetic through
-    buffers allocated once per call, clips the flat gradient (the norm is
-    summed per parameter view, as :func:`clip_gradients` sums it) and
-    steps :class:`Adam` over ``field.flat`` as one vector, so the trace and
-    the parameters equal those of the same loop built from the public
-    pieces, bit for bit.  Overflow in a diverging step is not warned
-    about; its non-finite loss, or non-finite parameters after the last
-    step, raise :class:`DivergenceDetected`."""
+    buffers allocated once per call, clips the flat gradient through its
+    parameter views and steps :class:`Adam` over ``field.flat`` as one
+    vector, so the trace and the parameters equal those of the same loop
+    built from the public pieces, bit for bit.  Overflow in a diverging
+    step is not warned about; its non-finite loss, or parameters after the
+    last step that are non-finite in 32-bit storage, raise
+    :class:`DivergenceDetected`."""
     if config.loss_kind != field.kind:
         raise ValueError(
             f"config loss kind {config.loss_kind!r} does not match field kind {field.kind!r}"
@@ -591,8 +586,6 @@ def train(
         raise DimensionMismatch("dataset and field dimensions differ")
     n = config.batch_size
     work = _StepBuffers(field, n)
-    squares = np.empty_like(field.flat)
-    square_views = _param_views(squares, field.widths, field.cond_table.shape)
     opt = Adam([field.flat], config.learning_rate, config.weight_decay)
     trace = np.empty(config.steps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -603,12 +596,15 @@ def train(
             loss, grad = _loss_step(field, (z0, z1, t, cond), config.loss_kind, work)
             if not np.isfinite(loss):
                 raise DivergenceDetected(f"non-finite loss at step {step}")
-            np.multiply(grad, grad, out=squares)
-            clip_gradients([grad], config.grad_clip, square_views)
+            clip_gradients(work.grads, config.grad_clip)
             opt.step([grad])
             trace[step] = loss
-    if not np.all(np.isfinite(field.flat)):
-        raise DivergenceDetected(f"non-finite parameters after step {config.steps - 1}")
+        # a checkpoint stores the parameters in 32-bit, so parameters past
+        # that range have diverged as surely as non-finite ones
+        if not np.all(np.isfinite(field.flat.astype(np.float32))):
+            raise DivergenceDetected(
+                f"non-finite parameters in 32-bit storage after step {config.steps - 1}"
+            )
     return trace
 
 
