@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -175,7 +176,7 @@ def cmd_swap(args) -> int:
 
 
 def cmd_train(args) -> int:
-    radius = float(np.sqrt(args.d)) if args.radius is None else args.radius
+    radius = math.sqrt(args.d) if args.radius is None else args.radius
     rng = np.random.default_rng(args.seed)
     weights = np.asarray(_parse_float_list(args.weights)) if args.weights else None
     dataset = model.random_dataset(args.d, radius, args.centers, args.spread, rng, weights)
@@ -397,6 +398,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
+        return 2
+    except MemoryError as exc:
+        log.error("out of memory: %s", str(exc) or "allocation failed")
         return 2
 
 

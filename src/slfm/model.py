@@ -47,7 +47,7 @@ CHECKPOINT_VERSION = 1
 
 # Rows per block for sample and assignment_histogram.  sample integrates its
 # chains SAMPLE_BLOCK at a time through forward buffers allocated once per
-# call, so its memory beyond the n x d prior and outputs stays fixed, and a
+# block, so its memory beyond the n x d prior and outputs stays fixed, and a
 # chain's result does not depend on how many chains run beside it.
 SAMPLE_BLOCK = 1024
 
@@ -66,19 +66,14 @@ def timestep_shift(u, s: float):
     return float(out) if out.ndim == 0 else out
 
 
-def time_embedding(t, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Sinusoidal features sin/cos(pi * 2**j * t), j = 0..dim/2-1, written
-    into ``out`` (an (n, dim) array or view) when it is given."""
+def time_embedding(t, dim: int) -> np.ndarray:
+    """Sinusoidal features sin/cos(pi * 2**j * t), j = 0..dim/2-1."""
     if dim < 2 or dim % 2:
         raise ValueError("embedding width must be even and at least 2")
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     freqs = np.pi * 2.0 ** np.arange(dim // 2)
     phase = t[:, None] * freqs[None, :]
-    if out is None:
-        out = np.empty((t.size, dim))
-    np.sin(phase, out=out[:, : dim // 2])
-    np.cos(phase, out=out[:, dim // 2 :])
-    return out
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +191,13 @@ class VelocityField:
         if rng is None:
             rng = np.random.default_rng()
         if radius is None:
-            radius = float(np.sqrt(d))
+            radius = math.sqrt(d)
         widths = [d + time_dim + cond_dim, *hidden, d]
         _check_widths(widths)
         weights = []
         biases = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
+            weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         cond_table = rng.normal(0.0, 1.0, (n_cond, cond_dim))
         return cls(weights, biases, cond_table, kind, radius, time_dim)
@@ -238,10 +233,10 @@ def _check_conditions(field: VelocityField, cond: np.ndarray) -> None:
         )
 
 
-def _layers(field: VelocityField, x: np.ndarray, outs: list) -> list:
+def _layers(field: VelocityField, x: np.ndarray, outs: list) -> np.ndarray:
     """The layer loop: layer i of the field maps the rows before it into
     ``outs[i]``, an (n, widths[i+1]) buffer, as tanh(a @ W + b) for hidden
-    layers and a @ W + b for the last.  Returns ``outs``."""
+    layers and a @ W + b for the last.  Returns the last output."""
     a = x
     last = len(outs) - 1
     for i, (w, b, out) in enumerate(zip(field.weights, field.biases, outs)):
@@ -250,7 +245,7 @@ def _layers(field: VelocityField, x: np.ndarray, outs: list) -> list:
         if i < last:
             np.tanh(out, out=out)
         a = out
-    return outs
+    return a
 
 
 class _StepBuffers:
@@ -259,8 +254,9 @@ class _StepBuffers:
     outputs ``acts``, one ``(n, widths[i])`` buffer per layer for
     ``g @ W_i.T``, one per hidden layer for ``1 - a**2``, and the flat
     gradient ``grad`` with its parameter views ``grads``.  :func:`train`
-    allocates one set per call and reuses it every step; a step overwrites
-    what it reads."""
+    allocates one set per call and :func:`sample` one per block, and each
+    reuses it every step; a step overwrites what it reads.  A forward pass
+    alone writes only ``x`` and ``acts``."""
 
     def __init__(self, field: VelocityField, n: int):
         widths, cond_shape = field.widths, field.cond_table.shape
@@ -273,23 +269,23 @@ class _StepBuffers:
 
 
 def _forward_rows(field: VelocityField, z, t, cond, work: _StepBuffers | None = None):
-    """The field at rows ``z``, run through ``work`` (fresh buffers when it
-    is None).  Returns (output, cache for :func:`_backward_rows`); the
-    output is ``work.acts[-1]``."""
+    """The field at rows ``z`` and times ``t`` under conditions ``cond``,
+    run through ``work`` (fresh buffers when it is None).  ``t`` and
+    ``cond`` are one value per row or one value for all rows; a single
+    value fills its columns from one embedding row.  Returns (output,
+    cache for :func:`_backward_rows`); the output is ``work.acts[-1]``."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != field.d:
         raise DimensionMismatch(f"expected (n, {field.d}) tokens, got {z.shape}")
-    n = z.shape[0]
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
-    cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (n,))
+    cond = np.asarray(cond, dtype=np.int64)
     _check_conditions(field, cond)
     if work is None:
-        work = _StepBuffers(field, n)
+        work = _StepBuffers(field, z.shape[0])
     d, time_dim, x = field.d, field.time_dim, work.x
     x[:, :d] = z
-    time_embedding(t, time_dim, out=x[:, d : d + time_dim])
-    np.take(field.cond_table, cond, axis=0, out=x[:, d + time_dim :])
-    return _layers(field, x, work.acts)[-1], (work, cond)
+    x[:, d : d + time_dim] = time_embedding(t, time_dim)
+    x[:, d + time_dim :] = field.cond_table[cond]
+    return _layers(field, x, work.acts), (work, cond)
 
 
 def _backward_rows(field: VelocityField, cache, g_out):
@@ -309,7 +305,7 @@ def _backward_rows(field: VelocityField, cache, g_out):
             deriv = np.square(acts[i], out=work.deriv[i - 1])
             np.subtract(1.0, deriv, out=deriv)
             g *= deriv
-    np.add.at(grads[-1], cond, g[:, field.d + field.time_dim :])
+    np.add.at(grads[-1], np.broadcast_to(cond, g.shape[:1]), g[:, field.d + field.time_dim :])
     return work.grad
 
 
@@ -674,40 +670,22 @@ def sample(
     rng: np.random.Generator,
 ) -> SampleRun:
     """Integrate ``n`` chains from the field's prior, :data:`SAMPLE_BLOCK`
-    rows at a time: one :func:`integrate` per block, with the forward pass
-    run through buffers allocated once per call."""
+    rows at a time: one :func:`integrate` per block, whose velocity is
+    :func:`_forward_rows` run through buffers allocated once per block."""
     if n < 1:
         raise ValueError("need at least one chain")
     cond = int(cond)
     _check_conditions(field, np.asarray(cond))
     z0 = prior_rows(field, n, rng)
     outputs = np.empty_like(z0)
-    rows = min(n, SAMPLE_BLOCK)
-    x = np.empty((rows, field.widths[0]))
-    x[:, field.d + field.time_dim :] = field.cond_table[cond]
-    acts = [np.empty((rows, w)) for w in field.widths[1:]]
-    for start in range(0, n, rows):
-        block = slice(start, min(start + rows, n))
-        m = block.stop - start
-        vel = _block_velocity(field, x[:m], [a[:m] for a in acts])
-        outputs[block] = integrate(vel, z0[block], nfe, sampler, field.radius)
+    for start in range(0, n, SAMPLE_BLOCK):
+        block = slice(start, min(start + SAMPLE_BLOCK, n))
+        work = _StepBuffers(field, block.stop - start)
+        outputs[block] = integrate(
+            lambda z, t: _forward_rows(field, z, t, cond, work)[0],
+            z0[block], nfe, sampler, field.radius,
+        )
     return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
-
-
-def _block_velocity(field: VelocityField, x: np.ndarray, acts: list):
-    """``vel_fn`` for :func:`integrate` over the rows of ``x``, the block
-    input [token, time embedding, condition] with its condition columns
-    filled: each call writes the tokens and one time-embedding row into
-    ``x`` and runs :func:`_layers` into ``acts``.  The velocity it returns
-    is ``acts[-1]``, overwritten by the next call."""
-    d, time_dim = field.d, field.time_dim
-
-    def vel(z, t):
-        x[:, :d] = z
-        x[:, d : d + time_dim] = time_embedding(t, time_dim)
-        return _layers(field, x, acts)[-1]
-
-    return vel
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import poch
 
 from .errors import DimensionMismatch, NearZeroNorm, RadiusMismatch
 
@@ -292,10 +292,7 @@ def radial_project(z, radius: float) -> SphereToken:
     z = _as_vectors(z)
     if z.ndim != 1:
         raise ValueError("radial_project takes a single vector")
-    n = float(np.linalg.norm(z))
-    if n < NORM_FLOOR:
-        raise NearZeroNorm(f"cannot project: ||z|| = {n!r} < {NORM_FLOOR}")
-    return SphereToken(z * (float(radius) / n), radius)
+    return SphereToken(project_rows(z, radius), radius)
 
 
 def sample_uniform_sphere(d: int, radius: float, rng: np.random.Generator) -> SphereToken:
@@ -304,14 +301,16 @@ def sample_uniform_sphere(d: int, radius: float, rng: np.random.Generator) -> Sp
 
 
 def gaussian_mean_radius_exact(d: int) -> float:
-    """Mean L2 norm of a standard Gaussian in R^d (chi-distribution mean).
+    """Mean L2 norm of a standard Gaussian in R^d (chi-distribution mean),
+    sqrt(2) * Gamma((d+1)/2) / Gamma(d/2).
 
-    Evaluated through log-gamma differences so it stays finite far beyond
-    the dimensions where direct gamma ratios overflow.
+    The gamma ratio is evaluated as the Pochhammer symbol (d/2)_(1/2), within
+    5e-12 relative of the true value for d up to 1e30 at least; a difference
+    of two log-gammas loses the digits that matter once both are huge.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return math.sqrt(2.0) * math.exp(gammaln((d + 1) / 2.0) - gammaln(d / 2.0))
+    return math.sqrt(2.0) * float(poch(d / 2.0, 0.5))
 
 
 def gaussian_mean_radius_approx(d: int) -> float:
@@ -322,9 +321,19 @@ def gaussian_mean_radius_approx(d: int) -> float:
 
 
 def gaussian_norm_cv(d: int) -> float:
-    """Coefficient of variation of the Gaussian norm: sqrt(d - m^2) / m."""
+    """Coefficient of variation of the Gaussian norm: sqrt(d - m^2) / m.
+
+    From d = 64 on, d - m^2 (the norm's variance, near 1/2) is not formed
+    by cancellation but from its series in u = 1/d,
+    1/2 - u/8 - u^2/16 + 5u^3/128 + 23u^4/256 - 53u^5/1024, whose
+    truncation error is below 1e-11 relative there.
+    """
     m = gaussian_mean_radius_exact(d)
-    return math.sqrt(d - m * m) / m
+    if d < 64:
+        return math.sqrt(d - m * m) / m
+    u = 1.0 / d
+    var = 0.5 - u * (1 / 8 + u * (1 / 16 - u * (5 / 128 + u * (23 / 256 - u * 53 / 1024))))
+    return math.sqrt(var) / m
 
 
 def gaussian_norm_stats(d: int) -> GaussianNormStats:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slfm import container
+from slfm import container, diagnostics, model
 from slfm.cli import main
 
 
@@ -412,6 +412,55 @@ def test_sample_unknown_condition_exits_2(tmp_path, capsys, cond):
     assert captured.out == ""
     assert captured.err.startswith("ERROR condition ids must lie in [0, 1)")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cond", ["18446744073709551615", "-100000000000000000000"])
+def test_sample_condition_past_int64_exits_2(tmp_path, capsys, cond):
+    # the id is range-checked as a Python int before any array holds it
+    ckpt = tmp_path / "model.slfm"
+    assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0
+    capsys.readouterr()
+    assert main(["sample", str(ckpt), "--seed", "0", "--n", "4", "--cond", cond]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR condition ids must lie in")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--d", "--time-dim", "--cond-dim"])
+def test_train_dimension_past_int64_exits_2(tmp_path, capsys, flag):
+    ckpt = tmp_path / "m.slfm"
+    argv = ["train", "--out", str(ckpt), "--seed", "0", "--steps", "5", flag, str(10**30)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR") and captured.err.count("\n") == 1
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "callee"),
+    [
+        (["train", "--seed", "0", "--steps", "5"], (model, "train")),
+        (["paths", "--synthetic", "sphere:d=4,R=2", "--kind", "slerp"], (diagnostics, "path_profile")),
+    ],
+    ids=["train", "paths"],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_memory_error_reports_one_error_line(tmp_path, capsys, monkeypatch, argv, callee, message):
+    # a request too large for memory is bad input; it is injected here, as a
+    # real one may succeed on a host that overcommits memory
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*callee, exhausted)
+    if argv[0] == "train":
+        argv = argv + ["--out", str(tmp_path / "m.slfm")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR out of memory: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_sample_plain_euler_drifts(tmp_path, capsys):

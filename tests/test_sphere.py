@@ -172,6 +172,33 @@ def test_approx_error_decays_as_d_minus_three_halves():
     assert errors[-1] * 64**1.5 < errors[0] * 4**1.5
 
 
+# (d, mean, cv) from 160-digit evaluations of sqrt(2) Gamma((d+1)/2) / Gamma(d/2)
+# and sqrt(d - m^2) / m
+GAUSSIAN_NORM_REFERENCE = [
+    (1, 0.79788456080286536, 0.75551063976286702),
+    (2, 1.2533141373155003, 0.52272320087706332),
+    (16, 3.9380256218873262, 0.17810815278982915),
+    (63, 7.9058206223109121, 0.089262252235768265),
+    (64, 7.9688122219986286, 0.088559454128849775),
+    (1000, 31.61487189698008, 0.02236347328705958),
+    (8818, 93.901544258741314, 0.0075301930602042038),
+    (10**5, 316.22697544841112, 0.0022360707725690392),
+    (10**7, 3162.2775811114388, 0.00022360680054506378),
+    (10**9, 31622.776593778099, 2.2360679777792982e-5),
+    (10**13, 3162277.6601683003, 2.2360679774998176e-7),
+    (10**20, 10000000000.0, 7.0710678118654752e-11),
+    (10**30, 1000000000000000.0, 7.0710678118654752e-16),
+]
+
+
+@pytest.mark.parametrize("d, mean, cv", GAUSSIAN_NORM_REFERENCE)
+def test_gaussian_norm_statistics_match_high_precision(d, mean, cv):
+    # a log-gamma difference and d - m^2 by cancellation lose every digit
+    # that matters here by d = 1e9
+    assert gaussian_mean_radius_exact(d) == pytest.approx(mean, rel=1e-10, abs=0)
+    assert gaussian_norm_cv(d) == pytest.approx(cv, rel=1e-10, abs=0)
+
+
 def test_gaussian_norm_stats_bundle():
     stats = gaussian_norm_stats(16)
     assert stats.d == 16
