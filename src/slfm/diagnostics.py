@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,6 +188,17 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
         raise DimensionMismatch(f"endpoint shapes differ: {z0s.shape} vs {z1s.shape}")
     if z0s.shape[0] == 0:
         raise EmptyInput("no pairs")
+    # every squared norm or velocity formed below is at most 16 d peak^2 (a
+    # chord's 4 d peak^2, a shell velocity's (1 + pi^2) d peak^2), and the
+    # std sums n of them
+    n, d = z0s.shape
+    peak = max(float(np.max(np.abs(z0s))), float(np.max(np.abs(z1s))))
+    limit = math.sqrt(sys.float_info.max / (16 * n * d))
+    if not peak <= limit:
+        raise ValueError(
+            f"endpoint coordinates must be finite and at most {limit:.3g} in magnitude "
+            f"for {n} pairs in dimension {d}, got {peak!r}"
+        )
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, DEFAULT_GRID)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))

@@ -739,6 +739,14 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _is_real(value) -> bool:
+    """A finite JSON number; an integer past the float range is not one."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # What load_checkpoint needs from a sidecar: key -> validity test.
 _SIDECAR_SCHEMA = {
     "format": lambda v: v == CHECKPOINT_FORMAT,
@@ -748,19 +756,47 @@ _SIDECAR_SCHEMA = {
     "cond_dim": _is_count,
     "time_dim": _is_count,
     "kind": lambda v: type(v) is str,
-    "radius": lambda v: type(v) in (int, float) and np.isfinite(v),
+    "radius": _is_real,
     "param_count": _is_count,
     "payload_sha256": lambda v: type(v) is str and re.fullmatch("[0-9a-f]{64}", v) is not None,
 }
+
+
+def _check_dataset(extra, d: int, sidecar: str) -> None:
+    """What ``sample`` reads of ``extra``: a training set's ``centers``, k
+    rows of d numbers, and its ``weights``, k numbers."""
+    if type(extra) is not dict:
+        raise ContainerFormatError(f"{sidecar}: 'extra' is not a JSON object: {extra!r}")
+    dataset = extra.get("dataset")
+    if dataset is None:
+        return
+    if type(dataset) is not dict:
+        raise ContainerFormatError(f"{sidecar}: 'extra.dataset' is not a JSON object: {dataset!r}")
+    centers, weights = dataset.get("centers"), dataset.get("weights")
+    if not (
+        type(centers) is list
+        and centers
+        and all(type(c) is list and len(c) == d and all(map(_is_real, c)) for c in centers)
+    ):
+        raise ContainerFormatError(
+            f"{sidecar}: 'extra.dataset.centers' missing or invalid: {centers!r}"
+        )
+    if not (
+        type(weights) is list and len(weights) == len(centers) and all(map(_is_real, weights))
+    ):
+        raise ContainerFormatError(
+            f"{sidecar}: 'extra.dataset.weights' missing or invalid: {weights!r}"
+        )
 
 
 def load_checkpoint(path):
     """Rebuild (field, sidecar dict) from :func:`save_checkpoint` output.
 
     A sidecar missing a key of ``_SIDECAR_SCHEMA``, or holding a value of
-    the wrong type there, or a blob whose sha256 is not the sidecar's
-    ``payload_sha256`` (a blob swapped for another, or a new blob beside an
-    old sidecar), raises :class:`ContainerFormatError`."""
+    the wrong type there or in the training set under ``extra``, or a blob
+    whose sha256 is not the sidecar's ``payload_sha256`` (a blob swapped
+    for another, or a new blob beside an old sidecar), raises
+    :class:`ContainerFormatError`."""
     sidecar = str(path) + ".json"
     with open(sidecar, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -769,6 +805,7 @@ def load_checkpoint(path):
     for key, valid in _SIDECAR_SCHEMA.items():
         if not valid(meta.get(key)):
             raise ContainerFormatError(f"{sidecar}: {key!r} missing or invalid: {meta.get(key)!r}")
+    _check_dataset(meta.get("extra", {}), meta["widths"][-1], sidecar)
     if _sha256_of(path) != meta["payload_sha256"]:
         raise ContainerFormatError(f"{path}: blob does not match the sha256 its sidecar records")
     flat = container.read_container(path).ravel()

@@ -52,9 +52,10 @@ def gauss_shell_pairs(
 
 
 def _radius(text: str) -> float:
+    # a path profile squares the radius; past sqrt(float max) that overflows
     value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError("expected a finite positive number")
+    if not (np.isfinite(value * value) and value > 0.0):
+        raise ValueError("expected a positive number whose square is finite")
     return value
 
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slfm
 from slfm import container, diagnostics, model
 from slfm.cli import main
 
@@ -54,6 +59,20 @@ def test_gaussian_norms_csv_json_digit_identical(capsys):
 def test_gaussian_norms_empty_list(capsys):
     assert main(["gaussian-norms"]) == 0
     assert capsys.readouterr().out == "d,exact_mean,approx_mean,cv\n"
+
+
+def test_cli_runs_without_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter in which
+    # importing scipy fails still tabulates the chi mean
+    code = (
+        "import sys; sys.modules['scipy'] = None; from slfm.cli import main; "
+        "sys.exit(main(['gaussian-norms', '1', '16', '64', '1000']))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(slfm.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "d,exact_mean,approx_mean,cv"
+    assert len(done.stdout.splitlines()) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +403,14 @@ def test_sample_missing_checkpoint(tmp_path):
         (lambda meta: meta.update(format="npz"), "format"),
         (lambda meta: meta.update(format_version=2), "format_version"),
         (lambda meta: meta.update(n_cond=2), "layout"),
+        (lambda meta: meta["extra"]["dataset"].pop("weights"), "weights"),
+        (lambda meta: meta.update(extra=[]), "extra"),
+        (lambda meta: meta["extra"].update(dataset="abc"), "dataset"),
+        (lambda meta: meta["extra"]["dataset"].update(weights=None), "weights"),
+        (lambda meta: meta.update(radius=10**400), "radius"),
     ],
-    ids=["missing-widths", "string-widths", "wrong-format", "wrong-version", "layout-mismatch"],
+    ids=["missing-widths", "string-widths", "wrong-format", "wrong-version", "layout-mismatch",
+         "missing-weights", "list-extra", "string-dataset", "null-weights", "radius-past-float"],
 )
 def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit, key):
     ckpt = tmp_path / "model.slfm"
@@ -545,11 +570,16 @@ def test_negative_reals_in_exponent_form_are_option_values(tmp_path, value):
         ["paths", "--synthetic", "gauss-shells:d=4,r0=1,r1=inf,cv=0.1", "--kind", "linear"],
         ["paths", "--synthetic", "gauss-shells:d=4,r0=1,r1=2,cv=nan", "--kind", "linear"],
         ["deficit", "--h", "0.1", "--omega", "1", "--radius", "-1"],
+        ["gaussian-norms", str(10**400)],
+        ["paths", "--synthetic", "sphere:d=4,R=1e200", "--kind", "slerp"],
+        ["paths", "--synthetic", "sphere:d=4,R=1e308", "--kind", "linear", "--format", "json"],
     ],
     ids=[
         "train-centers-0", "train-radius-nan", "stats-project-nan", "stats-project-inf",
         "stats-project-negative", "paths-R-nan-linear", "paths-R-nan-slerp",
         "paths-R-negative", "paths-r1-inf", "paths-cv-nan", "deficit-radius-negative",
+        "gaussian-norms-d-past-float", "paths-R-square-overflows-slerp",
+        "paths-R-square-overflows-linear-json",
     ],
 )
 def test_out_of_domain_values_exit_2(tmp_path, capsys, argv):
@@ -559,6 +589,27 @@ def test_out_of_domain_values_exit_2(tmp_path, capsys, argv):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "spec, kind, fmt",
+    [
+        ("sphere:d=4,R=1e200", "slerp", "csv"),
+        ("sphere:d=4,R=1e308", "linear", "json"),
+        ("sphere:d=4,R=1e153", "linear", "csv"),
+        ("gauss-shells:d=4,r0=1,r1=1,cv=1e300", "shell", "json"),
+    ],
+)
+def test_paths_past_float_range_exit_2(capsys, spec, kind, fmt):
+    # squared norms, velocities or their sums past float64: one error line,
+    # no report of infinities and NaNs, no numpy warning
+    argv = ["paths", "--synthetic", spec, "--kind", kind, "--format", fmt]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

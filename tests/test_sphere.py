@@ -199,6 +199,38 @@ def test_gaussian_norm_statistics_match_high_precision(d, mean, cv):
     assert gaussian_norm_cv(d) == pytest.approx(cv, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize(
+    "d, mean",
+    [
+        (3, 1.5957691216057307118),
+        (61, 7.7783073864671876688),
+        (63, 7.9058206223109120568),
+        (64, 7.9688122219986286202),
+        (65, 8.0313098385380693911),
+        (13335, 115.47510558286655981),
+    ],
+)
+def test_gaussian_mean_to_rounding_level(d, mean):
+    # 160-digit references on both sides of the switch from the gamma-ratio
+    # recurrence to the series at d = 64, and where a Pochhammer symbol
+    # in float64 is 9e-12 off
+    assert gaussian_mean_radius_exact(d) == pytest.approx(mean, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("d", [10**15, 10**20, 10**30])
+def test_gaussian_norm_stats_where_the_mean_rounds_to_sqrt_d(d):
+    stats = gaussian_norm_stats(d)
+    assert stats.mean_radius <= math.sqrt(d)
+    assert stats.cv == gaussian_norm_cv(d)
+
+
+@pytest.mark.parametrize("d", [2**1024, 10**400], ids=["2**1024", "10**400"])
+def test_gaussian_dimension_past_the_float_range(d):
+    for f in (gaussian_mean_radius_exact, gaussian_mean_radius_approx, gaussian_norm_cv):
+        with pytest.raises(ValueError, match="float range"):
+            f(d)
+
+
 def test_gaussian_norm_stats_bundle():
     stats = gaussian_norm_stats(16)
     assert stats.d == 16
