@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import container, diagnostics, model, sphere, synthetic
-from .errors import DimensionMismatch, DivergenceDetected
+from .errors import ContainerFormatError, DimensionMismatch, DivergenceDetected
 from .paths import PathKind
 
 log = logging.getLogger("slfm")
@@ -36,8 +36,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_report(rows, columns, fmt: str, stream=None) -> None:
-    stream = sys.stdout if stream is None else stream
+def emit_report(rows, columns, fmt: str) -> None:
+    stream = sys.stdout
     if fmt == "json":
         json.dump([{k: row[k] for k in columns} for row in rows], stream, indent=2)
         stream.write("\n")
@@ -47,18 +47,9 @@ def emit_report(rows, columns, fmt: str, stream=None) -> None:
             stream.write(",".join(_fmt(row[k]) for k in columns) + "\n")
 
 
-def _emit_json(obj, stream=None) -> None:
-    stream = sys.stdout if stream is None else stream
-    json.dump(obj, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for radii: a finite float above zero."""
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+def _emit_json(obj) -> None:
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _parse_float_list(text: str) -> list:
@@ -124,10 +115,6 @@ def cmd_paths(args) -> int:
     else:
         a = container.token_rows(container.read_container(args.input[0]))
         b = container.token_rows(container.read_container(args.input[1]))
-        if a.shape[1] != b.shape[1]:
-            raise DimensionMismatch(
-                f"token dimensions differ: {a.shape[1]} vs {b.shape[1]}"
-            )
         n = min(a.shape[0], b.shape[0])
         z0s, z1s = a[:n], b[:n]
     log.info("profiling %d pairs, kind %s", z0s.shape[0], kind.value)
@@ -232,8 +219,32 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _training_set(meta: dict, d: int, checkpoint: str):
+    """The training set that ``cmd_train`` records under ``extra.dataset``,
+    rebuilt through :class:`model.SyntheticDataset` and so checked by the
+    rules that training applied; None when the sidecar records none."""
+    extra = meta.get("extra", {})
+    if type(extra) is not dict:
+        raise ContainerFormatError(f"{checkpoint}: sidecar 'extra' is not a JSON object")
+    spec = extra.get("dataset")
+    if spec is None:
+        return None
+    try:
+        if type(spec) is not dict:
+            raise TypeError("not a JSON object")
+        dataset = model.SyntheticDataset(**spec)
+        if dataset.d != d:
+            raise DimensionMismatch(f"dimension {dataset.d!r} is not the field's {d}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContainerFormatError(
+            f"{checkpoint}: sidecar 'extra.dataset' is not a valid training set: {exc}"
+        ) from None
+    return dataset
+
+
 def cmd_sample(args) -> int:
     field, meta = model.load_checkpoint(args.checkpoint)
+    dataset = _training_set(meta, field.d, args.checkpoint)
     rng = np.random.default_rng(args.seed)
     sampler = {"euler": "euler", "euler-project": "euler_project", "expmap": "exp_map"}[
         args.sampler
@@ -250,12 +261,10 @@ def cmd_sample(args) -> int:
         "n": int(args.n),
         "max_radius_deviation": run.max_radius_deviation,
     }
-    dataset = meta.get("extra", {}).get("dataset")
     if dataset is not None:
-        centers = np.asarray(dataset["centers"], dtype=np.float64)
-        hist = model.assignment_histogram(run.outputs, centers)
+        hist = model.assignment_histogram(run.outputs, dataset.centers)
         metrics["assignment_histogram"] = [float(x) for x in hist]
-        metrics["dataset_weights"] = [float(x) for x in dataset["weights"]]
+        metrics["dataset_weights"] = [float(x) for x in dataset.weights]
     _emit_json(metrics)
     return 0
 
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="shell statistics of a latent container")
     p.add_argument("input", help="container path")
-    p.add_argument("--project", type=_positive_float, default=None, metavar="R", help="project tokens to radius R first")
+    p.add_argument("--project", type=sphere.token_radius, default=None, metavar="R", help="project tokens to radius R first")
     _add_format(p)
     p.set_defaults(func=cmd_stats)
 
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--radius", type=_positive_float, default=None, help="defaults to sqrt(d)")
+    p.add_argument("--radius", type=sphere.token_radius, default=None, help="defaults to sqrt(d)")
     p.add_argument("--centers", type=int, default=2)
     p.add_argument("--spread", type=float, default=0.15)
     p.add_argument("--weights", default=None, help="comma list, e.g. 0.6,0.4")
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deficit", help="projected-Euler arc-length deficit, analytical vs measured")
     p.add_argument("--h", type=float, required=True, help="step size")
     p.add_argument("--omega", type=float, required=True, help="angle between endpoints")
-    p.add_argument("--radius", type=_positive_float, default=1.0)
+    p.add_argument("--radius", type=sphere.token_radius, default=1.0)
     _add_format(p)
     p.set_defaults(func=cmd_deficit)
 

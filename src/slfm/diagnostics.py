@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,8 +88,6 @@ class PathProfile:
     mean_radial_share: np.ndarray
     kind: PathKind
     offshell_is_absolute: bool
-    shell0: ShellStats = field(repr=False, default=None)
-    shell1: ShellStats = field(repr=False, default=None)
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=np.float64)
@@ -225,9 +223,7 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
         std_norm[i] = _fsum_std(norms, mean_norm[i])
         mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
         mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms)[2])
-    return PathProfile(
-        t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute, shell0, shell1
-    )
+    return PathProfile(t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute)
 
 
 def component_swap(anchor, substitute) -> SwapPair:

@@ -31,6 +31,7 @@ from .sphere import (
     expmap_rows,
     project_rows,
     tangent_rows,
+    token_radius,
     uniform_rows,
 )
 
@@ -133,8 +134,7 @@ class VelocityField:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"field kind must be one of {LOSS_KINDS}")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        self.radius = token_radius(self.radius)
         if len(self.weights) != len(self.biases) or not self.weights:
             raise DimensionMismatch("weights and biases must pair up")
         self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
@@ -450,18 +450,26 @@ class SyntheticDataset:
     labels: np.ndarray = None
 
     def __post_init__(self):
+        self.radius = token_radius(self.radius)
         self.centers = np.asarray(self.centers, dtype=np.float64)
         if self.centers.ndim != 2 or self.centers.shape[1] != self.d:
             raise DimensionMismatch(f"centers must be (k, {self.d})")
-        dev = np.max(np.abs(np.linalg.norm(self.centers, axis=-1) - self.radius))
+        if not np.all(np.isfinite(self.centers)):
+            raise ValueError("centers must be finite")
+        # a center far off the sphere may square past float max: its norm
+        # is then inf, and off the sphere like any other
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.centers, axis=-1)
+        dev = float(np.max(np.abs(norms - self.radius)))
         if dev > ON_SPHERE_RTOL * self.radius:
             raise RadiusMismatch(f"centers off the sphere by up to {dev!r}")
-        if self.spread <= 0.0:
-            raise ValueError("spread must be positive")
+        if not (math.isfinite(self.spread) and self.spread > 0.0):
+            raise ValueError(f"spread must be finite and positive, got {float(self.spread)!r}")
         self.weights = np.asarray(self.weights, dtype=np.float64)
         k = self.centers.shape[0]
-        if self.weights.shape != (k,) or np.any(self.weights < 0.0):
-            raise ValueError("weights must be k nonnegative reals")
+        # NaN fails both bounds, and k weights of at most 1 cannot overflow
+        if self.weights.shape != (k,) or not np.all((self.weights >= 0.0) & (self.weights <= 1.0)):
+            raise ValueError("weights must be k reals in [0, 1]")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if self.labels is None:
@@ -628,7 +636,7 @@ class SampleRun:
         if self.kind == "slerp" and self.sampler in ("euler_project", "exp_map"):
             if dev > 1e-5 * self.radius:
                 raise ValueError(
-                    f"sphere-preserving sampler left the sphere by {dev!r}"
+                    f"sphere-preserving sampler left the sphere by {float(dev)!r}"
                 )
 
     @property
@@ -762,41 +770,14 @@ _SIDECAR_SCHEMA = {
 }
 
 
-def _check_dataset(extra, d: int, sidecar: str) -> None:
-    """What ``sample`` reads of ``extra``: a training set's ``centers``, k
-    rows of d numbers, and its ``weights``, k numbers."""
-    if type(extra) is not dict:
-        raise ContainerFormatError(f"{sidecar}: 'extra' is not a JSON object: {extra!r}")
-    dataset = extra.get("dataset")
-    if dataset is None:
-        return
-    if type(dataset) is not dict:
-        raise ContainerFormatError(f"{sidecar}: 'extra.dataset' is not a JSON object: {dataset!r}")
-    centers, weights = dataset.get("centers"), dataset.get("weights")
-    if not (
-        type(centers) is list
-        and centers
-        and all(type(c) is list and len(c) == d and all(map(_is_real, c)) for c in centers)
-    ):
-        raise ContainerFormatError(
-            f"{sidecar}: 'extra.dataset.centers' missing or invalid: {centers!r}"
-        )
-    if not (
-        type(weights) is list and len(weights) == len(centers) and all(map(_is_real, weights))
-    ):
-        raise ContainerFormatError(
-            f"{sidecar}: 'extra.dataset.weights' missing or invalid: {weights!r}"
-        )
-
-
 def load_checkpoint(path):
     """Rebuild (field, sidecar dict) from :func:`save_checkpoint` output.
 
     A sidecar missing a key of ``_SIDECAR_SCHEMA``, or holding a value of
-    the wrong type there or in the training set under ``extra``, or a blob
-    whose sha256 is not the sidecar's ``payload_sha256`` (a blob swapped
-    for another, or a new blob beside an old sidecar), raises
-    :class:`ContainerFormatError`."""
+    the wrong type there, or a blob whose sha256 is not the sidecar's
+    ``payload_sha256`` (a blob swapped for another, or a new blob beside an
+    old sidecar), raises :class:`ContainerFormatError`.  ``extra`` is
+    returned as written; it is not inspected."""
     sidecar = str(path) + ".json"
     with open(sidecar, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -805,7 +786,6 @@ def load_checkpoint(path):
     for key, valid in _SIDECAR_SCHEMA.items():
         if not valid(meta.get(key)):
             raise ContainerFormatError(f"{sidecar}: {key!r} missing or invalid: {meta.get(key)!r}")
-    _check_dataset(meta.get("extra", {}), meta["widths"][-1], sidecar)
     if _sha256_of(path) != meta["payload_sha256"]:
         raise ContainerFormatError(f"{path}: blob does not match the sha256 its sidecar records")
     flat = container.read_container(path).ravel()

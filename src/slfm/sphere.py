@@ -10,6 +10,7 @@ checked at construction time.  Everything runs in float64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +25,17 @@ SMALL_ANGLE = 1e-4        # below: slerp falls back to lerp + renormalise
 ANTIPODAL_MARGIN = 0.1    # within this of pi: slerp follows a fixed great circle
 ON_SPHERE_RTOL = 1e-6     # | ||x|| - R | <= ON_SPHERE_RTOL * R
 TANGENT_RTOL = 1e-5       # |<v, p>| <= TANGENT_RTOL * ||v|| * R
+
+
+def token_radius(value) -> float:
+    """The one rule for a token radius R, given as a number or as text:
+    R > 0 with R * R a normal, finite float, so that every squared norm
+    formed for a radius-R row is one too (NaN fails every comparison).
+    Returns R as a float; raises ``ValueError`` otherwise."""
+    r = float(value)
+    if not (r > 0.0 and sys.float_info.min <= r * r <= sys.float_info.max):
+        raise ValueError(f"radius must be positive with a normal, finite square, got {r!r}")
+    return r
 
 
 def _as_vectors(x) -> np.ndarray:
@@ -44,11 +56,9 @@ class SphereToken:
 
     def __post_init__(self):
         self.values = _as_vectors(self.values)
-        self.radius = float(self.radius)
+        self.radius = token_radius(self.radius)
         if self.values.ndim != 1 or self.values.shape[0] < 2:
             raise ValueError("sphere points need a single axis with d >= 2")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
         norm = float(np.linalg.norm(self.values))
         if abs(norm - self.radius) > ON_SPHERE_RTOL * self.radius:
             raise ValueError(

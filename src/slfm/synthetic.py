@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NearZeroNorm
-from .sphere import NORM_FLOOR, uniform_rows
+from .sphere import NORM_FLOOR, token_radius, uniform_rows
 
 
 def sphere_pairs(n: int, d: int, radius: float, rng: np.random.Generator):
@@ -51,14 +51,6 @@ def gauss_shell_pairs(
     return _shell_rows(n, d, r0, cv, rng), _shell_rows(n, d, r1, cv, rng)
 
 
-def _radius(text: str) -> float:
-    # a path profile squares the radius; past sqrt(float max) that overflows
-    value = float(text)
-    if not (np.isfinite(value * value) and value > 0.0):
-        raise ValueError("expected a positive number whose square is finite")
-    return value
-
-
 def _cv(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value >= 0.0):
@@ -71,8 +63,8 @@ def parse_spec(text: str) -> dict:
     family, _, rest = text.partition(":")
     family = family.strip()
     schemas = {
-        "sphere": {"d": int, "R": _radius},
-        "gauss-shells": {"d": int, "r0": _radius, "r1": _radius, "cv": _cv},
+        "sphere": {"d": int, "R": token_radius},
+        "gauss-shells": {"d": int, "r0": token_radius, "r1": token_radius, "cv": _cv},
     }
     if family not in schemas:
         raise ValueError(

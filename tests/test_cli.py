@@ -1,5 +1,7 @@
 """Command-line surface: report formats, exit codes, and end-to-end runs."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slfm
 from slfm import container, diagnostics, model
@@ -395,6 +398,36 @@ def test_sample_missing_checkpoint(tmp_path):
     assert main(["sample", str(tmp_path / "no.slfm"), "--seed", "0"]) == 2
 
 
+def _dataset_edit(**values):
+    return lambda meta: meta["extra"]["dataset"].update(values)
+
+
+def _far_center_coordinate(meta):
+    meta["extra"]["dataset"]["centers"][0][0] = 1e200
+
+
+def _move_set_to_4d(meta):
+    # a valid training set on the field's sphere, in another dimension
+    r = math.sqrt(3)
+    meta["extra"]["dataset"].update(d=4, centers=[[r, 0.0, 0.0, 0.0], [0.0, r, 0.0, 0.0]])
+
+
+# Sidecar edits that describe no valid training set or field, each with a
+# word the error must contain; the checkpoint is _QUICK_TRAIN's (d = 3,
+# R = sqrt(3), two centers)
+_BAD_TRAINING_SETS = {
+    "off-sphere-centers": (_dataset_edit(centers=[[100.0, 0.0, 0.0], [0.0, 100.0, 0.0]]), "extra.dataset"),
+    "weights-sum-past-1": (_dataset_edit(weights=[1.0, 2.0]), "extra.dataset"),
+    "negative-weight": (_dataset_edit(weights=[1.5, -0.5]), "extra.dataset"),
+    "center-square-overflows": (_far_center_coordinate, "extra.dataset"),
+    "string-spread": (_dataset_edit(spread="wide"), "extra.dataset"),
+    "dataset-radius-square-overflows": (_dataset_edit(radius=1e200), "extra.dataset"),
+    "field-radius-square-overflows": (lambda meta: meta.update(radius=1e200), "radius"),
+    "dataset-d-differs": (_dataset_edit(d=4), "extra.dataset"),
+    "dataset-in-other-dimension": (_move_set_to_4d, "dimension 4"),
+}
+
+
 @pytest.mark.parametrize(
     ("edit", "key"),
     [
@@ -408,9 +441,11 @@ def test_sample_missing_checkpoint(tmp_path):
         (lambda meta: meta["extra"].update(dataset="abc"), "dataset"),
         (lambda meta: meta["extra"]["dataset"].update(weights=None), "weights"),
         (lambda meta: meta.update(radius=10**400), "radius"),
+        *_BAD_TRAINING_SETS.values(),
     ],
     ids=["missing-widths", "string-widths", "wrong-format", "wrong-version", "layout-mismatch",
-         "missing-weights", "list-extra", "string-dataset", "null-weights", "radius-past-float"],
+         "missing-weights", "list-extra", "string-dataset", "null-weights", "radius-past-float",
+         *_BAD_TRAINING_SETS],
 )
 def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit, key):
     ckpt = tmp_path / "model.slfm"
@@ -424,6 +459,90 @@ def test_sample_rejects_malformed_sidecar(tmp_path, capsys, edit, key):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert key in err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A checkpoint trained once with _QUICK_TRAIN, for tests that only edit
+    copies of its sidecar."""
+    ckpt = tmp_path_factory.mktemp("trained") / "model.slfm"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--out", str(ckpt)] + _QUICK_TRAIN) == 0
+    return ckpt
+
+
+def _sample_edited(trained, directory, edit, argv=("--n", "8")):
+    """Run ``sample`` on a copy of ``trained`` whose sidecar ``edit`` changed;
+    returns (exit code, stdout, stderr, warnings raised)."""
+    meta = json.loads(Path(f"{trained}.json").read_text())
+    edit(meta)
+    ckpt = directory / "model.slfm"
+    ckpt.write_bytes(trained.read_bytes())
+    Path(f"{ckpt}.json").write_text(json.dumps(meta))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(["sample", str(ckpt), "--seed", "0", *argv])
+    return rc, out.getvalue(), err.getvalue(), caught
+
+
+@pytest.mark.parametrize(("edit", "key"), _BAD_TRAINING_SETS.values(), ids=_BAD_TRAINING_SETS)
+def test_sample_rejects_bad_training_set_in_one_error_line(trained, tmp_path, edit, key):
+    # sample rebuilds the recorded set with SyntheticDataset, as train built
+    # it, before any chain is drawn
+    rc, out, err, caught = _sample_edited(trained, tmp_path, edit)
+    assert rc == 2 and out == "" and caught == []
+    assert err.startswith("ERROR ") and err.count("\n") == 1
+    assert key in err and "np." not in err
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from([1e200, -1e200, 1e-200, 10**400, math.sqrt(3)])
+    | st.text(max_size=3)
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edit=st.sampled_from(["replace", "delete", "center", "weight"]),
+    key=st.sampled_from(["d", "radius", "centers", "spread", "weights", "labels", "unknown"]),
+    value=_JSON_VALUES,
+    row=st.integers(0, 1),
+    column=st.integers(0, 2),
+    scalar=_JSON_LEAVES,
+)
+def test_sample_survives_any_training_set_edit(
+    trained, tmp_path_factory, edit, key, value, row, column, scalar
+):
+    # one key of extra.dataset replaced or deleted, or one coordinate of a
+    # center or one weight replaced: the set is used (exit 0) or refused in
+    # one ERROR line (exit 2), never with a traceback or a numpy warning
+    def apply(meta):
+        dataset = meta["extra"]["dataset"]
+        if edit == "replace":
+            dataset[key] = value
+        elif edit == "delete":
+            dataset.pop(key, None)
+        elif edit == "center":
+            dataset["centers"][row][column] = scalar
+        else:
+            dataset["weights"][row] = scalar
+
+    rc, out, err, caught = _sample_edited(
+        trained, tmp_path_factory.mktemp("edit"), apply, ("--n", "8", "--nfe", "1")
+    )
+    assert caught == []
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("ERROR ") and err.count("\n") == 1
+    else:
+        assert rc == 0 and err == ""
 
 
 @pytest.mark.parametrize("cond", ["1", "-1"])
@@ -556,6 +675,25 @@ def test_negative_reals_in_exponent_form_are_option_values(tmp_path, value):
     assert meta["config"]["time_mean"] == float(value)
 
 
+# Radii outside the one radius rule (R > 0, R * R a normal, finite float),
+# each at a place a radius comes in from argv, with the text of the value
+_BAD_RADIUS_ARGV = {
+    "stats-project-square-overflows": (["stats", "{tmp}/lat.slfm", "--project", "1e300"], "1e300"),
+    "train-radius-square-overflows": (
+        ["train", "--out", "{tmp}/x.slfm", "--seed", "0", "--radius", "1e200"], "1e200"
+    ),
+    "train-radius-square-underflows": (
+        ["train", "--out", "{tmp}/x.slfm", "--seed", "0", "--radius", "1e-200"], "1e-200"
+    ),
+    "deficit-radius-square-overflows": (
+        ["deficit", "--h", "0.1", "--omega", "1", "--radius", "1e200"], "1e200"
+    ),
+    "paths-R-square-underflows": (
+        ["paths", "--synthetic", "sphere:d=4,R=1e-200", "--kind", "linear"], "1e-200"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -573,6 +711,7 @@ def test_negative_reals_in_exponent_form_are_option_values(tmp_path, value):
         ["gaussian-norms", str(10**400)],
         ["paths", "--synthetic", "sphere:d=4,R=1e200", "--kind", "slerp"],
         ["paths", "--synthetic", "sphere:d=4,R=1e308", "--kind", "linear", "--format", "json"],
+        *(argv for argv, _ in _BAD_RADIUS_ARGV.values()),
     ],
     ids=[
         "train-centers-0", "train-radius-nan", "stats-project-nan", "stats-project-inf",
@@ -580,6 +719,7 @@ def test_negative_reals_in_exponent_form_are_option_values(tmp_path, value):
         "paths-R-negative", "paths-r1-inf", "paths-cv-nan", "deficit-radius-negative",
         "gaussian-norms-d-past-float", "paths-R-square-overflows-slerp",
         "paths-R-square-overflows-linear-json",
+        *_BAD_RADIUS_ARGV,
     ],
 )
 def test_out_of_domain_values_exit_2(tmp_path, capsys, argv):
@@ -588,6 +728,24 @@ def test_out_of_domain_values_exit_2(tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("argv", "value"), _BAD_RADIUS_ARGV.values(), ids=_BAD_RADIUS_ARGV)
+def test_bad_radius_is_one_error_line_naming_it(tmp_path, capsys, argv, value):
+    # argparse rejects an option (its usage, then "error: argument
+    # --radius: ..."), the spec parser a spec key ("ERROR bad value for
+    # 'R': ..."); either way before any array holds the radius
+    _write_rows(tmp_path / "lat.slfm", np.random.default_rng(8).standard_normal((4, 3)))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line.lower()]
+    assert len(errors) == 1 and value in errors[0]
+    assert "np." not in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

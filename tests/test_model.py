@@ -819,6 +819,56 @@ def test_integrate_plain_euler_leaves_sphere():
     assert np.linalg.norm(out) > radius
 
 
+def _half_chord_angle(u, w):
+    """Angle between equal-norm rows, 2 atan2(|u - w|, |u + w|): accurate
+    near 0, where arccos of the cosine loses about 1e-11 rad."""
+    return 2.0 * np.arctan2(np.linalg.norm(u - w, axis=-1), np.linalg.norm(u + w, axis=-1))
+
+
+def _trajectory_pairs(d=5, radius=2.0):
+    """Start and target rows on the sphere: 200 uniform pairs, less those
+    within 0.2 of antipodal, and pairs below sphere.SMALL_ANGLE apart."""
+    rng = np.random.default_rng(61)
+    z0 = sphere.uniform_rows(200, d, radius, rng)
+    x1 = sphere.uniform_rows(200, d, radius, rng)
+    keep = _half_chord_angle(z0, x1) < math.pi - 0.2
+    z0, x1 = z0[keep], x1[keep]
+    # a small rotation of each of the first rows toward a tangent direction
+    small = np.array([1e-9, 1e-7, 1e-6, 3e-5, 0.5 * sphere.SMALL_ANGLE])
+    base = z0[: small.size]
+    e = sphere.unit_rows(sphere.tangent_rows(rng.standard_normal(base.shape), base))
+    near = np.cos(small)[:, None] * base + radius * np.sin(small)[:, None] * e
+    return np.vstack([z0, base]), np.vstack([x1, near])
+
+
+@pytest.mark.parametrize("nfe", [1, 5, 50, 200])
+def test_integrate_whole_trajectory_identities(nfe):
+    # closed-form fields toward x1: the conditional geodesic field
+    # log_z(x1) / (1 - t) and the chord field (x1 - z) / (1 - t).  exp_map
+    # on the first and euler on the second land on x1; euler_project on the
+    # first falls short by theta_{k+1} = theta_k - arctan(theta_k / (nfe - k))
+    radius = 2.0
+    z0, x1 = _trajectory_pairs(radius=radius)
+
+    def geodesic(z, t):
+        w = sphere.tangent_rows(x1, z)
+        arc = radius * _half_chord_angle(z, x1)
+        return (arc / np.linalg.norm(w, axis=-1))[:, None] * w / (1.0 - t)
+
+    def chord(z, t):
+        return (x1 - z) / (1.0 - t)
+
+    assert np.max(_half_chord_angle(integrate(geodesic, z0, nfe, "exp_map", radius), x1)) <= 1e-12
+    assert np.max(_half_chord_angle(integrate(chord, z0, nfe, "euler", radius), x1)) <= 1e-12
+    expect = []
+    for theta in _half_chord_angle(z0, x1).tolist():
+        for k in range(nfe):
+            theta -= math.atan(theta / (nfe - k))
+        expect.append(theta)
+    residual = _half_chord_angle(integrate(geodesic, z0, nfe, "euler_project", radius), x1)
+    assert np.max(np.abs(residual - np.array(expect))) <= 1e-12
+
+
 def test_integrate_rejects_bad_sampler():
     with pytest.raises(ValueError):
         integrate(lambda z, t: z, np.zeros((1, 2)), 10, "rk4", 1.0)

@@ -51,6 +51,22 @@ def _random_pair(rng, d, radius):
 # radial projection
 
 
+@pytest.mark.parametrize("radius", ["2", 1.3e154, 1.5e-154, 7])
+def test_token_radius_accepts_radii_with_a_normal_finite_square(radius):
+    assert sphere.token_radius(radius) == float(radius)
+
+
+@pytest.mark.parametrize(
+    "radius", [1.4e154, 1e-155, math.nan, math.inf, 0.0, -1.0, "abc", "nan", "1e200"]
+)
+def test_token_radius_rejects_the_rest(radius):
+    with pytest.raises(ValueError):
+        sphere.token_radius(radius)
+    # the scalar API's certified points follow the same rule
+    with pytest.raises(ValueError):
+        SphereToken(np.array([1.0, 0.0]), radius)
+
+
 def test_project_345_triangle():
     out = radial_project(np.array([3.0, 4.0]), 1.0)
     assert_allclose(out.values, [0.6, 0.8], rtol=0, atol=1e-15)
