@@ -12,6 +12,7 @@ to stderr.  Exit codes: 0 success, 2 bad input or format, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -90,19 +91,8 @@ def cmd_stats(args) -> int:
                 rows = sphere.project_rows(rows, args.project)
             norms[first : first + rows.shape[0]] = np.linalg.norm(rows, axis=-1)
             first += rows.shape[0]
-    stats = diagnostics._shell_stats_of_norms(norms)
-    emit_report(
-        [
-            {
-                "n_tokens": stats.n_tokens,
-                "mean_radius": stats.mean_radius,
-                "std_radius": stats.std_radius,
-                "cv": stats.cv,
-            }
-        ],
-        ["n_tokens", "mean_radius", "std_radius", "cv"],
-        args.format,
-    )
+    row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms))
+    emit_report([row], list(row), args.format)
     return 0
 
 
@@ -190,17 +180,12 @@ def cmd_train(args) -> int:
         weight_decay=args.weight_decay,
     )
     trace = model.train(field, dataset, config, rng)
-    extra = {
-        "seed": args.seed,
-        "dataset": {
-            "d": dataset.d,
-            "radius": dataset.radius,
-            "centers": dataset.centers.tolist(),
-            "spread": dataset.spread,
-            "weights": dataset.weights.tolist(),
-            "labels": dataset.labels.tolist(),
-        },
+    # SyntheticDataset's own fields, which _training_set passes back to it
+    spec = {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in dataclasses.asdict(dataset).items()
     }
+    extra = {"seed": args.seed, "dataset": spec}
     model.save_checkpoint(args.out, field, config, extra)
     log.info("wrote checkpoint to %s", args.out)
     if config.steps:
@@ -251,9 +236,9 @@ def cmd_sample(args) -> int:
     ]
     run = model.sample(field, args.n, sampler, args.nfe, args.cond, rng)
     if args.out:
-        container.write_container(
-            args.out, run.outputs.reshape(args.n, field.d, 1, 1)
-        )
+        # all or nothing: a failed write keeps any previous file as it was
+        with container.replacing([args.out]) as (temp,):
+            container.write_container(temp, run.outputs.reshape(args.n, field.d, 1, 1))
         log.info("wrote samples to %s", args.out)
     metrics = {
         "sampler": args.sampler,
@@ -273,20 +258,9 @@ def cmd_deficit(args) -> int:
     analytical = sphere.one_step_deficit(args.h, args.omega, args.radius)
     measured = sphere.one_step_gap_measured(args.h, args.omega, args.radius)
     rel = abs(measured - analytical) / analytical if analytical > 0.0 else 0.0
-    emit_report(
-        [
-            {
-                "h": float(args.h),
-                "omega": float(args.omega),
-                "radius": float(args.radius),
-                "analytical": float(analytical),
-                "measured": float(measured),
-                "rel_diff": float(rel),
-            }
-        ],
-        ["h", "omega", "radius", "analytical", "measured", "rel_diff"],
-        args.format,
-    )
+    row = {"h": args.h, "omega": args.omega, "radius": args.radius,
+           "analytical": analytical, "measured": measured, "rel_diff": rel}
+    emit_report([{k: float(v) for k, v in row.items()}], list(row), args.format)
     return 0
 
 

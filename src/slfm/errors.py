@@ -26,7 +26,8 @@ class UnknownCondition(ValueError):
 
 
 class DivergenceDetected(RuntimeError):
-    """Training loss became non-finite."""
+    """A training loss, the trained parameters or a sampled chain became
+    non-finite."""
 
 
 class ContainerFormatError(ValueError):

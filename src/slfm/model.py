@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -226,11 +227,14 @@ def _param_views(flat: np.ndarray, widths, cond_shape) -> list:
     return views + [flat[offset:].reshape(cond_shape)]
 
 
-def _check_conditions(field: VelocityField, cond: np.ndarray) -> None:
+def _check_conditions(field: VelocityField, cond) -> np.ndarray:
+    """``cond`` as int64 condition ids, checked against the table first."""
+    cond = np.asarray(cond)
     if cond.size and (cond.min() < 0 or cond.max() >= field.n_cond):
         raise UnknownCondition(
             f"condition ids must lie in [0, {field.n_cond}), got {cond.min()}..{cond.max()}"
         )
+    return cond.astype(np.int64, copy=False)
 
 
 def _layers(field: VelocityField, x: np.ndarray, outs: list) -> np.ndarray:
@@ -272,13 +276,12 @@ def _forward_rows(field: VelocityField, z, t, cond, work: _StepBuffers | None = 
     """The field at rows ``z`` and times ``t`` under conditions ``cond``,
     run through ``work`` (fresh buffers when it is None).  ``t`` and
     ``cond`` are one value per row or one value for all rows; a single
-    value fills its columns from one embedding row.  Returns (output,
-    cache for :func:`_backward_rows`); the output is ``work.acts[-1]``."""
+    value fills its columns from one embedding row; the caller has checked
+    the ids (see :func:`_check_conditions`).  Returns (output, cache for
+    :func:`_backward_rows`); the output is ``work.acts[-1]``."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != field.d:
         raise DimensionMismatch(f"expected (n, {field.d}) tokens, got {z.shape}")
-    cond = np.asarray(cond, dtype=np.int64)
-    _check_conditions(field, cond)
     if work is None:
         work = _StepBuffers(field, z.shape[0])
     d, time_dim, x = field.d, field.time_dim, work.x
@@ -317,7 +320,7 @@ def forward(field: VelocityField, z, t: float, cond: int) -> np.ndarray:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t!r} outside [0, 1]")
-    out, _ = _forward_rows(field, z[None, :], t, int(cond))
+    out, _ = _forward_rows(field, z[None, :], t, _check_conditions(field, int(cond)))
     return out[0]
 
 
@@ -365,10 +368,10 @@ def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None
     else:
         z_t, u_t = path_rows(z0, z1, t, PathKind.LINEAR)
 
-    pred, cache = _forward_rows(field, z_t, t, cond, work)
+    pred, cache = _forward_rows(field, z_t, t, _check_conditions(field, cond), work)
     if not np.all(np.isfinite(pred)):
-        # checked here, before the validating tangent projection can mistake
-        # the field's own overflow for bad input
+        # a non-finite output has no gradient: the projection and the
+        # backward pass would only spread it, and warn outside train's errstate
         return float("nan"), np.full_like(field.flat, np.nan)
     # the output buffer is not read by the backward pass, so the residual
     # and then the output gradient 2 * diff / n overwrite it
@@ -475,9 +478,12 @@ class SyntheticDataset:
         if self.labels is None:
             self.labels = np.zeros(k, dtype=np.int64)
         else:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (k,):
+            labels = np.asarray(self.labels)
+            if labels.shape != (k,):
                 raise DimensionMismatch("labels must give one condition id per center")
+            if not (labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.int64)):
+                raise ValueError(f"labels must be integer condition ids, got {labels.dtype} values")
+            self.labels = labels.astype(np.int64)
 
     @property
     def n_centers(self) -> int:
@@ -514,6 +520,12 @@ def assignment_histogram(outputs, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=np.float64)
     if outputs.ndim != 2 or centers.ndim != 2 or outputs.shape[1] != centers.shape[1]:
         raise DimensionMismatch("outputs and centers must be row stacks of equal width")
+    # a squared distance is at most 4 d top^2; past the float range, rows and
+    # centers are scaled by one power of two, which moves no argmin
+    top = float(max(np.max(np.abs(outputs), initial=0.0), np.max(np.abs(centers), initial=0.0)))
+    if 4.0 * top * top * centers.shape[1] > sys.float_info.max:
+        scale = 2.0 ** -math.frexp(top)[1]
+        outputs, centers = outputs * scale, centers * scale
     # the (rows, k, d) differences are formed SAMPLE_BLOCK rows at a time;
     # each row's nearest center is independent of the others
     counts = np.zeros(centers.shape[0], dtype=np.int64)
@@ -649,7 +661,8 @@ def integrate(vel_fn, z0, nfe: int, sampler: str, radius: float) -> np.ndarray:
     """Drive rows from t=0 to t=1 on the uniform grid t_k = k/nfe.
 
     ``vel_fn(z_rows, t)`` supplies the velocity.  The exp_map sampler
-    tangent-projects the velocity before each step.
+    tangent-projects the velocity before each step.  No step checks the
+    rows; :func:`sample` checks each block's result once.
     """
 
     if sampler not in SAMPLERS:
@@ -679,20 +692,24 @@ def sample(
 ) -> SampleRun:
     """Integrate ``n`` chains from the field's prior, :data:`SAMPLE_BLOCK`
     rows at a time: one :func:`integrate` per block, whose velocity is
-    :func:`_forward_rows` run through buffers allocated once per block."""
+    :func:`_forward_rows` run through buffers allocated once per block.
+    Overflow in a diverging block is not warned about; a non-finite chain
+    raises :class:`DivergenceDetected`, whichever the sampler."""
     if n < 1:
         raise ValueError("need at least one chain")
-    cond = int(cond)
-    _check_conditions(field, np.asarray(cond))
+    cond = _check_conditions(field, int(cond))
     z0 = prior_rows(field, n, rng)
     outputs = np.empty_like(z0)
-    for start in range(0, n, SAMPLE_BLOCK):
-        block = slice(start, min(start + SAMPLE_BLOCK, n))
-        work = _StepBuffers(field, block.stop - start)
-        outputs[block] = integrate(
-            lambda z, t: _forward_rows(field, z, t, cond, work)[0],
-            z0[block], nfe, sampler, field.radius,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, SAMPLE_BLOCK):
+            block = slice(start, min(start + SAMPLE_BLOCK, n))
+            work = _StepBuffers(field, block.stop - start)
+            outputs[block] = integrate(
+                lambda z, t: _forward_rows(field, z, t, cond, work)[0],
+                z0[block], nfe, sampler, field.radius,
+            )
+            if not np.all(np.isfinite(outputs[block])):
+                raise DivergenceDetected(f"non-finite chains among rows {start}..{block.stop - 1}")
     return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
 
 

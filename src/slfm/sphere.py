@@ -2,9 +2,15 @@
 
 Row-wise functions (``*_rows``) treat the last axis as the coordinate axis,
 so they accept a single vector of shape ``(d,)`` as well as stacks of shape
-``(..., d)``.  The typed wrappers (:class:`SphereToken`,
-:class:`TangentVector`) carry on-sphere and tangency certificates that are
-checked at construction time.  Everything runs in float64.
+``(..., d)``.  They compute and do not check: a non-finite row gives
+non-finite rows out, and only :func:`unit_rows` (so :func:`project_rows`)
+raises, on rows below the norm floor.  Rows are checked where they enter:
+:class:`SphereToken` and :class:`TangentVector` (finite coordinates, the
+on-sphere and tangency certificates), :func:`radial_project`,
+:func:`tangent_project`, ``paths._path_setup`` (path endpoints) and
+``container.BlockReader`` (payloads).  Rows the program makes itself,
+such as a sampler's chains, are not checked again; ``model.sample``
+checks each block's result once.  Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ class GaussianNormStats:
 
 def unit_rows(x) -> np.ndarray:
     """Normalise rows to unit length; raises on rows below the norm floor."""
-    x = _as_vectors(x)
+    x = np.asarray(x, dtype=np.float64)
     n = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(n < NORM_FLOOR):
         raise NearZeroNorm(f"row norm below {NORM_FLOOR}")
@@ -152,7 +158,6 @@ def orthonormal_rows(u) -> np.ndarray:
     to the row is non-degenerate, falling back to the next index when the
     row is (numerically) parallel to it.
     """
-    u = _as_vectors(u)
     resid_sq = 1.0 - u * u  # || e_i - u_i u ||^2 for unit u
     ok = resid_sq >= 1e-12
     idx = np.argmax(ok, axis=-1)
@@ -181,8 +186,8 @@ def _geodesic_setup(u0: np.ndarray, u1: np.ndarray, lead=()) -> _Geodesic:
     """Regime masks, angles and antipodal fallback units of the unit rows
     ``u0``/``u1``, broadcast against each other and against the leading
     shape ``lead`` of the times they will be evaluated at; nothing here
-    depends on ``t`` itself.  The rows are taken as they are: finite
-    float64 arrays that the caller has checked."""
+    depends on ``t`` itself.  The rows are taken as they are: float64
+    arrays that a boundary has checked."""
     shape = np.broadcast_shapes(u0.shape, u1.shape, tuple(lead) + (1,))
     if u0.shape != shape or u1.shape != shape:
         u0, u1 = np.broadcast_to(u0, shape), np.broadcast_to(u1, shape)
@@ -259,7 +264,8 @@ def geodesic_rows(u0, u1, t):
     all three regimes, so callers need no tangent projection.
     """
     t = np.asarray(t, dtype=np.float64)
-    return _geodesic_at(_geodesic_setup(_as_vectors(u0), _as_vectors(u1), t.shape), t)
+    u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)
+    return _geodesic_at(_geodesic_setup(u0, u1, t.shape), t)
 
 
 def slerp_rows(u0, u1, t) -> np.ndarray:
@@ -274,7 +280,7 @@ def slerp_velocity_rows(u0, u1, t) -> np.ndarray:
 
 def tangent_rows(v, z) -> np.ndarray:
     """Remove the radial component of ``v`` at the sphere point(s) ``z``."""
-    v = _as_vectors(v)
+    v = np.asarray(v, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     coef = np.sum(v * z, axis=-1, keepdims=True) / np.sum(z * z, axis=-1, keepdims=True)
     return v - coef * z
@@ -285,7 +291,7 @@ def expmap_rows(p, v, radius: float) -> np.ndarray:
 
     Zero-norm velocity rows return ``p`` exactly.
     """
-    p = _as_vectors(p)
+    p = np.asarray(p, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     radius = float(radius)
     nv = np.linalg.norm(v, axis=-1, keepdims=True)

@@ -828,3 +828,70 @@ def test_deficit_past_pi_r_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ERROR step h") and captured.err.count("\n") == 1
+
+
+def test_sample_rejects_non_integer_labels_in_one_error_line(trained, tmp_path):
+    rc, out, err, caught = _sample_edited(trained, tmp_path, _dataset_edit(labels=[1.5, 0]))
+    assert rc == 2 and out == "" and caught == []
+    assert err.startswith("ERROR ") and err.count("\n") == 1
+    assert "labels must be integer condition ids" in err
+
+
+def test_failed_sample_write_keeps_the_previous_file(trained, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "samples.slfm"
+    argv = ["sample", str(trained), "--n", "8", "--out", str(out), "--seed"]
+    assert main(argv + ["0"]) == 0
+    before = out.read_bytes()
+
+    def fail_partway(path, array):
+        with open(path, "wb") as fh:
+            fh.write(b"SLFM partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(container, "write_container", fail_partway)
+    capsys.readouterr()
+    assert main(argv + ["1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR disk full\n"
+    # the previous samples, byte for byte, and no temporary left beside them
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.slfm"]
+
+
+def _diverging_checkpoint(path):
+    # no hidden layer and token weights of 1e30, which 32-bit storage holds:
+    # each Euler step multiplies a chain by about 1e30 / nfe, past the float
+    # range within a few steps
+    field = model.VelocityField.create(4, hidden=(), rng=np.random.default_rng(0))
+    field.weights[0][:4] = 1e30 * np.eye(4)
+    model.save_checkpoint(path, field)
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["no-out", "out"])
+def test_sample_diverging_euler_exits_3(tmp_path, capsys, write):
+    ckpt = tmp_path / "div.slfm"
+    _diverging_checkpoint(ckpt)
+    argv = ["sample", str(ckpt), "--seed", "0", "--n", "8", "--sampler", "euler", "--nfe", "50"]
+    if write:
+        argv += ["--out", str(tmp_path / "samples.slfm")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR non-finite chains") and captured.err.count("\n") == 1
+    # no sample file, not even a partial one
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["div.slfm", "div.slfm.json"]
+
+
+def test_sample_far_out_radius_reports_histogram(tmp_path, capsys):
+    # R = 1.3e154 passes the radius rule, but its squared center distances
+    # (up to 4 R^2) do not fit a float; the histogram still runs without an
+    # overflow and counts every chain
+    ckpt = tmp_path / "big.slfm"
+    assert main(["train", "--seed", "0", "--steps", "0", "--radius", "1.3e154", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["sample", str(ckpt), "--seed", "0", "--n", "16", "--nfe", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    hist = json.loads(captured.out)["assignment_histogram"]
+    assert len(hist) == 2 and math.fsum(hist) == 1.0

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1158,3 +1159,75 @@ def test_checkpoint_files_reach_disk_before_they_are_renamed(tmp_path, monkeypat
     assert [p for kind, p in events[:2]] == [p for kind, p in events[2:4]]
     assert events[4][1] == str(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.slfm", "ckpt.slfm.json"]
+
+
+def _overflowing_field(rng):
+    # every condition row is ones and every weight from the condition columns
+    # 1e308, so each output coordinate sums four of them and overflows to inf
+    field = _tiny_field(rng, hidden=())
+    field.cond_table[:] = 1.0
+    field.weights[0][field.d + field.time_dim :] = 1e308
+    return field
+
+
+@pytest.mark.parametrize("sampler", model.SAMPLERS)
+def test_sample_with_overflowing_field_raises_divergence(sampler):
+    field = _overflowing_field(np.random.default_rng(62))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceDetected, match="non-finite chains among rows 0..5$"):
+            sample(field, 6, sampler, 3, 0, np.random.default_rng(63))
+    assert caught == []
+
+
+def test_sample_checks_each_block(monkeypatch):
+    # a block whose chains all stay finite passes; the second block diverges
+    # and is named by its rows, and the third is never integrated
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    field = _overflowing_field(np.random.default_rng(64))
+    calls = []
+    integrate_all = model.integrate
+
+    def integrate_block(vel_fn, z0, *args):
+        calls.append(len(z0))
+        return np.zeros_like(z0) if len(calls) == 1 else integrate_all(vel_fn, z0, *args)
+
+    monkeypatch.setattr(model, "integrate", integrate_block)
+    with pytest.raises(DivergenceDetected, match="rows 4..7$"):
+        sample(field, 10, "euler", 2, 0, np.random.default_rng(65))
+    assert calls == [4, 4]
+
+
+def test_assignment_histogram_far_out_radius_does_not_overflow():
+    # at R = 1.3e154 a squared distance (up to 4 R^2) passes float max; rows
+    # and centers are scaled by a power of two first, so each row still goes
+    # to the center it was drawn beside, and no warning is raised
+    rng = np.random.default_rng(66)
+    radius = 1.3e154
+    units = sphere.uniform_rows(3, 4, 1.0, rng)
+    labels = rng.integers(0, 3, size=40)
+    outputs = radius * sphere.project_rows(units[labels] + 0.01 * rng.standard_normal((40, 4)), 1.0)
+    centers = radius * units
+    hist = assignment_histogram(outputs, centers)
+    assert np.array_equal(hist, np.bincount(labels, minlength=3) / 40)
+    scale = 2.0 ** -512  # exact, and leaves no distance near the float range
+    assert np.array_equal(hist, assignment_histogram(outputs * scale, centers * scale))
+
+
+@pytest.mark.parametrize("labels", [[1.5, 0], [1.0, 0.0], ["1", "0"], [2**63, 0]])
+def test_dataset_rejects_non_integer_labels(labels):
+    # a cast to int64 would turn 1.5 into 1, or the text "1" into 1, silently
+    centers = np.array([[2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="labels must be integer condition ids"):
+        SyntheticDataset(2, 2.0, centers, 0.1, [0.5, 0.5], labels=labels)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_loss_rejects_unknown_condition(bad):
+    # a negative id would index the table from its end without a word
+    field = _tiny_field(np.random.default_rng(67), n_cond=3)
+    z0, z1, t, cond = _batch_for(field, 8, np.random.default_rng(68))
+    cond = np.zeros(8, dtype=np.int64)
+    cond[5] = bad
+    with pytest.raises(UnknownCondition, match=f"got {min(bad, 0)}..{max(bad, 0)}"):
+        loss_and_grad(field, (z0, z1, t, cond), field.kind)
