@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
 from .paths import PathKind, _path_at, _path_setup, _radial_energy_rows
-from .sphere import NORM_FLOOR
+from .sphere import NORM_FLOOR, _as_vectors
 
 # Population std below DEGENERATE_RTOL * mean is rounding noise from a
 # constant-radius set, not a measured spread; it is snapped to exactly 0 so
@@ -133,9 +133,10 @@ def shell_stats(tokens) -> ShellStats:
 
     A spread at rounding level (std below ``DEGENERATE_RTOL`` times the
     mean) reports as exactly 0, so projected token sets have cv = 0.
+    Non-finite tokens raise ``ValueError``.
     """
 
-    return _shell_stats_of_norms(np.linalg.norm(_token_rows(tokens), axis=-1))
+    return _shell_stats_of_norms(np.linalg.norm(_as_vectors(_token_rows(tokens)), axis=-1))
 
 
 def _shell_stats_of_norms(norms: np.ndarray) -> ShellStats:
@@ -154,10 +155,11 @@ def _shell_stats_of_norms(norms: np.ndarray) -> ShellStats:
 def off_shell_sigma(z_t, shell0: ShellStats, shell1: ShellStats) -> float:
     """Distance of ``z_t``'s norm from the nearest endpoint shell, in that
     shell's standard deviations.  Exact-radius shells (std 0) have no sigma
-    unit and raise; use the absolute deviation for those."""
+    unit and raise; use the absolute deviation for those.  A non-finite
+    ``z_t`` raises ``ValueError``."""
     if shell0.std_radius == 0.0 or shell1.std_radius == 0.0:
         raise DegenerateShell("zero-spread shell has no sigma unit")
-    r = np.linalg.norm(np.asarray(z_t, dtype=np.float64))
+    r = np.linalg.norm(_as_vectors(z_t))
     return float(_offshell_rows(r, shell0, shell1, absolute=False))
 
 
@@ -230,11 +232,11 @@ def component_swap(anchor, substitute) -> SwapPair:
     """Exchange norm and direction between two tokens.
 
     Returns the pair (anchor direction at the substitute's norm, substitute
-    direction at the anchor's norm).
+    direction at the anchor's norm).  Non-finite tokens raise ``ValueError``.
     """
 
-    a = np.asarray(anchor, dtype=np.float64)
-    s = np.asarray(substitute, dtype=np.float64)
+    a = _as_vectors(anchor)
+    s = _as_vectors(substitute)
     if a.shape != s.shape or a.ndim != 1:
         raise DimensionMismatch("component_swap takes two vectors of equal dimension")
     keep_direction, keep_radius = component_swap_rows(a, s)
@@ -242,7 +244,9 @@ def component_swap(anchor, substitute) -> SwapPair:
 
 
 def component_swap_rows(anchors, substitutes):
-    """Row-wise :func:`component_swap`; returns the two hybrid stacks."""
+    """Row-wise :func:`component_swap`; returns the two hybrid stacks.
+    The rows are not scanned for finiteness: ``slfm swap`` hands it blocks
+    that ``container.BlockReader`` has checked."""
     a = _token_rows(anchors)
     s = _token_rows(substitutes)
     if a.shape != s.shape:

@@ -26,7 +26,7 @@ from .errors import (
     RadiusMismatch,
     UnknownCondition,
 )
-from .paths import PathKind, path_rows
+from .paths import PathKind, _path_at, _path_setup, path_rows
 from .sphere import (
     ON_SPHERE_RTOL,
     expmap_rows,
@@ -52,6 +52,12 @@ CHECKPOINT_VERSION = 1
 # block, so its memory beyond the n x d prior and outputs stays fixed, and a
 # chain's result does not depend on how many chains run beside it.
 SAMPLE_BLOCK = 1024
+
+# The sphere-preserving samplers keep a slerp field's chains within
+# SPHERE_SAMPLER_RTOL * R of its sphere of radius R; a chain farther out
+# has left it, which sample reports as divergence.
+SPHERE_SAMPLERS = ("euler_project", "exp_map")
+SPHERE_SAMPLER_RTOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +160,10 @@ class VelocityField:
         if self.weights[0].shape[0] != expect:
             raise DimensionMismatch(
                 f"first layer width {self.weights[0].shape[0]} != d + embeddings {expect}"
+            )
+        if self.time_dim < 2 or self.time_dim % 2:
+            raise ValueError(
+                f"time embedding width must be even and at least 2, got {self.time_dim!r}"
             )
         pairs = [p for w, b in zip(self.weights, self.biases) for p in (w, b)]
         self.flat = np.concatenate([p.ravel() for p in (*pairs, self.cond_table)])
@@ -277,13 +287,10 @@ def _forward_rows(field: VelocityField, z, t, cond, work: _StepBuffers | None = 
     run through ``work`` (fresh buffers when it is None).  ``t`` and
     ``cond`` are one value per row or one value for all rows; a single
     value fills its columns from one embedding row; the caller has checked
-    the ids (see :func:`_check_conditions`).  Returns (output, cache for
-    :func:`_backward_rows`); the output is ``work.acts[-1]``."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != field.d:
-        raise DimensionMismatch(f"expected (n, {field.d}) tokens, got {z.shape}")
+    the (n, d) shape and the ids (see :func:`_check_conditions`).  Returns
+    (output, cache for :func:`_backward_rows`); the output is ``work.acts[-1]``."""
     if work is None:
-        work = _StepBuffers(field, z.shape[0])
+        work = _StepBuffers(field, len(z))
     d, time_dim, x = field.d, field.time_dim, work.x
     x[:, :d] = z
     x[:, d : d + time_dim] = time_embedding(t, time_dim)
@@ -315,8 +322,8 @@ def _backward_rows(field: VelocityField, cache, g_out):
 def forward(field: VelocityField, z, t: float, cond: int) -> np.ndarray:
     """Evaluate the field at one token; ``t`` must lie in [0, 1]."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatch("forward takes a single token vector")
+    if z.shape != (field.d,):
+        raise DimensionMismatch(f"forward takes a single ({field.d},) token, got {z.shape}")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t!r} outside [0, 1]")
@@ -351,34 +358,33 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
 
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
-    loss, grad = _loss_step(field, batch, kind)
-    return loss, _param_views(grad, field.widths, field.cond_table.shape)
-
-
-def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None = None):
-    """:func:`loss_and_grad`'s loss and flat gradient, run through ``work``
-    (fresh buffers when it is None); the gradient is ``work.grad``, or a
-    fresh NaN vector for a non-finite output."""
     z0, z1, t, cond = batch
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("non-finite values in t")
-    if kind == "slerp":
-        z_t, u_t = path_rows(z0, z1, t, PathKind.SLERP, radius=field.radius)
-    else:
-        z_t, u_t = path_rows(z0, z1, t, PathKind.LINEAR)
+    z_t, u_t = path_rows(z0, z1, t, PathKind(kind), radius=field.radius)
+    cond = _check_conditions(field, cond)
+    if z_t.ndim != 2 or z_t.shape[1] != field.d:
+        raise DimensionMismatch(f"expected (n, {field.d}) tokens, got {z_t.shape}")
+    loss, grad = _loss_step(field, (z_t, u_t, t, cond), kind)
+    return loss, _param_views(grad, field.widths, field.cond_table.shape)
 
-    pred, cache = _forward_rows(field, z_t, t, _check_conditions(field, cond), work)
-    if not np.all(np.isfinite(pred)):
-        # a non-finite output has no gradient: the projection and the
-        # backward pass would only spread it, and warn outside train's errstate
-        return float("nan"), np.full_like(field.flat, np.nan)
+
+def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None = None):
+    """:func:`loss_and_grad`'s loss and flat gradient at checked path rows
+    ``(z_t, u_t, t, cond)``, run through ``work`` (fresh buffers when it is
+    None); the gradient is ``work.grad``, or NaN for a non-finite loss."""
+    z_t, u_t, t, cond = batch
+    pred, cache = _forward_rows(field, z_t, t, cond, work)
     # the output buffer is not read by the backward pass, so the residual
     # and then the output gradient 2 * diff / n overwrite it
     diff = np.subtract(pred, u_t, out=pred)
     if kind == "slerp":
         diff = tangent_rows(diff, z_t)
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
+    if not math.isfinite(loss):
+        # a diverged output has no gradient; the backward pass would only spread it
+        return loss, np.full_like(field.flat, np.nan)
     diff *= 2.0
     diff /= pred.shape[0]
     return loss, _backward_rows(field, cache, diff)
@@ -443,7 +449,8 @@ def clip_gradients(grads, max_norm: float) -> float:
 @dataclass
 class SyntheticDataset:
     """Projected-Gaussian mixture on the sphere: sample around a center,
-    push back to the radius.  ``labels`` maps centers to condition ids."""
+    push back to the radius.  ``labels`` maps centers to condition ids.
+    ``weights`` are read once, when the dataset is built."""
 
     d: int
     radius: float
@@ -475,6 +482,9 @@ class SyntheticDataset:
             raise ValueError("weights must be k reals in [0, 1]")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        # rng.choice(k, p=weights)'s CDF, built once; not a field, so asdict omits it
+        cdf = np.cumsum(self.weights)
+        self._cdf = cdf / cdf[-1]
         if self.labels is None:
             self.labels = np.zeros(k, dtype=np.int64)
         else:
@@ -490,8 +500,8 @@ class SyntheticDataset:
         return self.centers.shape[0]
 
     def sample(self, n: int, rng: np.random.Generator):
-        """Draw n tokens; returns (rows, condition ids)."""
-        comp = rng.choice(self.n_centers, size=n, p=self.weights)
+        """Draw n tokens, centers as ``rng.choice`` draws them; returns (rows, ids)."""
+        comp = self._cdf.searchsorted(rng.random(n), side="right")
         noise = self.spread * rng.standard_normal((n, self.d))
         rows = project_rows(self.centers[comp] + noise, self.radius)
         return rows, self.labels[comp]
@@ -586,7 +596,7 @@ def train(
 ) -> np.ndarray:
     """Run mini-batch training in place; returns the per-step loss trace.
 
-    Each step runs :func:`loss_and_grad`'s checks and arithmetic through
+    Each step runs :func:`loss_and_grad`'s arithmetic, not its checks, through
     buffers allocated once per call, clips the flat gradient through its
     parameter views and steps :class:`Adam` over ``field.flat`` as one
     vector, so the trace and the parameters equal those of the same loop
@@ -600,7 +610,8 @@ def train(
         )
     if dataset.d != field.d:
         raise DimensionMismatch("dataset and field dimensions differ")
-    n = config.batch_size
+    _check_conditions(field, dataset.labels)  # the only ids a batch draws
+    kind, n = PathKind(config.loss_kind), config.batch_size
     work = _StepBuffers(field, n)
     opt = Adam([field.flat], config.learning_rate, config.weight_decay)
     trace = np.empty(config.steps)
@@ -609,7 +620,8 @@ def train(
             z1, cond = dataset.sample(n, rng)
             z0 = prior_rows(field, n, rng)
             t = sample_time(rng, config, size=n)
-            loss, grad = _loss_step(field, (z0, z1, t, cond), config.loss_kind, work)
+            path = _path_at(_path_setup(z0, z1, kind, field.radius, t.shape), t)
+            loss, grad = _loss_step(field, (*path, t, cond), config.loss_kind, work)
             if not np.isfinite(loss):
                 raise DivergenceDetected(f"non-finite loss at step {step}")
             clip_gradients(work.grads, config.grad_clip)
@@ -645,8 +657,8 @@ class SampleRun:
         dev = self._max_abs_deviation = np.max(
             np.abs(np.linalg.norm(self.outputs, axis=-1) - self.radius)
         )
-        if self.kind == "slerp" and self.sampler in ("euler_project", "exp_map"):
-            if dev > 1e-5 * self.radius:
+        if self.kind == "slerp" and self.sampler in SPHERE_SAMPLERS:
+            if dev > SPHERE_SAMPLER_RTOL * self.radius:
                 raise ValueError(
                     f"sphere-preserving sampler left the sphere by {float(dev)!r}"
                 )
@@ -694,22 +706,31 @@ def sample(
     rows at a time: one :func:`integrate` per block, whose velocity is
     :func:`_forward_rows` run through buffers allocated once per block.
     Overflow in a diverging block is not warned about; a non-finite chain
-    raises :class:`DivergenceDetected`, whichever the sampler."""
+    raises :class:`DivergenceDetected`, whichever the sampler, and so does
+    a chain of a sphere-preserving sampler on a slerp field that ends off
+    the sphere (see :data:`SPHERE_SAMPLER_RTOL`)."""
     if n < 1:
         raise ValueError("need at least one chain")
     cond = _check_conditions(field, int(cond))
+    on_sphere = field.kind == "slerp" and sampler in SPHERE_SAMPLERS
     z0 = prior_rows(field, n, rng)
     outputs = np.empty_like(z0)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, SAMPLE_BLOCK):
             block = slice(start, min(start + SAMPLE_BLOCK, n))
             work = _StepBuffers(field, block.stop - start)
-            outputs[block] = integrate(
+            rows = outputs[block] = integrate(
                 lambda z, t: _forward_rows(field, z, t, cond, work)[0],
                 z0[block], nfe, sampler, field.radius,
             )
-            if not np.all(np.isfinite(outputs[block])):
+            if not np.all(np.isfinite(rows)):
                 raise DivergenceDetected(f"non-finite chains among rows {start}..{block.stop - 1}")
+            if on_sphere:
+                dev = float(np.max(np.abs(np.linalg.norm(rows, axis=-1) - field.radius)))
+                if dev > SPHERE_SAMPLER_RTOL * field.radius:
+                    raise DivergenceDetected(
+                        f"chains among rows {start}..{block.stop - 1} left the sphere by {dev!r}"
+                    )
     return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
 
 

@@ -99,6 +99,9 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
     For ``SLERP`` all endpoint rows must lie on one common radius (pass
     ``radius`` to pin it; otherwise it is inferred from the data).
     """
+    z0, z1 = sphere._as_vectors(z0), sphere._as_vectors(z1)
+    if z0.shape != z1.shape:
+        raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
     t = np.asarray(t, dtype=np.float64)
     return _path_at(_path_setup(z0, z1, kind, radius, t.shape), t)
 
@@ -117,16 +120,11 @@ class _PathPairs(NamedTuple):
 
 
 def _path_setup(z0, z1, kind: PathKind, radius: float | None = None, lead=()) -> _PathPairs:
-    """Check the pairs and compute what does not depend on ``t``: the
-    chord, or the endpoint norms, the unit rows and their geodesic set-up,
-    broadcast against the leading shape ``lead`` of the times.  Raises as
-    :func:`path_rows` does, ``ValueError`` on non-finite endpoints for
-    every kind."""
-    z0 = sphere._as_vectors(z0)
-    z1 = sphere._as_vectors(z1)
-    if z0.shape != z1.shape:
-        raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
-
+    """What does not depend on ``t`` for pairs that :func:`path_rows` has
+    checked: the chord, or the endpoint norms, the unit rows and their
+    geodesic set-up, broadcast against the leading shape ``lead`` of the
+    times.  Raises as :func:`path_rows` does on norms below the floor or
+    off the common sphere."""
     if kind is PathKind.LINEAR:
         return _PathPairs(kind, z0, z1, chord=z1 - z0)
 
@@ -220,9 +218,10 @@ def _radial_energy_rows(u: np.ndarray, z: np.ndarray, zn: np.ndarray):
 
 
 def radial_split(u, z) -> RadialSplit:
-    """Split the squared norm of ``u`` into components along and across ``z``."""
-    u = np.asarray(u, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+    """Split the squared norm of ``u`` into components along and across
+    ``z``; non-finite vectors raise ``ValueError``."""
+    u = sphere._as_vectors(u)
+    z = sphere._as_vectors(z)
     if u.shape != z.shape or u.ndim != 1:
         raise DimensionMismatch("radial_split takes two vectors of equal dimension")
     radial, total, share = map(float, _radial_energy_rows(u, z, np.linalg.norm(z, axis=-1)))

@@ -7,10 +7,15 @@ non-finite rows out, and only :func:`unit_rows` (so :func:`project_rows`)
 raises, on rows below the norm floor.  Rows are checked where they enter:
 :class:`SphereToken` and :class:`TangentVector` (finite coordinates, the
 on-sphere and tangency certificates), :func:`radial_project`,
-:func:`tangent_project`, ``paths._path_setup`` (path endpoints) and
+:func:`tangent_project`, ``paths.path_rows`` (path endpoints, and so
+``model.loss_and_grad``'s batches), ``paths.radial_split``,
+``diagnostics.path_profile`` (its peak bound), ``shell_stats``,
+``off_shell_sigma`` and ``component_swap`` in ``diagnostics``, and
 ``container.BlockReader`` (payloads).  Rows the program makes itself,
-such as a sampler's chains, are not checked again; ``model.sample``
-checks each block's result once.  Everything runs in float64.
+such as a sampler's chains or a training step's batch, are not checked
+again; ``model.sample`` checks each block's result once, and
+``model.train`` checks its sources before the first step.  Everything
+runs in float64.
 """
 
 from __future__ import annotations
@@ -125,12 +130,23 @@ class GaussianNormStats:
 
 
 def unit_rows(x) -> np.ndarray:
-    """Normalise rows to unit length; raises on rows below the norm floor."""
+    """Normalise rows to unit length; raises on rows below the norm floor.
+
+    A finite row whose squared norm passes float max is first scaled by
+    the power of two that brings its largest coordinate into [0.5, 1),
+    which is exact; every other row is divided by its norm as it is.  The
+    overflow is warned about as numpy warns of it, unless silenced."""
     x = np.asarray(x, dtype=np.float64)
     n = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(n < NORM_FLOOR):
         raise NearZeroNorm(f"row norm below {NORM_FLOOR}")
-    return x / n
+    out = x / n
+    over = np.isinf(n[..., 0])
+    if over.any():
+        big = x[over]
+        big = np.ldexp(big, -np.frexp(np.max(np.abs(big), axis=-1, keepdims=True))[1])
+        out[over] = big / np.linalg.norm(big, axis=-1, keepdims=True)
+    return out
 
 
 def project_rows(x, radius: float) -> np.ndarray:

@@ -895,3 +895,39 @@ def test_sample_far_out_radius_reports_histogram(tmp_path, capsys):
     assert captured.err == ""
     hist = json.loads(captured.out)["assignment_histogram"]
     assert len(hist) == 2 and math.fsum(hist) == 1.0
+
+
+def test_sample_diverging_expmap_exits_3(tmp_path, capsys):
+    # the exp-map chains stay finite but leave the sphere: divergence, not
+    # bad input
+    ckpt = tmp_path / "div.slfm"
+    _diverging_checkpoint(ckpt)
+    argv = ["sample", str(ckpt), "--seed", "0", "--n", "8", "--sampler", "expmap", "--nfe", "50",
+            "--out", str(tmp_path / "samples.slfm")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR chains among rows 0..7 left the sphere by")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["div.slfm", "div.slfm.json"]
+
+
+def test_train_odd_time_dim_exits_2_and_writes_nothing(tmp_path, capsys):
+    # such a checkpoint could never be sampled
+    out = tmp_path / "t3.slfm"
+    assert main(["train", "--seed", "0", "--steps", "0", "--time-dim", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR time embedding width must be even and at least 2, got 3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_huge_spread_exits_0(tmp_path, capsys):
+    # the noise rows' squared norms pass float max; projected, they are
+    # directions like any other, not zero rows below the norm floor
+    out = tmp_path / "s.slfm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--seed", "0", "--steps", "5", "--spread", "1e300", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["steps"] == 5 and math.isfinite(report["final_loss"])

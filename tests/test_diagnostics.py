@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slfm import sphere
+from slfm import container, diagnostics, sphere
+from slfm.cli import main
 from slfm.diagnostics import (
     ShellStats,
     component_swap,
@@ -16,7 +17,7 @@ from slfm.diagnostics import (
     shell_stats,
 )
 from slfm.errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
-from slfm.paths import PathKind, path_rows, radial_share_rows
+from slfm.paths import PathKind, path_rows, radial_share_rows, radial_split
 from slfm.sphere import radial_project, unit_rows
 from test_sphere import _mixed_regime_pairs
 
@@ -336,3 +337,39 @@ def test_swap_preserves_token_semantics():
     assert_allclose(
         pair.keep_radius / np.linalg.norm(pair.keep_radius), b.direction, rtol=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# finiteness at the entry points
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_entry_points_reject_non_finite_input(bad):
+    # each used to return NaN statistics, NaN hybrids or a share of 0.0
+    shell = ShellStats(4, 2.0, 0.5, 0.25)
+    calls = [
+        lambda: shell_stats([[bad, 1.0], [1.0, 2.0]]),
+        lambda: component_swap([bad, 1.0], [1.0, 2.0]),
+        lambda: component_swap([1.0, 2.0], [bad, 1.0]),
+        lambda: off_shell_sigma([bad, 1.0], shell, shell),
+        lambda: radial_split([bad, 1.0], [1.0, 2.0]),
+        lambda: radial_split([1.0, 2.0], [bad, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_swap_scans_no_block(tmp_path, monkeypatch):
+    # slfm swap's blocks come from BlockReader, which has checked them
+    calls = []
+    for owner in (sphere, diagnostics):
+        original = owner._as_vectors
+        monkeypatch.setattr(owner, "_as_vectors", lambda x, f=original: calls.append(1) or f(x))
+    rng = np.random.default_rng(90)
+    for name in ("a.slfm", "b.slfm"):
+        container.write_container(tmp_path / name, rng.standard_normal((6, 3, 2, 1)))
+    assert main(["swap", str(tmp_path / "a.slfm"), str(tmp_path / "b.slfm"),
+                 "--out-direction", str(tmp_path / "d.slfm"),
+                 "--out-radius", str(tmp_path / "r.slfm")]) == 0
+    assert calls == []

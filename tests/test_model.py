@@ -1,6 +1,7 @@
 """Velocity-field network, losses, optimizer, training loop, samplers, and
 checkpoints."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -1231,3 +1232,116 @@ def test_loss_rejects_unknown_condition(bad):
     cond[5] = bad
     with pytest.raises(UnknownCondition, match=f"got {min(bad, 0)}..{max(bad, 0)}"):
         loss_and_grad(field, (z0, z1, t, cond), field.kind)
+
+
+# ---------------------------------------------------------------------------
+# checks at the boundary, none in the step
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0], [0.7, 0.05, 0.25], [0.0, 0.5, 0.0, 0.5], [0.3, 0.7 - 5e-10]],
+    ids=["one-center", "uneven", "zero-weights", "sum-off-by-5e-10"],
+)
+@pytest.mark.parametrize("n", [1, 128, 1000])
+def test_dataset_sample_draws_as_rng_choice(weights, n):
+    # the centers come from the dataset's own CDF; they must be the indices
+    # rng.choice(k, size=n, p=weights) draws, and the stream after them the
+    # same, so that training keeps its random stream if numpy's choice moves
+    k = len(weights)
+    centers = sphere.uniform_rows(k, 3, 2.0, np.random.default_rng(70))
+    dataset = SyntheticDataset(3, 2.0, centers, 0.1, weights, labels=np.arange(k))
+    rng, ref = np.random.default_rng(71), np.random.default_rng(71)
+    rows, comp = dataset.sample(n, rng)
+    ref_comp = ref.choice(k, size=n, p=dataset.weights)
+    ref_rows = sphere.project_rows(centers[ref_comp] + 0.1 * ref.standard_normal((n, 3)), 2.0)
+    assert np.array_equal(comp, ref_comp)
+    assert np.array_equal(rows, ref_rows)
+    assert rng.random() == ref.random()
+    # the CDF is no field: asdict feeds the checkpoint sidecar's extra.dataset
+    assert list(dataclasses.asdict(dataset)) == ["d", "radius", "centers", "spread", "weights", "labels"]
+
+
+def test_dataset_sample_edge_draws():
+    # the extreme uniform draws, 0 and the largest below 1, under weights
+    # summing 5e-10 short of 1: as in rng.choice, a zero-weight center is
+    # never drawn and no draw runs past the last center
+    class Edges:
+        def random(self, n):
+            return np.array([0.0, 1.0 - 2.0 ** -53])
+
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    centers = np.array([[2.0, 0.0], [0.0, 2.0]])
+    dataset = SyntheticDataset(2, 2.0, centers, 0.1, [0.0, 1.0 - 5e-10], labels=[0, 1])
+    rows, comp = dataset.sample(2, Edges())
+    assert np.array_equal(comp, [1, 1])
+    assert np.array_equal(rows, centers[[1, 1]])
+
+
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_train_checks_its_batch_sources_once(monkeypatch, kind):
+    # the field, the dataset and the config are checked when built, and the
+    # labels once before the loop; the step itself scans no row
+    calls = {"_as_vectors": 0, "_check_conditions": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sphere, "_as_vectors", counting("_as_vectors", sphere._as_vectors))
+    monkeypatch.setattr(model, "_check_conditions", counting("_check_conditions", model._check_conditions))
+    field = _tiny_field(np.random.default_rng(73), d=4, kind=kind)
+    dataset = _labelled_dataset(4, np.random.default_rng(74))
+    train(field, dataset, TrainConfig(steps=50, batch_size=16, loss_kind=kind), np.random.default_rng(75))
+    assert calls == {"_as_vectors": 0, "_check_conditions": 1}
+
+
+def test_train_rejects_labels_outside_the_table():
+    # checked once before the first step, for every label, drawn or not
+    field = _tiny_field(np.random.default_rng(76), d=4, n_cond=2)
+    dataset = _labelled_dataset(4, np.random.default_rng(77))  # labels 0, 1, 2
+    with pytest.raises(UnknownCondition, match="got 0..2"):
+        train(field, dataset, TrainConfig(steps=0), np.random.default_rng(78))
+
+
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_loss_and_forward_check_shapes_and_width(kind):
+    field = _tiny_field(np.random.default_rng(79), kind=kind)
+    z0, z1, t, cond = _batch_for(field, 4, np.random.default_rng(80))
+    wide = sphere.uniform_rows(4, field.d + 1, field.radius, np.random.default_rng(81))
+    for batch in ((wide, wide, t, cond), (z0, z1[:3], t, cond), (z0[0], z1[0], t[0], cond[0])):
+        with pytest.raises(DimensionMismatch):
+            loss_and_grad(field, batch, kind)
+    for z in (wide[0], z0):
+        with pytest.raises(DimensionMismatch):
+            forward(field, z, 0.5, 0)
+    with pytest.raises(ValueError):
+        forward(field, z0[0], float("nan"), 0)
+    with pytest.raises(UnknownCondition):
+        forward(field, z0[0], 0.5, field.n_cond)
+
+
+@pytest.mark.parametrize("time_dim", [3, 1, 0])
+def test_field_rejects_odd_or_narrow_time_dim(time_dim):
+    # time_embedding would refuse it at the first step or sample
+    with pytest.raises(ValueError, match="time embedding width must be even and at least 2"):
+        VelocityField.create(4, hidden=(6,), time_dim=time_dim, rng=np.random.default_rng(82))
+
+
+def test_sample_exp_map_leaving_the_sphere_raises_divergence():
+    # token weights of 1e30 with no hidden layer: the velocity is about 1e30
+    # z, whose tangent part cancels catastrophically, so the exp-map step
+    # leaves the sphere with finite chains
+    field = VelocityField.create(4, hidden=(), rng=np.random.default_rng(0))
+    field.weights[0][:4] = 1e30 * np.eye(4)
+    with pytest.raises(DivergenceDetected, match=r"chains among rows 0..7 left the sphere by"):
+        sample(field, 8, "exp_map", 50, 0, np.random.default_rng(0))
+    # handed the same kind of outputs directly, SampleRun still says ValueError
+    off = 2.0 * (1.0 + 2 * model.SPHERE_SAMPLER_RTOL) * np.eye(4)
+    with pytest.raises(ValueError, match="left the sphere"):
+        SampleRun("exp_map", 50, off, "slerp", 2.0)
+    assert SampleRun("euler", 50, off, "slerp", 2.0).max_radius_deviation > model.SPHERE_SAMPLER_RTOL

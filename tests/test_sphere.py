@@ -677,3 +677,26 @@ def test_deficit_measured_matches_just_below_pi_r():
     assert one_step_gap_measured(x / 2.0, 2.0, 1.5) == pytest.approx(
         one_step_deficit(x / 2.0, 2.0, 1.5), rel=1e-12
     )
+
+
+def test_project_rows_with_overflowing_squared_norm():
+    # 1e200 squares past float max; such a row is scaled by a power of two
+    # (exact) before its norm is taken, and every other row keeps its bits
+    rows = np.array([[1e200, 1e200], [3.0, -4.0], [1.7e308, -1.7e308], [1e200, 1e-200]])
+    with np.errstate(over="ignore"):
+        out = sphere.project_rows(rows, 2.0)
+        single = sphere.project_rows(rows[0], 2.0)
+    assert_allclose(out[[0, 2]], [[math.sqrt(2.0), math.sqrt(2.0)], [math.sqrt(2.0), -math.sqrt(2.0)]],
+                    rtol=1e-15)
+    assert np.array_equal(out[3], [2.0, 0.0])
+    assert np.array_equal(out[1], rows[1] / np.linalg.norm(rows[1]) * 2.0)
+    assert np.array_equal(single, out[0])
+    for scale in (2.0 ** -500, 2.0 ** -600):  # no overflow there; same directions
+        assert np.array_equal(out[0], sphere.project_rows(rows[0] * scale, 2.0))
+
+
+def test_project_rows_non_finite_rows_stay_non_finite():
+    with np.errstate(invalid="ignore"):
+        out = sphere.project_rows([[np.inf, 1.0], [np.nan, 1.0], [1.0, 0.0]], 1.0)
+    assert not np.any(np.isfinite(out[:2]).all(axis=-1))
+    assert np.array_equal(out[2], [1.0, 0.0])
