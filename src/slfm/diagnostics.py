@@ -33,7 +33,7 @@ from .sphere import NORM_FLOOR, _as_vectors
 # the CV of projected tokens is 0 and the degenerate dispatch is reachable.
 DEGENERATE_RTOL = 1e-12
 
-# Values per chunk of the std's squared deviations.
+# Values per chunk of an exact sum.
 _FSUM_CHUNK = 1 << 12
 
 DEFAULT_GRID = 101
@@ -113,19 +113,23 @@ def _token_rows(tokens) -> np.ndarray:
     return arr.reshape(-1, arr.shape[-1])
 
 
+def _fsum(values: np.ndarray, about: float | None = None) -> float:
+    """Exact sum of ``values``, or of their squared deviations from
+    ``about`` when it is given.  The values go to ``math.fsum`` a chunk at
+    a time as Python floats, so no second array as long as ``values`` is
+    held; fsum is exactly rounded, so the chunking moves no bit."""
+    chunks = (values[i : i + _FSUM_CHUNK] for i in range(0, values.shape[0], _FSUM_CHUNK))
+    if about is not None:
+        chunks = (np.square(chunk - about) for chunk in chunks)
+    return math.fsum(itertools.chain.from_iterable(chunk.tolist() for chunk in chunks))
+
+
 def _fsum_mean(values: np.ndarray) -> float:
-    return math.fsum(values) / values.shape[0]
+    return _fsum(values) / values.shape[0]
 
 
 def _fsum_std(values: np.ndarray, mean: float) -> float:
-    # squared deviations a chunk at a time, so that no second array as long
-    # as ``values`` is held; one fsum over all of them is exact, so the
-    # chunking moves no bit
-    chunks = (
-        np.square(values[i : i + _FSUM_CHUNK] - mean).tolist()
-        for i in range(0, values.shape[0], _FSUM_CHUNK)
-    )
-    return math.sqrt(math.fsum(itertools.chain.from_iterable(chunks)) / values.shape[0])
+    return math.sqrt(_fsum(values, mean) / values.shape[0])
 
 
 def shell_stats(tokens) -> ShellStats:
@@ -156,10 +160,14 @@ def off_shell_sigma(z_t, shell0: ShellStats, shell1: ShellStats) -> float:
     """Distance of ``z_t``'s norm from the nearest endpoint shell, in that
     shell's standard deviations.  Exact-radius shells (std 0) have no sigma
     unit and raise; use the absolute deviation for those.  A non-finite
-    ``z_t`` raises ``ValueError``."""
+    ``z_t`` raises ``ValueError``, and a stack of rows
+    ``DimensionMismatch``."""
     if shell0.std_radius == 0.0 or shell1.std_radius == 0.0:
         raise DegenerateShell("zero-spread shell has no sigma unit")
-    r = np.linalg.norm(_as_vectors(z_t))
+    z_t = _as_vectors(z_t)
+    if z_t.ndim != 1:
+        raise DimensionMismatch("off_shell_sigma takes one vector")
+    r = np.linalg.norm(z_t)
     return float(_offshell_rows(r, shell0, shell1, absolute=False))
 
 

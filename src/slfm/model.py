@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,7 +52,8 @@ CHECKPOINT_VERSION = 1
 # Rows per block for sample and assignment_histogram.  sample integrates its
 # chains SAMPLE_BLOCK at a time through forward buffers allocated once per
 # block, so its memory beyond the n x d prior and outputs stays fixed, and a
-# chain's result does not depend on how many chains run beside it.
+# chain's result does not depend on how many chains run beside it, nor on
+# how many blocks run at once.
 SAMPLE_BLOCK = 1024
 
 # The sphere-preserving samplers keep a slerp field's chains within
@@ -694,6 +697,41 @@ def integrate(vel_fn, z0, nfe: int, sampler: str, radius: float) -> np.ndarray:
     return z
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _run_wave(fn, items) -> list:
+    """``fn(item)`` for every item at once: the first on this thread, each
+    other on a thread of its own.  Every thread is joined before this
+    returns or raises.  Returns what each call raised, None where it
+    returned, in item order."""
+    raised = [None] * len(items)
+
+    def call(i):
+        try:
+            fn(items[i])
+        except BaseException as exc:  # handed to the caller, in item order
+            raised[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(items)):
+            thread = threading.Thread(target=call, args=(i,))
+            thread.start()
+            started.append(thread)
+        call(0)
+    finally:
+        for thread in started:
+            thread.join()
+    return raised
+
+
 def sample(
     field: VelocityField,
     n: int,
@@ -705,32 +743,48 @@ def sample(
     """Integrate ``n`` chains from the field's prior, :data:`SAMPLE_BLOCK`
     rows at a time: one :func:`integrate` per block, whose velocity is
     :func:`_forward_rows` run through buffers allocated once per block.
-    Overflow in a diverging block is not warned about; a non-finite chain
-    raises :class:`DivergenceDetected`, whichever the sampler, and so does
-    a chain of a sphere-preserving sampler on a slerp field that ends off
-    the sphere (see :data:`SPHERE_SAMPLER_RTOL`)."""
+
+    The blocks share nothing, so they run in waves of as many blocks as
+    this process has usable CPUs, one thread per block (a single block
+    starts no thread); every block's arithmetic is the same as alone, so
+    the outputs do not depend on the CPU count.  Each wave's blocks are
+    checked in row order once all have ended.  Overflow in a diverging
+    block is not warned about; a non-finite chain raises
+    :class:`DivergenceDetected`, whichever the sampler, and so does a chain
+    of a sphere-preserving sampler on a slerp field that ends off the sphere
+    (see :data:`SPHERE_SAMPLER_RTOL`).  The first bad block, or the first
+    block whose integration raised, ends the run; no later wave starts."""
     if n < 1:
         raise ValueError("need at least one chain")
     cond = _check_conditions(field, int(cond))
     on_sphere = field.kind == "slerp" and sampler in SPHERE_SAMPLERS
     z0 = prior_rows(field, n, rng)
     outputs = np.empty_like(z0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, SAMPLE_BLOCK):
-            block = slice(start, min(start + SAMPLE_BLOCK, n))
-            work = _StepBuffers(field, block.stop - start)
-            rows = outputs[block] = integrate(
+    blocks = [slice(start, min(start + SAMPLE_BLOCK, n)) for start in range(0, n, SAMPLE_BLOCK)]
+
+    def integrate_block(block):
+        work = _StepBuffers(field, block.stop - block.start)
+        # errstate is per thread: each block enters its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs[block] = integrate(
                 lambda z, t: _forward_rows(field, z, t, cond, work)[0],
                 z0[block], nfe, sampler, field.radius,
             )
+
+    width = min(len(blocks), _usable_cpus())
+    for first in range(0, len(blocks), width):
+        wave = blocks[first : first + width]
+        for block, exc in zip(wave, _run_wave(integrate_block, wave)):
+            if exc is not None:
+                raise exc
+            rows, named = outputs[block], f"rows {block.start}..{block.stop - 1}"
             if not np.all(np.isfinite(rows)):
-                raise DivergenceDetected(f"non-finite chains among rows {start}..{block.stop - 1}")
+                raise DivergenceDetected(f"non-finite chains among {named}")
             if on_sphere:
-                dev = float(np.max(np.abs(np.linalg.norm(rows, axis=-1) - field.radius)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dev = float(np.max(np.abs(np.linalg.norm(rows, axis=-1) - field.radius)))
                 if dev > SPHERE_SAMPLER_RTOL * field.radius:
-                    raise DivergenceDetected(
-                        f"chains among rows {start}..{block.stop - 1} left the sphere by {dev!r}"
-                    )
+                    raise DivergenceDetected(f"chains among {named} left the sphere by {dev!r}")
     return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
 
 

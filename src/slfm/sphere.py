@@ -134,10 +134,11 @@ def unit_rows(x) -> np.ndarray:
 
     A finite row whose squared norm passes float max is first scaled by
     the power of two that brings its largest coordinate into [0.5, 1),
-    which is exact; every other row is divided by its norm as it is.  The
-    overflow is warned about as numpy warns of it, unless silenced."""
+    which is exact; every other row is divided by its norm as it is.  That
+    overflow is handled, so it is not warned about."""
     x = np.asarray(x, dtype=np.float64)
-    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(n < NORM_FLOOR):
         raise NearZeroNorm(f"row norm below {NORM_FLOOR}")
     out = x / n

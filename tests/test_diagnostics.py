@@ -74,6 +74,18 @@ def test_shell_stats_order_independent():
     assert a.cv == b.cv
 
 
+def test_exact_sum_over_chunks_is_one_fsum():
+    # three full chunks and a partial one: the chunked sums are the fsum of
+    # every value, and of every squared deviation, taken at once
+    rng = np.random.default_rng(75)
+    values = rng.standard_normal(3 * diagnostics._FSUM_CHUNK + 5) * 10.0 ** rng.integers(-8, 8, size=1)
+    mean = diagnostics._fsum_mean(values)
+    assert diagnostics._fsum(values) == math.fsum(values.tolist())
+    assert mean == math.fsum(values.tolist()) / values.shape[0]
+    assert diagnostics._fsum(values, mean) == math.fsum(np.square(values - mean).tolist())
+    assert diagnostics._fsum(values[:0]) == 0.0
+
+
 def test_shell_stats_certificate_rejects_inconsistent_cv():
     with pytest.raises(ValueError):
         ShellStats(n_tokens=10, mean_radius=2.0, std_radius=0.2, cv=0.5)
@@ -103,6 +115,15 @@ def test_off_shell_sigma_unit_excursion():
     assert off_shell_sigma(np.array([2.2, 0.0]), s0, s1) == pytest.approx(
         1.0, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("z_t", [[[2.0, 0.0]] * 3, [[2.0, 0.0]], np.zeros((2, 1, 2))])
+def test_off_shell_sigma_rejects_a_stack_of_rows(z_t):
+    # one norm over a stack would measure no single token
+    s0 = ShellStats(n_tokens=10, mean_radius=2.0, std_radius=0.1, cv=0.05)
+    s1 = ShellStats(n_tokens=10, mean_radius=4.0, std_radius=0.3, cv=0.075)
+    with pytest.raises(DimensionMismatch, match="off_shell_sigma takes one vector"):
+        off_shell_sigma(z_t, s0, s1)
 
 
 def test_off_shell_sigma_degenerate():

@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -940,6 +942,8 @@ def test_sample_in_small_blocks_matches_one_block(monkeypatch, sampler):
 
     monkeypatch.setattr(model, "SAMPLE_BLOCK", 7)
     monkeypatch.setattr(model, "integrate", integrate_block)
+    # waves of two blocks: the 6-row block is the only one of the last wave
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     blocked = sample(field, 20, sampler, 6, 2, np.random.default_rng(53))
     assert blocks == [7, 7, 6]
     assert_allclose(blocked.outputs, whole.outputs, rtol=0, atol=1e-12)
@@ -955,8 +959,10 @@ def test_sample_rejects_unknown_condition(cond):
 def test_sample_memory_grows_only_by_prior_and_outputs(monkeypatch):
     # with 16-row blocks, 64 -> 2048 chains may add per chain only the
     # prior's draw and its projection (up to three d-rows at once, the
-    # outputs among them) and two norms; forward buffers stay one block
+    # outputs among them) and two norms; forward buffers stay one wave
     monkeypatch.setattr(model, "SAMPLE_BLOCK", 16)
+    # both runs hold two blocks' buffers at once, whatever the CPU count
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     field = _tiny_field(np.random.default_rng(56), kind="slerp")
     peaks = {}
     for n in (64, 2048):
@@ -1183,20 +1189,106 @@ def test_sample_with_overflowing_field_raises_divergence(sampler):
 
 def test_sample_checks_each_block(monkeypatch):
     # a block whose chains all stay finite passes; the second block diverges
-    # and is named by its rows, and the third is never integrated
+    # and is named by its rows, and the third, in the next wave of two, is
+    # never integrated.  Blocks of a wave run at once, so the finite block is
+    # told by its rows, not by call order
     monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     field = _overflowing_field(np.random.default_rng(64))
+    first = prior_rows(field, 10, np.random.default_rng(65))[:4]
     calls = []
     integrate_all = model.integrate
 
     def integrate_block(vel_fn, z0, *args):
         calls.append(len(z0))
-        return np.zeros_like(z0) if len(calls) == 1 else integrate_all(vel_fn, z0, *args)
+        return np.zeros_like(z0) if np.array_equal(z0, first) else integrate_all(vel_fn, z0, *args)
 
     monkeypatch.setattr(model, "integrate", integrate_block)
     with pytest.raises(DivergenceDetected, match="rows 4..7$"):
         sample(field, 10, "euler", 2, 0, np.random.default_rng(65))
     assert calls == [4, 4]
+
+
+@pytest.mark.parametrize("sampler", model.SAMPLERS)
+def test_sample_does_not_depend_on_the_cpu_count(monkeypatch, sampler):
+    # blocks 0..3, 4..7 and 8..9 run one at a time, in waves of two (the
+    # last alone) or in one wave of three; the outputs agree bit for bit
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    field = _tiny_field(np.random.default_rng(67), kind="slerp")
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        runs.append(sample(field, 10, sampler, 5, 1, np.random.default_rng(68)).outputs)
+    assert all(np.array_equal(runs[0], run) for run in runs[1:])
+
+
+def test_sample_with_more_threads_than_cores_matches_one_cpu(monkeypatch):
+    # waves of eight blocks, switching threads every microsecond: each block
+    # still writes only its own rows of the outputs
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    field = _tiny_field(np.random.default_rng(76), kind="slerp")
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    alone = sample(field, 50, "euler_project", 6, 0, np.random.default_rng(77)).outputs
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sample(field, 50, "euler_project", 6, 0, np.random.default_rng(77)).outputs
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(alone, threaded)
+
+
+def test_sample_of_one_block_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(model.threading, "Thread", no_thread)
+    field = _tiny_field(np.random.default_rng(69), kind="slerp")
+    run = sample(field, model.SAMPLE_BLOCK, "exp_map", 2, 0, np.random.default_rng(70))
+    assert run.outputs.shape == (model.SAMPLE_BLOCK, field.d)
+
+
+def test_sample_names_the_earliest_bad_block_of_a_wave(monkeypatch):
+    # one wave of three blocks, the last two diverging on worker threads:
+    # each worker silences its own overflow, and the block of rows 4..7 is
+    # named whichever ends first
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    field = _overflowing_field(np.random.default_rng(71))
+    first = prior_rows(field, 10, np.random.default_rng(72))[:4]
+    integrate_all = model.integrate
+
+    def integrate_block(vel_fn, z0, *args):
+        return np.zeros_like(z0) if np.array_equal(z0, first) else integrate_all(vel_fn, z0, *args)
+
+    monkeypatch.setattr(model, "integrate", integrate_block)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceDetected, match="non-finite chains among rows 4..7$"):
+            sample(field, 10, "euler", 2, 0, np.random.default_rng(72))
+    assert caught == []
+
+
+def test_sample_raises_a_worker_error_in_the_caller(monkeypatch):
+    # a MemoryError on a worker thread reaches the caller once every thread
+    # of the wave has been joined
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    field = _tiny_field(np.random.default_rng(73), kind="slerp")
+    integrate_all = model.integrate
+
+    def integrate_block(vel_fn, z0, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no room for a block")
+        return integrate_all(vel_fn, z0, *args)
+
+    monkeypatch.setattr(model, "integrate", integrate_block)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for a block"):
+        sample(field, 10, "exp_map", 2, 0, np.random.default_rng(74))
+    assert threading.active_count() == threads
 
 
 def test_assignment_histogram_far_out_radius_does_not_overflow():

@@ -695,6 +695,13 @@ def test_project_rows_with_overflowing_squared_norm():
         assert np.array_equal(out[0], sphere.project_rows(rows[0] * scale, 2.0))
 
 
+def test_project_rows_does_not_warn_of_the_overflow_it_handles():
+    # RuntimeWarnings are errors in this suite: none may leave the norm
+    out = sphere.project_rows([[1e200, 1e200], [3.0, -4.0]], 2.0)
+    assert_allclose(out[0], [math.sqrt(2.0), math.sqrt(2.0)], rtol=1e-15)
+    assert np.array_equal(out[1], [1.2, -1.6])
+
+
 def test_project_rows_non_finite_rows_stay_non_finite():
     with np.errstate(invalid="ignore"):
         out = sphere.project_rows([[np.inf, 1.0], [np.nan, 1.0], [1.0, 0.0]], 1.0)
