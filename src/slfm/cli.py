@@ -81,15 +81,21 @@ def cmd_gaussian_norms(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    # one norm per token is all that outlives a block
+    # one norm per token is all that outlives a block; each block is
+    # projected, and squared, in one scratch block sized from the first
     with container.BlockReader(args.input) as reader:
         log.info("read %d tokens of dimension %d", reader.n_tokens, reader.shape[1])
         norms = np.empty(reader.n_tokens)
+        scratch = None
         first = 0
         for rows in reader.token_blocks():
+            if scratch is None:
+                scratch = np.empty_like(rows)
+            block_norms = norms[first : first + rows.shape[0]]
+            sq = scratch[: rows.shape[0]]
             if args.project is not None:
-                rows = sphere.project_rows(rows, args.project)
-            norms[first : first + rows.shape[0]] = np.linalg.norm(rows, axis=-1)
+                rows = sq = sphere._project_into(rows, args.project, block_norms, sq)
+            sphere._norms_into(rows, sq, block_norms)
             first += rows.shape[0]
     row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms))
     emit_report([row], list(row), args.format)
@@ -144,8 +150,14 @@ def cmd_swap(args) -> int:
                 container.BlockWriter(dir_temp, anchor.shape) as out_dir,
                 container.BlockWriter(rad_temp, anchor.shape) as out_rad,
             ):
+                norms = hybrids = None  # one set of buffers, sized from the first block
                 for a, s in zip(anchor.token_blocks(), substitute.token_blocks()):
-                    keep_dir, keep_rad = diagnostics.component_swap_rows(a, s)
+                    if hybrids is None:
+                        norms, hybrids = np.empty((3, a.shape[0])), np.empty((2,) + a.shape)
+                    k = a.shape[0]
+                    keep_dir, keep_rad = diagnostics._component_swap_into(
+                        a, s, norms[:, :k], hybrids[:, :k]
+                    )
                     out_dir.write_rows(keep_dir)
                     out_rad.write_rows(keep_rad)
     log.info("wrote hybrids to %s and %s", args.out_direction, args.out_radius)

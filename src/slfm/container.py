@@ -13,13 +13,16 @@ bounded whatever the container's size:
 
 - :class:`BlockReader` checks the header, and the payload length against the
   file size, before it reads any payload.  Each block is read into a reused
-  f32 buffer, promoted into a reused float64 buffer, checked for finite
-  values and transposed into a reused token-row buffer.  A truncated
-  payload or a non-finite value in any block raises
-  :class:`ContainerFormatError`.  :func:`read_container` is the one-shot
-  case of the same reader.
+  f32 buffer and checked for finite values there, into a reused mask (the
+  promotion to float64 is exact, so it makes no value non-finite).  One
+  copy then promotes it and transposes it into a reused token-row buffer,
+  whose (k, d, h, w) view is the strided target.  A truncated payload or a
+  non-finite value in any block raises :class:`ContainerFormatError`.
+  :func:`read_container` is the one-shot case of the same reader, with
+  C-ordered blocks of its result as targets.
 - :class:`BlockWriter` writes the header and then one block of token rows at
-  a time, with :func:`write_container`'s finite and f32-overflow checks.
+  a time, with :func:`write_container`'s finite and f32-overflow checks,
+  made on the f32 block into one reused mask.
   Streamed outputs are written to temporaries under :func:`replacing`, which
   moves them over their targets only once every write succeeded.
 """
@@ -42,17 +45,20 @@ _HEADER = struct.Struct("<4sHIIII")
 BLOCK_BYTES = 1 << 20
 
 
-def _f32_payload(arr, out=None) -> np.ndarray:
+def _f32_payload(arr, out=None, mask=None) -> np.ndarray:
     """``arr`` cast to little-endian f32 (into ``out`` when given); raises on
-    non-finite values or values that overflow 32-bit storage."""
-    if not np.all(np.isfinite(arr)):
-        raise ContainerFormatError("payload contains non-finite values")
+    non-finite values or values that overflow 32-bit storage.  Every value
+    is finite before the cast if it is finite after it, so ``arr`` itself
+    is scanned only to tell the two faults apart.  Both scans write into
+    ``mask``, a bool array of ``arr``'s shape, when given."""
     with np.errstate(over="ignore"):
         if out is None:
             out = arr.astype("<f4")
         else:
             np.copyto(out, arr, casting="same_kind")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out, out=mask).all():
+        if not np.isfinite(arr, out=mask).all():
+            raise ContainerFormatError("payload contains non-finite values")
         raise ContainerFormatError("payload overflows 32-bit float storage")
     return out
 
@@ -121,6 +127,7 @@ class BlockReader:
             self._fh.close()
             raise
         self._raw = np.empty(0, dtype="<f4")
+        self._finite = np.empty(0, dtype=bool)
 
     def __enter__(self):
         return self
@@ -134,19 +141,21 @@ class BlockReader:
         return n * h * w
 
     def _read_items(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, a C-contiguous float64 (k, d, h, w) block, with the
-        next k items."""
+        """Fill ``out``, a float64 (k, d, h, w) array, with the next k items.
+        ``out`` may be a C-contiguous block or any strided view, such as
+        :func:`rows_to_tensor`'s view of k*h*w token rows."""
         if self._raw.size < out.size:
             self._raw = np.empty(out.size, dtype="<f4")
+            self._finite = np.empty(out.size, dtype=bool)
         raw = self._raw[: out.size]
         got = self._fh.readinto(raw)
         if got != raw.nbytes:
             raise ContainerFormatError(
                 f"payload ended early: read {got} of {raw.nbytes} bytes of a block"
             )
-        np.copyto(out.reshape(-1), raw)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(raw, out=self._finite[: out.size]).all():
             raise ContainerFormatError("payload contains non-finite values")
+        np.copyto(out, raw.reshape(out.shape))
         return out
 
     def token_blocks(self):
@@ -155,13 +164,11 @@ class BlockReader:
         block overwrites."""
         n, d, h, w = self.shape
         per_block = _items_per_block(self.shape)
-        items = np.empty((min(n, per_block), d, h, w))
         rows = np.empty((min(n, per_block) * h * w, d))
         for first in range(0, n, per_block):
             k = min(per_block, n - first)
-            block = self._read_items(items[:k])
             out = rows[: k * h * w]
-            np.copyto(rows_to_tensor(out, block.shape), block)
+            self._read_items(rows_to_tensor(out, (k, d, h, w)))
             yield out
 
 
@@ -179,6 +186,7 @@ class BlockWriter:
             self._fh.close()
             raise
         self._buf = np.empty(0, dtype="<f4")
+        self._finite = np.empty(0, dtype=bool)
         self._tokens = 0
 
     def __enter__(self):
@@ -200,7 +208,12 @@ class BlockWriter:
         items = rows_to_tensor(rows, (k, d, h, w))
         if self._buf.size < items.size:
             self._buf = np.empty(items.size, dtype="<f4")
-        payload = _f32_payload(items, out=self._buf[: items.size].reshape(items.shape))
+            self._finite = np.empty(items.size, dtype=bool)
+        payload = _f32_payload(
+            items,
+            out=self._buf[: items.size].reshape(items.shape),
+            mask=self._finite[: items.size].reshape(items.shape),
+        )
         self._fh.write(payload.data)
         self._tokens += rows.shape[0]
 

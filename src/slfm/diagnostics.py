@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
 from .paths import PathKind, _path_at, _path_setup, _radial_energy_rows
-from .sphere import NORM_FLOOR, _as_vectors
+from .sphere import NORM_FLOOR, _as_vectors, _norms_into
 
 # Population std below DEGENERATE_RTOL * mean is rounding noise from a
 # constant-radius set, not a measured spread; it is snapped to exactly 0 so
@@ -221,14 +221,14 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
 
     pairs = _path_setup(z0s, z1s, kind)
     z_t, u_t, scratch = (np.empty(z0s.shape) for _ in range(3))
+    norms = np.empty(n)
     mean_norm = np.empty_like(t_grid)
     std_norm = np.empty_like(t_grid)
     mean_off = np.empty_like(t_grid)
     mean_share = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):
         z, u = _path_at(pairs, float(t), (z_t, u_t, scratch))
-        # the reduction np.linalg.norm(z, axis=-1) makes (same bits), in scratch
-        norms = np.sqrt(np.add.reduce(np.multiply(z, z, out=scratch), axis=-1))
+        _norms_into(z, scratch, norms)
         mean_norm[i] = _fsum_mean(norms)
         std_norm[i] = _fsum_std(norms, mean_norm[i])
         mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
@@ -251,16 +251,29 @@ def component_swap(anchor, substitute) -> SwapPair:
     return SwapPair(keep_direction=keep_direction[0], keep_radius=keep_radius[0])
 
 
+def _component_swap_into(a, s, norms, out):
+    """:func:`component_swap_rows` of the (n, d) stacks ``a`` and ``s``,
+    written into ``out``: the direction and radius hybrids, as a (2, n, d)
+    buffer or a pair of (n, d) ones.  ``norms``, a (3, n) buffer, receives
+    the anchor norms, the substitute norms and each row's scale.  Returns
+    the two hybrids, views of ``out``."""
+    ra, rs, scale = norms
+    keep_direction, keep_radius = out
+    _norms_into(a, keep_direction, ra)
+    _norms_into(s, keep_radius, rs)
+    if np.any(ra < NORM_FLOOR) or np.any(rs < NORM_FLOOR):
+        raise NearZeroNorm("token norm below floor, direction undefined")
+    np.multiply(np.divide(rs, ra, out=scale)[:, None], a, out=keep_direction)
+    np.multiply(np.divide(ra, rs, out=scale)[:, None], s, out=keep_radius)
+    return keep_direction, keep_radius
+
+
 def component_swap_rows(anchors, substitutes):
     """Row-wise :func:`component_swap`; returns the two hybrid stacks.
-    The rows are not scanned for finiteness: ``slfm swap`` hands it blocks
-    that ``container.BlockReader`` has checked."""
+    The rows are not scanned for finiteness: ``slfm swap`` hands blocks
+    that ``container.BlockReader`` has checked to the same kernel."""
     a = _token_rows(anchors)
     s = _token_rows(substitutes)
     if a.shape != s.shape:
         raise DimensionMismatch(f"stack shapes differ: {a.shape} vs {s.shape}")
-    ra = np.linalg.norm(a, axis=-1, keepdims=True)
-    rs = np.linalg.norm(s, axis=-1, keepdims=True)
-    if np.any(ra < NORM_FLOOR) or np.any(rs < NORM_FLOOR):
-        raise NearZeroNorm("token norm below floor, direction undefined")
-    return (rs / ra) * a, (ra / rs) * s
+    return _component_swap_into(a, s, np.empty((3, a.shape[0])), (np.empty_like(a), np.empty_like(s)))

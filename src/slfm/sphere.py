@@ -129,6 +129,34 @@ class GaussianNormStats:
 # row-wise primitives
 
 
+def _norms_into(x, sq, out) -> np.ndarray:
+    """Row norms of ``x`` written into ``out`` (shape ``x.shape[:-1]``), with
+    ``sq`` (``x``'s shape, and it may be ``x`` itself) as scratch for the
+    squares: multiply, ``add.reduce`` over the last axis, ``sqrt``, the
+    same bits as ``np.linalg.norm(x, axis=-1)`` for C-ordered rows.
+    Returns ``out``."""
+    np.add.reduce(np.multiply(x, x, out=sq), axis=-1, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _project_into(x, radius, norms, out) -> np.ndarray:
+    """:func:`project_rows` of ``x`` written into ``out`` (``x``'s shape);
+    ``norms`` (shape ``x.shape[:-1]``) receives the row norms.  ``out`` is
+    also the scratch of those norms, so it must not be ``x``.  Returns
+    ``out``."""
+    with np.errstate(over="ignore"):
+        _norms_into(x, out, norms)
+    if np.any(norms < NORM_FLOOR):
+        raise NearZeroNorm(f"row norm below {NORM_FLOOR}")
+    np.divide(x, norms[..., None], out=out)
+    over = np.isinf(norms)
+    if over.any():
+        big = x[over]
+        big = np.ldexp(big, -np.frexp(np.max(np.abs(big), axis=-1, keepdims=True))[1])
+        out[over] = big / np.linalg.norm(big, axis=-1, keepdims=True)
+    return np.multiply(out, float(radius), out=out)
+
+
 def unit_rows(x) -> np.ndarray:
     """Normalise rows to unit length; raises on rows below the norm floor.
 
@@ -136,23 +164,14 @@ def unit_rows(x) -> np.ndarray:
     the power of two that brings its largest coordinate into [0.5, 1),
     which is exact; every other row is divided by its norm as it is.  That
     overflow is handled, so it is not warned about."""
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(x, axis=-1, keepdims=True)
-    if np.any(n < NORM_FLOOR):
-        raise NearZeroNorm(f"row norm below {NORM_FLOOR}")
-    out = x / n
-    over = np.isinf(n[..., 0])
-    if over.any():
-        big = x[over]
-        big = np.ldexp(big, -np.frexp(np.max(np.abs(big), axis=-1, keepdims=True))[1])
-        out[over] = big / np.linalg.norm(big, axis=-1, keepdims=True)
-    return out
+    return project_rows(x, 1.0)  # times 1.0: the same bits
 
 
 def project_rows(x, radius: float) -> np.ndarray:
-    """Radially rescale rows onto the sphere of ``radius``."""
-    return unit_rows(x) * float(radius)
+    """Radially rescale rows onto the sphere of ``radius``: the unit rows of
+    :func:`unit_rows`, times ``radius``."""
+    x = np.asarray(x, dtype=np.float64)
+    return _project_into(x, radius, np.empty(x.shape[:-1]), np.empty_like(x))
 
 
 def uniform_rows(n: int, d: int, radius: float, rng: np.random.Generator) -> np.ndarray:

@@ -707,3 +707,51 @@ def test_project_rows_non_finite_rows_stay_non_finite():
         out = sphere.project_rows([[np.inf, 1.0], [np.nan, 1.0], [1.0, 0.0]], 1.0)
     assert not np.any(np.isfinite(out[:2]).all(axis=-1))
     assert np.array_equal(out[2], [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# kernels that write into caller-owned buffers
+
+
+def _dirty(shape):
+    """A buffer of ``shape`` full of NaN, so a kernel that reads one of its
+    buffers before writing it shows."""
+    return np.full(shape, np.nan)
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 3), (2, 4, 9), (3, 40)], ids=["vector", "d3", "stack-d9", "d40"])
+def test_norms_into_gives_the_bits_of_linalg_norm(shape):
+    x = 1e3 * np.random.default_rng(40).standard_normal(shape)
+    out = _dirty(shape[:-1])
+    got = sphere._norms_into(x, _dirty(shape), out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, np.linalg.norm(x, axis=-1))
+    # the squares may overwrite the rows themselves
+    y = x.copy()
+    assert np.array_equal(sphere._norms_into(y, y, _dirty(shape[:-1])), np.linalg.norm(x, axis=-1))
+
+
+# an overflowing squared norm, then rows the plain formula x / ||x|| covers
+KERNEL_ROWS = np.array([[1e200, 1e200], [3.0, -4.0], [0.1, 7.0], [-2.5, 1e-3]])
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_project_kernel_equals_the_public_functions(radius):
+    out = _dirty((6, 2))[1:5]  # a block of a larger buffer
+    got = sphere._project_into(KERNEL_ROWS, radius, _dirty(4), out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, sphere.project_rows(KERNEL_ROWS, radius))
+    plain = KERNEL_ROWS[1:] / np.linalg.norm(KERNEL_ROWS[1:], axis=-1, keepdims=True)
+    assert np.array_equal(got[1:], plain * radius)
+    if radius == 1.0:
+        assert np.array_equal(got, sphere.unit_rows(KERNEL_ROWS))
+        assert np.array_equal(got[1:], plain)
+    assert_allclose(got[0], radius * np.sqrt([0.5, 0.5]), rtol=1e-15)
+
+
+def test_project_kernel_rejects_a_zero_row():
+    rows = np.array([[3.0, 4.0], [0.0, 0.0]])
+    with pytest.raises(NearZeroNorm):
+        sphere._project_into(rows, 2.0, _dirty(2), _dirty((2, 2)))
+    with pytest.raises(NearZeroNorm):
+        sphere.project_rows(rows, 2.0)

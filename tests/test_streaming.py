@@ -115,19 +115,31 @@ def test_token_blocks_cover_every_token_once(tmp_path, small_blocks):
     assert np.array_equal(np.concatenate(blocks), container.token_rows(arr))
 
 
-def _nan_in_last_item(path, shape):
+def _bad_value_in_last_item(path, shape, value=np.nan):
     _latents(path, shape, seed=6)
     with open(path, "r+b") as fh:
         fh.seek(-4, os.SEEK_END)
-        fh.write(np.array([np.nan], dtype="<f4").tobytes())
+        fh.write(np.array([value], dtype="<f4").tobytes())
 
 
-@pytest.mark.parametrize("argv", [["stats"], ["stats", "--project", "2.0"]], ids=["stats", "project"])
-def test_stats_rejects_nan_in_a_later_block(tmp_path, capsys, small_blocks, argv):
-    path = tmp_path / "lat.slfm"
-    _nan_in_last_item(path, (37, 8, 3, 5))
-    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+# the reader checks the raw f32 payload, so each non-finite f32 must show
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("run", ["stats", "project", "swap", "read_container"])
+def test_later_block_rejects_non_finite_values(tmp_path, capsys, small_blocks, run, value):
+    path, good = tmp_path / "lat.slfm", tmp_path / "good.slfm"
+    _bad_value_in_last_item(path, (37, 8, 3, 5), value)
+    if run == "read_container":
+        with pytest.raises(ContainerFormatError, match="non-finite"):
+            container.read_container(path)
+        return
+    out_dir, out_rad = tmp_path / "dir.slfm", tmp_path / "rad.slfm"
+    if run == "swap":
+        _latents(good, (37, 8, 3, 5), seed=9)
+        assert _swap(good, path, out_dir, out_rad) == 2
+    else:
+        assert main(["stats", str(path)] + (["--project", "2.0"] if run == "project" else [])) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not out_dir.exists() and not out_rad.exists()
 
 
 def test_stats_rejects_truncated_payload(tmp_path, capsys, small_blocks):
@@ -207,7 +219,7 @@ def _overflowing_radius_hybrid(tmp_path):
 def _nan_in_last_block(tmp_path):
     anchor, substitute = tmp_path / "a.slfm", tmp_path / "s.slfm"
     _latents(anchor, (37, 8, 3, 5), seed=9)
-    _nan_in_last_item(substitute, (37, 8, 3, 5))
+    _bad_value_in_last_item(substitute, (37, 8, 3, 5))
     return anchor, substitute
 
 
