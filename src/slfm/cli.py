@@ -12,6 +12,7 @@ to stderr.  Exit codes: 0 success, 2 bad input or format, 3 divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -246,21 +247,33 @@ def cmd_sample(args) -> int:
     sampler = {"euler": "euler", "euler-project": "euler_project", "expmap": "exp_map"}[
         args.sampler
     ]
-    run = model.sample(field, args.n, sampler, args.nfe, args.cond, rng)
+    # checked before any file is opened; each block is then written, measured
+    # and counted as it comes, so no (n, d) array is ever held
+    blocks = model._sample_blocks(field, args.n, sampler, args.nfe, args.cond, rng)
+    dev = 0.0
+    counts = None if dataset is None else np.zeros(dataset.n_centers, dtype=np.int64)
+    with contextlib.ExitStack() as stack:
+        if args.out:
+            # all or nothing: a failed write or a diverging block keeps any
+            # previous file as it was
+            (temp,) = stack.enter_context(container.replacing([args.out]))
+            out = stack.enter_context(container.BlockWriter(temp, (args.n, field.d, 1, 1)))
+        for rows, block_dev in blocks:
+            if args.out:
+                out.write_rows(rows)
+            dev = max(dev, block_dev)
+            if counts is not None:
+                counts += model._assignment_counts(rows, dataset.centers)
     if args.out:
-        # all or nothing: a failed write keeps any previous file as it was
-        with container.replacing([args.out]) as (temp,):
-            container.write_container(temp, run.outputs.reshape(args.n, field.d, 1, 1))
         log.info("wrote samples to %s", args.out)
     metrics = {
         "sampler": args.sampler,
         "nfe": int(args.nfe),
         "n": int(args.n),
-        "max_radius_deviation": run.max_radius_deviation,
+        "max_radius_deviation": dev / field.radius,
     }
     if dataset is not None:
-        hist = model.assignment_histogram(run.outputs, dataset.centers)
-        metrics["assignment_histogram"] = [float(x) for x in hist]
+        metrics["assignment_histogram"] = [float(x) for x in counts / args.n]
         metrics["dataset_weights"] = [float(x) for x in dataset.weights]
     _emit_json(metrics)
     return 0

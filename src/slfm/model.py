@@ -25,6 +25,7 @@ from .errors import (
     ContainerFormatError,
     DimensionMismatch,
     DivergenceDetected,
+    NearZeroNorm,
     RadiusMismatch,
     UnknownCondition,
 )
@@ -49,11 +50,12 @@ ADAM_EPS = 1e-8
 CHECKPOINT_FORMAT = "slfm-checkpoint"
 CHECKPOINT_VERSION = 1
 
-# Rows per block for sample and assignment_histogram.  sample integrates its
-# chains SAMPLE_BLOCK at a time through forward buffers allocated once per
-# block, so its memory beyond the n x d prior and outputs stays fixed, and a
-# chain's result does not depend on how many chains run beside it, nor on
-# how many blocks run at once.
+# Rows per block for sampling and assignment_histogram.  _sample_blocks
+# draws, integrates and checks its chains SAMPLE_BLOCK at a time, with
+# forward buffers allocated once per block, and hands each block on once
+# checked; so what a caller that consumes the blocks one by one holds stays
+# fixed as n grows, and a chain's result does not depend on how many chains
+# run beside it, nor on how many blocks run at once.
 SAMPLE_BLOCK = 1024
 
 # The sphere-preserving samplers keep a slerp field's chains within
@@ -527,25 +529,30 @@ def random_dataset(
     return SyntheticDataset(d, radius, centers, spread, np.asarray(weights, float))
 
 
+def _assignment_counts(rows, centers) -> np.ndarray:
+    """int64 count of ``rows`` nearest to each center; the caller has checked
+    that both are row stacks of equal width."""
+    # a squared distance is at most 4 d top^2; past the float range, rows and
+    # centers are scaled by one power of two, which moves no argmin
+    top = float(max(np.max(np.abs(rows), initial=0.0), np.max(np.abs(centers), initial=0.0)))
+    if 4.0 * top * top * centers.shape[1] > sys.float_info.max:
+        scale = 2.0 ** -math.frexp(top)[1]
+        rows, centers = rows * scale, centers * scale
+    d2 = np.sum((rows[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return np.bincount(np.argmin(d2, axis=1), minlength=centers.shape[0])
+
+
 def assignment_histogram(outputs, centers) -> np.ndarray:
     """Frequency of nearest-center assignment for each center."""
     outputs = np.asarray(outputs, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     if outputs.ndim != 2 or centers.ndim != 2 or outputs.shape[1] != centers.shape[1]:
         raise DimensionMismatch("outputs and centers must be row stacks of equal width")
-    # a squared distance is at most 4 d top^2; past the float range, rows and
-    # centers are scaled by one power of two, which moves no argmin
-    top = float(max(np.max(np.abs(outputs), initial=0.0), np.max(np.abs(centers), initial=0.0)))
-    if 4.0 * top * top * centers.shape[1] > sys.float_info.max:
-        scale = 2.0 ** -math.frexp(top)[1]
-        outputs, centers = outputs * scale, centers * scale
-    # the (rows, k, d) differences are formed SAMPLE_BLOCK rows at a time;
-    # each row's nearest center is independent of the others
+    # counted SAMPLE_BLOCK rows at a time, the blocks sample hands on; each
+    # row's nearest center is independent of the others
     counts = np.zeros(centers.shape[0], dtype=np.int64)
     for start in range(0, outputs.shape[0], SAMPLE_BLOCK):
-        block = outputs[start : start + SAMPLE_BLOCK]
-        d2 = np.sum((block[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        counts += np.bincount(np.argmin(d2, axis=1), minlength=centers.shape[0])
+        counts += _assignment_counts(outputs[start : start + SAMPLE_BLOCK], centers)
     return counts / outputs.shape[0]
 
 
@@ -645,31 +652,20 @@ def train(
 
 @dataclass
 class SampleRun:
+    """What :func:`sample` returns: the outputs, one row per chain, and
+    max |norm - R| / R over them."""
+
     sampler: str
     nfe: int
     outputs: np.ndarray
-    kind: str
-    radius: float
+    max_radius_deviation: float
 
-    def __post_init__(self):
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}")
-        if self.nfe < 1:
-            raise ValueError("nfe must be at least 1")
-        self.outputs = np.asarray(self.outputs, dtype=np.float64)
-        dev = self._max_abs_deviation = np.max(
-            np.abs(np.linalg.norm(self.outputs, axis=-1) - self.radius)
-        )
-        if self.kind == "slerp" and self.sampler in SPHERE_SAMPLERS:
-            if dev > SPHERE_SAMPLER_RTOL * self.radius:
-                raise ValueError(
-                    f"sphere-preserving sampler left the sphere by {float(dev)!r}"
-                )
 
-    @property
-    def max_radius_deviation(self) -> float:
-        """max |norm - R| / R over the outputs."""
-        return float(self._max_abs_deviation) / self.radius
+def _check_sampler(sampler: str, nfe: int) -> None:
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}")
+    if nfe < 1:
+        raise ValueError("nfe must be at least 1")
 
 
 def integrate(vel_fn, z0, nfe: int, sampler: str, radius: float) -> np.ndarray:
@@ -677,13 +673,11 @@ def integrate(vel_fn, z0, nfe: int, sampler: str, radius: float) -> np.ndarray:
 
     ``vel_fn(z_rows, t)`` supplies the velocity.  The exp_map sampler
     tangent-projects the velocity before each step.  No step checks the
-    rows; :func:`sample` checks each block's result once.
+    rows; :func:`_sample_blocks` checks each block's result once, from one
+    pass over its norms.
     """
 
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}")
-    if nfe < 1:
-        raise ValueError("nfe must be at least 1")
+    _check_sampler(sampler, nfe)
     z = np.array(z0, dtype=np.float64, copy=True)
     h = 1.0 / nfe
     for k in range(nfe):
@@ -706,16 +700,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_wave(fn, items) -> list:
+def _run_wave(fn, items) -> tuple:
     """``fn(item)`` for every item at once: the first on this thread, each
     other on a thread of its own.  Every thread is joined before this
-    returns or raises.  Returns what each call raised, None where it
-    returned, in item order."""
-    raised = [None] * len(items)
+    returns or raises.  Returns what each call returned and what each
+    raised, None where it did not, as two lists in item order."""
+    returned, raised = [None] * len(items), [None] * len(items)
 
     def call(i):
         try:
-            fn(items[i])
+            returned[i] = fn(items[i])
         except BaseException as exc:  # handed to the caller, in item order
             raised[i] = exc
 
@@ -729,7 +723,67 @@ def _run_wave(fn, items) -> list:
     finally:
         for thread in started:
             thread.join()
-    return raised
+    return returned, raised
+
+
+def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: int, rng):
+    """Integrate ``n`` chains from the field's prior, :data:`SAMPLE_BLOCK`
+    rows at a time: one :func:`integrate` per block, whose velocity is
+    :func:`_forward_rows` run through buffers allocated once per block.
+    Checks ``n``, the sampler, ``nfe`` and ``cond`` before it returns, then
+    yields ``(rows, dev)`` for each block in row order, where ``dev`` is the
+    block's largest |norm - R|; the rows are the block's own.
+
+    The blocks share nothing, so they run in waves of as many blocks as
+    this process has usable CPUs, one thread per block (a single block
+    starts no thread); every block's arithmetic is the same as alone, so
+    the outputs do not depend on the CPU count.  Each wave draws its
+    blocks' prior rows in row order before it starts, the random stream of
+    one ``(n, d)`` draw.  Once the wave has ended, its blocks are checked in
+    row order, each from one pass over its norms, which overflow does not
+    warn about: a non-finite norm (a diverging chain, whichever the sampler)
+    raises :class:`DivergenceDetected`, and so does a chain of a
+    sphere-preserving sampler on a slerp field that ends off the sphere (see
+    :data:`SPHERE_SAMPLER_RTOL`) or a projected chain that collapses to the
+    origin.  The first bad block, or the first block whose integration
+    raised, ends the run; no later wave starts."""
+    if n < 1:
+        raise ValueError("need at least one chain")
+    _check_sampler(sampler, nfe)
+    cond = _check_conditions(field, int(cond))
+    on_sphere = field.kind == "slerp" and sampler in SPHERE_SAMPLERS
+    starts = range(0, n, SAMPLE_BLOCK)
+    width = min(len(starts), _usable_cpus())
+
+    def integrate_block(z0):
+        work = _StepBuffers(field, len(z0))
+        # errstate is per thread: each block enters its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate(
+                lambda z, t: _forward_rows(field, z, t, cond, work)[0],
+                z0, nfe, sampler, field.radius,
+            )
+
+    def waves():
+        for first in range(0, len(starts), width):
+            wave = [slice(s, min(s + SAMPLE_BLOCK, n)) for s in starts[first : first + width]]
+            priors = [prior_rows(field, block.stop - block.start, rng) for block in wave]
+            for block, rows, exc in zip(wave, *_run_wave(integrate_block, priors)):
+                named = f"rows {block.start}..{block.stop - 1}"
+                if isinstance(exc, NearZeroNorm):  # only a projected chain can raise it
+                    raise DivergenceDetected(f"chains among {named} collapsed: {exc}") from None
+                if exc is not None:
+                    raise exc
+                with np.errstate(over="ignore", invalid="ignore"):
+                    norms = np.linalg.norm(rows, axis=-1)
+                    dev = float(np.max(np.abs(norms - field.radius)))
+                if not np.all(np.isfinite(norms)):
+                    raise DivergenceDetected(f"non-finite chains among {named}")
+                if on_sphere and dev > SPHERE_SAMPLER_RTOL * field.radius:
+                    raise DivergenceDetected(f"chains among {named} left the sphere by {dev!r}")
+                yield rows, dev
+
+    return waves()
 
 
 def sample(
@@ -740,52 +794,15 @@ def sample(
     cond: int,
     rng: np.random.Generator,
 ) -> SampleRun:
-    """Integrate ``n`` chains from the field's prior, :data:`SAMPLE_BLOCK`
-    rows at a time: one :func:`integrate` per block, whose velocity is
-    :func:`_forward_rows` run through buffers allocated once per block.
-
-    The blocks share nothing, so they run in waves of as many blocks as
-    this process has usable CPUs, one thread per block (a single block
-    starts no thread); every block's arithmetic is the same as alone, so
-    the outputs do not depend on the CPU count.  Each wave's blocks are
-    checked in row order once all have ended.  Overflow in a diverging
-    block is not warned about; a non-finite chain raises
-    :class:`DivergenceDetected`, whichever the sampler, and so does a chain
-    of a sphere-preserving sampler on a slerp field that ends off the sphere
-    (see :data:`SPHERE_SAMPLER_RTOL`).  The first bad block, or the first
-    block whose integration raised, ends the run; no later wave starts."""
-    if n < 1:
-        raise ValueError("need at least one chain")
-    cond = _check_conditions(field, int(cond))
-    on_sphere = field.kind == "slerp" and sampler in SPHERE_SAMPLERS
-    z0 = prior_rows(field, n, rng)
-    outputs = np.empty_like(z0)
-    blocks = [slice(start, min(start + SAMPLE_BLOCK, n)) for start in range(0, n, SAMPLE_BLOCK)]
-
-    def integrate_block(block):
-        work = _StepBuffers(field, block.stop - block.start)
-        # errstate is per thread: each block enters its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            outputs[block] = integrate(
-                lambda z, t: _forward_rows(field, z, t, cond, work)[0],
-                z0[block], nfe, sampler, field.radius,
-            )
-
-    width = min(len(blocks), _usable_cpus())
-    for first in range(0, len(blocks), width):
-        wave = blocks[first : first + width]
-        for block, exc in zip(wave, _run_wave(integrate_block, wave)):
-            if exc is not None:
-                raise exc
-            rows, named = outputs[block], f"rows {block.start}..{block.stop - 1}"
-            if not np.all(np.isfinite(rows)):
-                raise DivergenceDetected(f"non-finite chains among {named}")
-            if on_sphere:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    dev = float(np.max(np.abs(np.linalg.norm(rows, axis=-1) - field.radius)))
-                if dev > SPHERE_SAMPLER_RTOL * field.radius:
-                    raise DivergenceDetected(f"chains among {named} left the sphere by {dev!r}")
-    return SampleRun(sampler, nfe, outputs, field.kind, field.radius)
+    """The blocks of :func:`_sample_blocks`, gathered: the ``(n, d)``
+    outputs and the largest |norm - R| over them, divided by R."""
+    blocks = _sample_blocks(field, n, sampler, nfe, cond, rng)
+    outputs = np.empty((n, field.d))
+    dev, start = 0.0, 0
+    for rows, block_dev in blocks:
+        outputs[start : start + len(rows)] = rows
+        dev, start = max(dev, block_dev), start + len(rows)
+    return SampleRun(sampler, nfe, outputs, dev / field.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ on-sphere and tangency certificates), :func:`radial_project`,
 ``off_shell_sigma`` and ``component_swap`` in ``diagnostics``, and
 ``container.BlockReader`` (payloads).  Rows the program makes itself,
 such as a sampler's chains or a training step's batch, are not checked
-again; ``model.sample`` checks each block's result once, and
+again; ``model._sample_blocks`` checks each block's result once, and
 ``model.train`` checks its sources before the first step.  Everything
 runs in float64.
 """

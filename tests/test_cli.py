@@ -1,12 +1,14 @@
 """Command-line surface: report formats, exit codes, and end-to-end runs."""
 
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -843,12 +845,11 @@ def test_failed_sample_write_keeps_the_previous_file(trained, tmp_path, monkeypa
     assert main(argv + ["0"]) == 0
     before = out.read_bytes()
 
-    def fail_partway(path, array):
-        with open(path, "wb") as fh:
-            fh.write(b"SLFM partial")
+    def fail_partway(writer, rows):
+        writer._fh.write(b"partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(container, "write_container", fail_partway)
+    monkeypatch.setattr(container.BlockWriter, "write_rows", fail_partway)
     capsys.readouterr()
     assert main(argv + ["1"]) == 2
     captured = capsys.readouterr()
@@ -857,6 +858,91 @@ def test_failed_sample_write_keeps_the_previous_file(trained, tmp_path, monkeypa
     # the previous samples, byte for byte, and no temporary left beside them
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["samples.slfm"]
+
+
+def test_sample_diverging_after_written_blocks_keeps_the_previous_file(
+    trained, tmp_path, monkeypatch, capsys
+):
+    # blocks of 4 rows in waves of two: rows 0..3 and 4..7 are written
+    # before the last block, rows 8..9, diverges, and the run exits 3 with
+    # the previous samples as they were
+    out = tmp_path / "samples.slfm"
+    argv = ["sample", str(trained), "--n", "10", "--out", str(out), "--seed"]
+    assert main(argv + ["0"]) == 0
+    before = out.read_bytes()
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    integrate_all = model.integrate
+
+    def integrate_block(vel_fn, z0, *args):
+        return np.full_like(z0, np.nan) if len(z0) == 2 else integrate_all(vel_fn, z0, *args)
+
+    written = []
+    write_rows = container.BlockWriter.write_rows
+
+    def count_rows(writer, rows):
+        written.append(len(rows))
+        write_rows(writer, rows)
+
+    monkeypatch.setattr(model, "integrate", integrate_block)
+    monkeypatch.setattr(container.BlockWriter, "write_rows", count_rows)
+    capsys.readouterr()
+    assert main(argv + ["1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR non-finite chains among rows 8..9\n"
+    assert written == [4, 4]
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.slfm"]
+
+
+def test_sample_out_memory_does_not_grow_with_n(trained, tmp_path, monkeypatch, capsys):
+    # 16-row blocks in waves of two, written, measured and counted as they
+    # come: 64 -> 2048 chains adds no per-chain term to the traced peak.  A
+    # design that held the n x d chains added about 190 KB, and one float64
+    # row per chain would add 48 KB; the allowance covers what the timing of
+    # the two threads and of the writes moves the peak by, seen up to 15 KB
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 16)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    peaks = {}
+    for n in (64, 2048):
+        argv = ["sample", str(trained), "--seed", "0", "--n", str(n), "--nfe", "2",
+                "--out", str(tmp_path / f"s{n}.slfm")]
+        assert main(argv) == 0  # warm: first-call allocations are not the command's
+        # no collection in the middle of a run, which would move its peak
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert "assignment_histogram" in capsys.readouterr().out  # the checkpoint has a dataset
+    assert peaks[2048] - peaks[64] <= 32768
+
+
+def _collapsing_checkpoint(path):
+    # no hidden layer, token weights of -50 and every other weight 0: the
+    # velocity is -50 z, so at --nfe 50 one projected Euler step lands every
+    # chain on the origin
+    field = model.VelocityField.create(4, hidden=(), rng=np.random.default_rng(0))
+    field.flat[:] = 0.0
+    field.weights[0][:4] = -50.0 * np.eye(4)
+    model.save_checkpoint(path, field)
+
+
+def test_sample_collapsed_projected_chain_exits_3(tmp_path, capsys):
+    ckpt = tmp_path / "col.slfm"
+    _collapsing_checkpoint(ckpt)
+    argv = ["sample", str(ckpt), "--seed", "0", "--n", "8", "--sampler", "euler-project",
+            "--nfe", "50", "--out", str(tmp_path / "samples.slfm")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR chains among rows 0..7 collapsed: row norm below 1e-08\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["col.slfm", "col.slfm.json"]
 
 
 def _diverging_checkpoint(path):
@@ -881,6 +967,38 @@ def test_sample_diverging_euler_exits_3(tmp_path, capsys, write):
     assert captured.err.startswith("ERROR non-finite chains") and captured.err.count("\n") == 1
     # no sample file, not even a partial one
     assert sorted(p.name for p in tmp_path.iterdir()) == ["div.slfm", "div.slfm.json"]
+
+
+def test_sample_euler_chain_whose_squared_norm_overflows_exits_3(tmp_path, capsys):
+    # at --nfe 6 the Euler chains stay finite (about 1e173) but their norms
+    # do not: divergence, with no numpy warning and no Infinity in a report
+    ckpt = tmp_path / "div.slfm"
+    _diverging_checkpoint(ckpt)
+    argv = ["sample", str(ckpt), "--seed", "0", "--n", "8", "--sampler", "euler", "--nfe", "6"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR non-finite chains among rows 0..7\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [("--n", "need at least one chain"), ("--nfe", "nfe must be at least 1")],
+    ids=["n", "nfe"],
+)
+def test_sample_without_chains_or_steps_exits_2_and_writes_nothing(
+    trained, tmp_path, monkeypatch, capsys, option, message
+):
+    # checked before any file is opened, the temporary among them
+    monkeypatch.setattr(container, "replacing", lambda targets: pytest.fail("a file was opened"))
+    out = tmp_path / "x"
+    assert main(["sample", str(trained), "--seed", "0", option, "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_far_out_radius_reports_histogram(tmp_path, capsys):

@@ -880,14 +880,19 @@ def test_integrate_rejects_bad_sampler():
         integrate(lambda z, t: z, np.zeros((1, 2)), 0, "euler", 1.0)
 
 
-def test_sample_run_certificate():
-    with pytest.raises(ValueError):
-        SampleRun("exp_map", 10, np.ones((2, 3)), "slerp", 5.0)
-    # euler makes no on-sphere promise, so the same outputs pass
-    run = SampleRun("euler", 10, np.ones((2, 3)), "slerp", 5.0)
-    assert run.max_radius_deviation == pytest.approx(
-        (5.0 - math.sqrt(3)) / 5.0, rel=1e-12
-    )
+def test_sample_run_certificate(monkeypatch):
+    # the deviation is a max over blocks of each block's own norms, which is
+    # the max over every output's norm, bit for bit, whichever the sampler
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 16)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    for kind in ("slerp", "linear"):
+        field = _tiny_field(np.random.default_rng(40), kind=kind)
+        for sampler in model.SAMPLERS:
+            run = sample(field, 40, sampler, 5, 1, np.random.default_rng(41))
+            assert isinstance(run, SampleRun) and (run.sampler, run.nfe) == (sampler, 5)
+            norms = np.linalg.norm(run.outputs, axis=-1)
+            expect = np.max(np.abs(norms - field.radius)) / field.radius
+            assert run.max_radius_deviation == expect
 
 
 def test_sample_outputs_on_sphere():
@@ -1432,8 +1437,32 @@ def test_sample_exp_map_leaving_the_sphere_raises_divergence():
     field.weights[0][:4] = 1e30 * np.eye(4)
     with pytest.raises(DivergenceDetected, match=r"chains among rows 0..7 left the sphere by"):
         sample(field, 8, "exp_map", 50, 0, np.random.default_rng(0))
-    # handed the same kind of outputs directly, SampleRun still says ValueError
-    off = 2.0 * (1.0 + 2 * model.SPHERE_SAMPLER_RTOL) * np.eye(4)
-    with pytest.raises(ValueError, match="left the sphere"):
-        SampleRun("exp_map", 50, off, "slerp", 2.0)
-    assert SampleRun("euler", 50, off, "slerp", 2.0).max_radius_deviation > model.SPHERE_SAMPLER_RTOL
+    # euler makes no on-sphere promise: over 4 steps its finite chains leave
+    # the sphere, and the run reports how far from their own norms
+    run = sample(field, 8, "euler", 4, 0, np.random.default_rng(0))
+    norms = np.linalg.norm(run.outputs, axis=-1)
+    assert run.max_radius_deviation == np.max(np.abs(norms - field.radius)) / field.radius
+    assert run.max_radius_deviation > model.SPHERE_SAMPLER_RTOL
+
+
+def test_sample_collapsed_projected_chain_raises_divergence():
+    # token weights of -50 with no hidden layer and every other weight 0:
+    # the velocity is -50 z, so one projected Euler step of h = 1/50 lands
+    # every chain on the origin, which has no direction to project
+    field = VelocityField.create(4, hidden=(), rng=np.random.default_rng(0))
+    field.flat[:] = 0.0
+    field.weights[0][:4] = -50.0 * np.eye(4)
+    with pytest.raises(DivergenceDetected, match=r"^chains among rows 0..7 collapsed: row norm below 1e-08$"):
+        sample(field, 8, "euler_project", 50, 0, np.random.default_rng(0))
+
+
+def test_sample_chain_whose_squared_norm_overflows_raises_divergence():
+    # token weights of 1e30: six Euler steps take each coordinate to about
+    # 1e173, finite, but its squared norm passes float max; the norm is
+    # non-finite, so the chain has diverged, and no warning is raised
+    field = VelocityField.create(4, hidden=(), rng=np.random.default_rng(0))
+    field.weights[0][:4] = 1e30 * np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceDetected, match="^non-finite chains among rows 0..7$"):
+            sample(field, 8, "euler", 6, 0, np.random.default_rng(0))
