@@ -4,26 +4,29 @@ Shell statistics (norm mean/std/CV over a token set), aggregate profiles of
 norm, off-shell distance, and radial velocity share along a path, and the
 direction/radius component-swap construction.
 
-All aggregation goes through ``math.fsum``, which is exactly rounded and
-therefore independent of summation order: permuting the input pairs changes
-no profile value.
+Every aggregate is an exact sum rounded once (:func:`_fsum`): the bits of
+``math.fsum`` over the values, and therefore independent of summation
+order: permuting the input pairs changes no profile value.  Error-free
+extraction reduces each chunk of values in numpy to a few floats with the
+same exact sum, and ``math.fsum`` rounds their sum.
 
 :func:`path_profile` computes the per-pair geometry (endpoint norms, unit
 rows, angles, regime masks) once per profile and evaluates every grid point
-from it into buffers it reuses.  Each value is still the exact fsum of the
-per-row values, bit-identical to evaluating :func:`~slfm.paths.path_rows`
-at that grid point.
+from it into buffers it reuses, one contiguous slice of the grid per usable
+CPU.  Each value is still the exact sum of the per-row values, bit-identical
+to evaluating :func:`~slfm.paths.path_rows` at that grid point, whatever the
+CPU count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
 from .paths import PathKind, _path_at, _path_setup, _radial_energy_rows
 from .sphere import NORM_FLOOR, _as_vectors, _norms_into
@@ -35,6 +38,11 @@ DEGENERATE_RTOL = 1e-12
 
 # Values per chunk of an exact sum.
 _FSUM_CHUNK = 1 << 12
+
+# An exact sum whose chunks' first extraction constants add up past
+# 2^_FSUM_MAX_EXP goes to math.fsum value by value: below it, the values'
+# magnitudes, and the parts', sum to less, so no running sum can overflow.
+_FSUM_MAX_EXP = 1022
 
 DEFAULT_GRID = 101
 DEFAULT_PAIRS = 2048
@@ -113,15 +121,60 @@ def _token_rows(tokens) -> np.ndarray:
     return arr.reshape(-1, arr.shape[-1])
 
 
+def _chunks(values: np.ndarray, about: float | None, out: np.ndarray):
+    """Each chunk of ``values``, or of their squared deviations from
+    ``about``, written into the front of ``out``."""
+    for start in range(0, values.shape[0], _FSUM_CHUNK):
+        chunk = values[start : start + _FSUM_CHUNK]
+        p = out[: chunk.shape[0]]
+        if about is None:
+            np.copyto(p, chunk)
+        else:
+            np.square(np.subtract(chunk, about, out=p), out=p)
+        yield p
+
+
 def _fsum(values: np.ndarray, about: float | None = None) -> float:
     """Exact sum of ``values``, or of their squared deviations from
-    ``about`` when it is given.  The values go to ``math.fsum`` a chunk at
-    a time as Python floats, so no second array as long as ``values`` is
-    held; fsum is exactly rounded, so the chunking moves no bit."""
-    chunks = (values[i : i + _FSUM_CHUNK] for i in range(0, values.shape[0], _FSUM_CHUNK))
-    if about is not None:
-        chunks = (np.square(chunk - about) for chunk in chunks)
-    return math.fsum(itertools.chain.from_iterable(chunk.tolist() for chunk in chunks))
+    ``about`` when it is given, rounded once: the bits of ``math.fsum``
+    over every value, so order and chunking move no bit.
+
+    Each chunk of ``_FSUM_CHUNK`` values goes into one of two buffers
+    allocated once per call, and error-free extraction (Rump, Ogita &
+    Oishi, *Accurate floating-point summation part I*, SIAM J. Sci. Comput.
+    31(1), 2008) reduces it there, in numpy.  With ``sigma = 2^(M + e)``,
+    where ``2^M >= k + 2`` for the chunk's ``k`` values ``p`` and
+    ``max|p| < 2^e``, ``q = (p + sigma) - sigma`` and ``p - q`` are exact,
+    and the ``q`` are multiples of ``2^-53 sigma`` whose partial sums stay
+    below ``sigma``, so numpy sums them exactly in any order.  Each pass
+    appends that sum to the parts and goes on with ``p - q``, about 40 bits
+    smaller, until it is all zero; ``math.fsum`` rounds the parts' sum,
+    which is the values' exact sum.
+
+    A nan or inf, or magnitudes that may sum past the float range, where
+    fsum's own result depends on the order it meets the values in, send
+    every value to ``math.fsum`` as it is, a chunk at a time; so fsum's
+    nan, inf, ``ValueError`` and ``OverflowError`` outcomes stay."""
+    buffers = np.empty((2, min(values.shape[0], _FSUM_CHUNK)))
+    parts = []
+    bound = 0.0  # the first sigma of every chunk, above the sum of |values|
+    for p in _chunks(values, about, buffers[0]):
+        q = buffers[1, : p.shape[0]]
+        peak = float(np.maximum.reduce(np.abs(p, out=q)))
+        if peak == 0.0:  # all zeros: their own sum has the sign fsum gives
+            parts.append(float(np.add.reduce(p)))
+            continue
+        bits = (p.shape[0] + 1).bit_length()  # M, with 2^M >= k + 2
+        bound += math.ldexp(1.0, min(bits + math.frexp(peak)[1], _FSUM_MAX_EXP + 1))
+        if not (math.isfinite(peak) and bound <= math.ldexp(1.0, _FSUM_MAX_EXP)):
+            return math.fsum(x for chunk in _chunks(values, about, buffers[0]) for x in chunk.tolist())
+        while peak:
+            sigma = math.ldexp(1.0, bits + math.frexp(peak)[1])
+            np.subtract(np.add(p, sigma, out=q), sigma, out=q)
+            parts.append(float(np.add.reduce(q)))
+            np.subtract(p, q, out=p)
+            peak = float(np.maximum.reduce(np.abs(p, out=q)))
+    return math.fsum(parts)
 
 
 def _fsum_mean(values: np.ndarray) -> float:
@@ -188,6 +241,12 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     statistics are measured from the supplied set itself; when either
     endpoint set has zero norm spread the off-shell column switches to
     absolute norm deviation from the nearest endpoint mean.
+
+    The grid runs as contiguous slices, one per usable CPU and each on a
+    thread of its own with its own three ``(n, d)`` buffers (a one-point
+    grid starts no thread).  Every point's arithmetic is the same as alone,
+    so the curves do not depend on the CPU count, and an error is the one
+    the first failing grid point raises.
     """
 
     z0s = _token_rows(z0s)
@@ -220,19 +279,28 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     absolute = shell0.std_radius == 0.0 or shell1.std_radius == 0.0
 
     pairs = _path_setup(z0s, z1s, kind)
-    z_t, u_t, scratch = (np.empty(z0s.shape) for _ in range(3))
-    norms = np.empty(n)
-    mean_norm = np.empty_like(t_grid)
-    std_norm = np.empty_like(t_grid)
-    mean_off = np.empty_like(t_grid)
-    mean_share = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        z, u = _path_at(pairs, float(t), (z_t, u_t, scratch))
-        _norms_into(z, scratch, norms)
-        mean_norm[i] = _fsum_mean(norms)
-        std_norm[i] = _fsum_std(norms, mean_norm[i])
-        mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
-        mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms)[2])
+    mean_norm, std_norm, mean_off, mean_share = (np.empty_like(t_grid) for _ in range(4))
+    errstate = np.geterr()
+
+    def profile_slice(points):
+        z_t, u_t, scratch = (np.empty(z0s.shape) for _ in range(3))
+        norms = np.empty(n)
+        # errstate is per thread: each slice enters the caller's
+        with np.errstate(**errstate):
+            for i in points:
+                z, u = _path_at(pairs, float(t_grid[i]), (z_t, u_t, scratch))
+                _norms_into(z, scratch, norms)
+                mean_norm[i] = _fsum_mean(norms)
+                std_norm[i] = _fsum_std(norms, mean_norm[i])
+                mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
+                mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms)[2])
+
+    # the grid points share nothing but the set-up: one contiguous slice per
+    # usable CPU, and the first error in grid order is the one raised
+    slices = np.array_split(np.arange(t_grid.shape[0]), min(t_grid.shape[0], model._usable_cpus()))
+    for exc in model._run_wave(profile_slice, slices)[1]:
+        if exc is not None:
+            raise exc
     return PathProfile(t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute)
 
 

@@ -1,12 +1,16 @@
 """Shell statistics, path profiles, and the component swap surgery."""
 
 import math
+import struct
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slfm import container, diagnostics, sphere
+from slfm import container, diagnostics, model, sphere
 from slfm.cli import main
 from slfm.diagnostics import (
     ShellStats,
@@ -84,6 +88,112 @@ def test_exact_sum_over_chunks_is_one_fsum():
     assert mean == math.fsum(values.tolist()) / values.shape[0]
     assert diagnostics._fsum(values, mean) == math.fsum(np.square(values - mean).tolist())
     assert diagnostics._fsum(values[:0]) == 0.0
+
+
+def _sum_outcome(fn):
+    """The bits ``fn()`` returns (the sign of a zero included), or the type
+    and message of what it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return struct.pack("<d", fn())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sum_is_fsum(values, about=None):
+    values = np.asarray(values, dtype=np.float64)
+    if about is None:
+        expected = _sum_outcome(lambda: math.fsum(values.tolist()))
+    else:
+        expected = _sum_outcome(lambda: math.fsum(np.square(values - about).tolist()))
+    assert _sum_outcome(lambda: diagnostics._fsum(values, about)) == expected
+
+
+_CHUNK = diagnostics._FSUM_CHUNK
+_SUM_LENGTHS = (0, 1, 2, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+
+def _sum_case(family, n, rng):
+    if family == "cancelling":
+        half = rng.standard_normal(n // 2 + 1) * 10.0 ** rng.integers(-300, 301, n // 2 + 1)
+        values = np.concatenate([half, -half])[:n]
+        rng.shuffle(values)
+        return values
+    if family == "wide":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    if family == "subnormal":
+        return rng.integers(-9, 10, n) * 5e-324
+    if family == "shell":
+        return 3.0 + 0.1 * rng.standard_normal(n)
+    if family == "shares":
+        # values in [0, 1] over many decades, a third of them zero
+        return rng.uniform(0.0, 1.0, n) ** 12 * (rng.random(n) < 2 / 3)
+    if family == "near-overflow":
+        return rng.uniform(0.5, 1.0, n) * 10.0 ** rng.uniform(300.0, 308.2, n) * rng.choice([-1.0, 1.0], n)
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize(
+    "family", ["cancelling", "wide", "subnormal", "shell", "shares", "near-overflow"]
+)
+def test_exact_sum_is_fsum_bit_for_bit(family):
+    # the extracted parts give fsum's bits, and fsum's OverflowError where
+    # the values' running sum leaves the float range, at every length
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for n in _SUM_LENGTHS:
+        for _ in range(12):
+            values = _sum_case(family, n, rng)
+            _assert_sum_is_fsum(values)
+            if n:
+                _assert_sum_is_fsum(values, float(values[rng.integers(n)]))
+                _assert_sum_is_fsum(values, float(rng.standard_normal()))
+
+
+@pytest.mark.parametrize("n", _SUM_LENGTHS)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_exact_sum_of_zeros_is_fsum(n, zero):
+    # an all-zero chunk gives what fsum gives, the sign of the zero included,
+    # alone and beside chunks that cancel to zero
+    values = np.full(n, zero)
+    _assert_sum_is_fsum(values)
+    _assert_sum_is_fsum(values, zero)
+    if n:
+        mixed = values.copy()
+        mixed[-1] = -zero
+        _assert_sum_is_fsum(mixed)
+        _assert_sum_is_fsum(np.concatenate([np.tile([1.0, -1.0], _CHUNK // 2), values]))
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+def test_exact_sum_keeps_fsum_non_finite_outcomes(special):
+    rng = np.random.default_rng(76)
+    for n in _SUM_LENGTHS[1:]:
+        for where in {0, n // 2, n - 1}:
+            values = rng.standard_normal(n)
+            values[where] = special
+            _assert_sum_is_fsum(values)
+            _assert_sum_is_fsum(values, 0.5)
+            values[n - 1 - where] = -special
+            _assert_sum_is_fsum(values)
+    _assert_sum_is_fsum([1e308, 1e308, -1e308])
+    _assert_sum_is_fsum([1e308, 1e308, special])
+    _assert_sum_is_fsum([special, 1e308, 1e308])
+    with pytest.raises(OverflowError):
+        diagnostics._fsum(np.array([1e308, 1e308, -1e308]))
+
+
+@pytest.mark.parametrize("about", [None, 3.0])
+def test_exact_sum_allocates_a_chunk_not_the_values(about):
+    values = 3.0 + np.random.default_rng(77).standard_normal(1 << 18)
+    diagnostics._fsum(values, about)  # warm: first-call allocations are not the sum's
+    tracemalloc.start()
+    try:
+        diagnostics._fsum(values, about)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two chunk buffers and the parts; the values themselves take 2 MiB
+    assert peak <= 4 * 8 * _CHUNK
 
 
 def test_shell_stats_certificate_rejects_inconsistent_cv():
@@ -267,6 +377,71 @@ def test_profile_rejects_linear_path_through_zero():
     z0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NearZeroNorm):
         path_profile(z0, -z0, PathKind.LINEAR, np.array([0.0, 0.5, 1.0]))
+
+
+def _profile_columns(profile):
+    return [
+        getattr(profile, name).tobytes()
+        for name in ("t_grid", "mean_norm", "std_norm", "mean_offshell_sigma", "mean_radial_share")
+    ]
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+@pytest.mark.parametrize("points", [1, 2, 101])
+def test_profile_does_not_depend_on_the_cpu_count(monkeypatch, kind, points):
+    # the grid runs as one slice per usable CPU; the same bits on one and on
+    # three, over the mixed-regime pairs, whatever the slices' lengths
+    z0, z1 = _mixed_regime_path_pairs(kind, np.random.default_rng(14))
+    grid = np.linspace(0.0, 1.0, points)
+    columns = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        columns.append(_profile_columns(path_profile(z0, z1, kind, grid)))
+    assert columns[0] == columns[1]
+
+
+def test_profile_with_more_threads_than_cores_matches_one_cpu(monkeypatch):
+    # eight slices, switching threads every microsecond: each slice still
+    # writes only its own points of the shared curves
+    z0, z1 = _mixed_regime_path_pairs(PathKind.SHELL, np.random.default_rng(16))
+    grid = np.linspace(0.0, 1.0, 37)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    alone = _profile_columns(path_profile(z0, z1, PathKind.SHELL, grid))
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _profile_columns(path_profile(z0, z1, PathKind.SHELL, grid))
+    finally:
+        sys.setswitchinterval(interval)
+    assert alone == threaded
+
+
+@pytest.mark.parametrize("points", [5, 101])
+def test_profile_raises_alike_on_any_cpu_count(monkeypatch, points):
+    # the linear pair through the origin fails at t = 0.5 only, a point of
+    # the middle slice of three; the points after it succeed
+    z0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    raised = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        with pytest.raises(NearZeroNorm) as info:
+            path_profile(z0, -z0, PathKind.LINEAR, np.linspace(0.0, 1.0, points))
+        raised.append(str(info.value))
+    assert raised == ["reference point norm below floor"] * 2
+
+
+def test_one_point_profile_starts_no_thread(monkeypatch):
+    def start(self):
+        raise AssertionError("a one-point grid started a thread")
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    z0, z1 = _mixed_regime_path_pairs(PathKind.SHELL, np.random.default_rng(15))
+    profile = path_profile(z0, z1, PathKind.SHELL, np.array([0.5]))
+    assert profile.mean_norm.shape == (1,)
+    with pytest.raises(AssertionError, match="started a thread"):
+        path_profile(z0, z1, PathKind.SHELL, np.array([0.25, 0.5]))
 
 
 def test_profile_rejects_mismatched_batches():
