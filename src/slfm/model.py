@@ -32,6 +32,7 @@ from .errors import (
 from .paths import PathKind, _path_at, _path_setup, path_rows
 from .sphere import (
     ON_SPHERE_RTOL,
+    _onto_sphere,
     expmap_rows,
     project_rows,
     tangent_rows,
@@ -64,6 +65,16 @@ SAMPLE_BLOCK = 1024
 SPHERE_SAMPLERS = ("euler_project", "exp_map")
 SPHERE_SAMPLER_RTOL = 1e-5
 
+# Steps per chunk of train's batch preparation.  The parameter-free part of
+# a step (its draws, their transforms, the path and the time embedding)
+# runs once per chunk over TRAIN_CHUNK batches, in buffers allocated once
+# per call, so Python and numpy dispatch is paid once for 16 steps.
+TRAIN_CHUNK = 16
+
+# The widest time embedding: sin/cos(pi * 2**j * t) for j below width / 2,
+# whose top frequency pi * 2**1023 overflows to inf from width 2048 on.
+TIME_DIM_MAX = 2046
+
 
 # ---------------------------------------------------------------------------
 # time handling
@@ -79,10 +90,20 @@ def timestep_shift(u, s: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_time_dim(dim: int) -> None:
+    """The rule for a time embedding width: even, from 2 to :data:`TIME_DIM_MAX`."""
+    if dim < 2 or dim % 2:
+        raise ValueError(f"time embedding width must be even and at least 2, got {dim!r}")
+    if dim > TIME_DIM_MAX:
+        raise ValueError(
+            f"time embedding width must be at most {TIME_DIM_MAX}, got {dim!r}:"
+            " its top frequency would overflow"
+        )
+
+
 def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal features sin/cos(pi * 2**j * t), j = 0..dim/2-1."""
-    if dim < 2 or dim % 2:
-        raise ValueError("embedding width must be even and at least 2")
+    _check_time_dim(dim)
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     freqs = np.pi * 2.0 ** np.arange(dim // 2)
     phase = t[:, None] * freqs[None, :]
@@ -166,10 +187,7 @@ class VelocityField:
             raise DimensionMismatch(
                 f"first layer width {self.weights[0].shape[0]} != d + embeddings {expect}"
             )
-        if self.time_dim < 2 or self.time_dim % 2:
-            raise ValueError(
-                f"time embedding width must be even and at least 2, got {self.time_dim!r}"
-            )
+        _check_time_dim(self.time_dim)
         pairs = [p for w, b in zip(self.weights, self.biases) for p in (w, b)]
         self.flat = np.concatenate([p.ravel() for p in (*pairs, self.cond_table)])
         if not np.all(np.isfinite(self.flat)):
@@ -294,11 +312,17 @@ def _forward_rows(field: VelocityField, z, t, cond, work: _StepBuffers | None = 
     value fills its columns from one embedding row; the caller has checked
     the (n, d) shape and the ids (see :func:`_check_conditions`).  Returns
     (output, cache for :func:`_backward_rows`); the output is ``work.acts[-1]``."""
+    return _forward_embedded(field, z, time_embedding(t, field.time_dim), cond, work)
+
+
+def _forward_embedded(field: VelocityField, z, emb, cond, work: _StepBuffers | None = None):
+    """:func:`_forward_rows` given the time embedding ``emb`` of the times,
+    its rows or one row for all: the field's input layout, in one place."""
     if work is None:
         work = _StepBuffers(field, len(z))
     d, time_dim, x = field.d, field.time_dim, work.x
     x[:, :d] = z
-    x[:, d : d + time_dim] = time_embedding(t, time_dim)
+    x[:, d : d + time_dim] = emb
     x[:, d + time_dim :] = field.cond_table[cond]
     return _layers(field, x, work.acts), (work, cond)
 
@@ -371,16 +395,17 @@ def loss_and_grad(field: VelocityField, batch, kind: str):
     cond = _check_conditions(field, cond)
     if z_t.ndim != 2 or z_t.shape[1] != field.d:
         raise DimensionMismatch(f"expected (n, {field.d}) tokens, got {z_t.shape}")
-    loss, grad = _loss_step(field, (z_t, u_t, t, cond), kind)
+    loss, grad = _loss_step(field, (z_t, u_t, time_embedding(t, field.time_dim), cond), kind)
     return loss, _param_views(grad, field.widths, field.cond_table.shape)
 
 
 def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None = None):
     """:func:`loss_and_grad`'s loss and flat gradient at checked path rows
-    ``(z_t, u_t, t, cond)``, run through ``work`` (fresh buffers when it is
-    None); the gradient is ``work.grad``, or NaN for a non-finite loss."""
-    z_t, u_t, t, cond = batch
-    pred, cache = _forward_rows(field, z_t, t, cond, work)
+    ``(z_t, u_t, emb, cond)``, ``emb`` the time embedding of their times,
+    run through ``work`` (fresh buffers when it is None); the gradient is
+    ``work.grad``, or NaN for a non-finite loss."""
+    z_t, u_t, emb, cond = batch
+    pred, cache = _forward_embedded(field, z_t, emb, cond, work)
     # the output buffer is not read by the backward pass, so the residual
     # and then the output gradient 2 * diff / n overwrite it
     diff = np.subtract(pred, u_t, out=pred)
@@ -439,7 +464,16 @@ class Adam:
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale ``grads`` in place to global norm ``max_norm``; returns the
     pre-clip norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    return _clip_by_squares(grads, [g * g for g in grads], max_norm)
+
+
+def _clip_by_squares(grads, squares, max_norm: float) -> float:
+    """:func:`clip_gradients` given ``squares``: arrays holding the squares
+    of the gradient's elements, one per part whose sum enters the norm.
+    ``grads`` may split the same elements into other parts, such as one
+    flat vector for the views of ``squares``; each is scaled in place."""
+    # add.reduce is np.sum without its dispatch: the same pairwise sums
+    total = float(np.sqrt(sum(float(np.add.reduce(sq, axis=None)) for sq in squares)))
     if total > max_norm > 0.0:
         scale = max_norm / total
         for g in grads:
@@ -506,10 +540,17 @@ class SyntheticDataset:
 
     def sample(self, n: int, rng: np.random.Generator):
         """Draw n tokens, centers as ``rng.choice`` draws them; returns (rows, ids)."""
-        comp = self._cdf.searchsorted(rng.random(n), side="right")
-        noise = self.spread * rng.standard_normal((n, self.d))
-        rows = project_rows(self.centers[comp] + noise, self.radius)
-        return rows, self.labels[comp]
+        return self._tokens(rng.random(n), rng.standard_normal((n, self.d)))
+
+    def _tokens(self, u, noise):
+        """The tokens and condition ids of :meth:`sample`'s draws: each
+        uniform of ``u`` picks a center through the weights' CDF, and its
+        row of standard normal ``noise``, scaled by ``spread`` in place,
+        moves the center before the projection back to the radius."""
+        comp = self._cdf.searchsorted(u, side="right")
+        noise *= self.spread
+        noise += self.centers[comp]
+        return project_rows(noise, self.radius), self.labels[comp]
 
 
 def random_dataset(
@@ -574,10 +615,21 @@ def sample_time(rng: np.random.Generator, config: TrainConfig, size=None):
     Draws are nudged into the open interval so t never hits 0 or 1 exactly.
     """
 
+    return _times_of(_time_draws(rng, config, size), config)
+
+
+def _time_draws(rng: np.random.Generator, config: TrainConfig, size):
+    """:func:`sample_time`'s random numbers: uniforms, or normals of the
+    configured mean and std."""
     if config.time_sampling == "uniform":
-        u = rng.uniform(size=size)
-    else:
-        u = 1.0 / (1.0 + np.exp(-rng.normal(config.time_mean, config.time_std, size=size)))
+        return rng.uniform(size=size)
+    return rng.normal(config.time_mean, config.time_std, size=size)
+
+
+def _times_of(draws, config: TrainConfig):
+    """:func:`sample_time`'s times from its draws: the logistic of normal
+    draws, uniform draws as they are, clipped and shifted."""
+    u = draws if config.time_sampling == "uniform" else 1.0 / (1.0 + np.exp(-draws))
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return timestep_shift(u, config.shift)
 
@@ -598,6 +650,50 @@ def smoothed_endpoints(trace, window: int = SMOOTH_WINDOW):
     return float(trace[:w].mean()), float(trace[-w:].mean())
 
 
+class _TrainBatches:
+    """The parameter-free part of up to ``steps`` train steps of one batch
+    each, allocated once per :func:`train` call and refilled every chunk:
+    each step's draws (mixture uniforms, noise rows, prior rows, time
+    draws) and what its loss step reads of them (path rows, targets, time
+    embedding rows, condition ids)."""
+
+    def __init__(self, field: VelocityField, dataset: SyntheticDataset, config: TrainConfig, steps: int):
+        self.field, self.dataset, self.config = field, dataset, config
+        self.n, rows = config.batch_size, steps * config.batch_size
+        self.mix, self.times = np.empty((2, rows))
+        self.noise, self.prior, self.z_t, self.u_t = np.empty((4, rows, field.d))
+        self.emb = np.empty((rows, field.time_dim))
+        self.cond = np.empty(rows, dtype=np.int64)
+
+    def fill(self, steps: int, rng: np.random.Generator) -> None:
+        """Draw ``steps`` steps' random numbers from ``rng``, step by step
+        in the order of :meth:`SyntheticDataset.sample`, :func:`prior_rows`
+        and :func:`sample_time`, then prepare all of their batches at once
+        through those functions' own transforms; raises as they do."""
+        field, n, m = self.field, self.n, steps * self.n
+        for first in range(0, m, n):
+            rows = slice(first, first + n)
+            rng.random(out=self.mix[rows])
+            rng.standard_normal(out=self.noise[rows])
+            rng.standard_normal(out=self.prior[rows])
+            self.times[rows] = _time_draws(rng, self.config, n)
+        z1, cond = self.dataset._tokens(self.mix[:m], self.noise[:m])
+        z0 = self.prior[:m]
+        if field.kind == "slerp":
+            _onto_sphere(z0, field.radius, rng)
+        t = _times_of(self.times[:m], self.config)
+        pairs = _path_setup(z0, z1, PathKind(field.kind), field.radius, t.shape)
+        self.z_t[:m], self.u_t[:m] = _path_at(pairs, t)
+        self.emb[:m] = time_embedding(t, field.time_dim)
+        self.cond[:m] = cond
+
+    def batch(self, step: int):
+        """Step ``step`` of the chunk as :func:`_loss_step` takes it:
+        views ``(z_t, u_t, emb, cond)`` of its rows."""
+        rows = slice(step * self.n, (step + 1) * self.n)
+        return self.z_t[rows], self.u_t[rows], self.emb[rows], self.cond[rows]
+
+
 def train(
     field: VelocityField,
     dataset: SyntheticDataset,
@@ -606,14 +702,22 @@ def train(
 ) -> np.ndarray:
     """Run mini-batch training in place; returns the per-step loss trace.
 
-    Each step runs :func:`loss_and_grad`'s arithmetic, not its checks, through
-    buffers allocated once per call, clips the flat gradient through its
-    parameter views and steps :class:`Adam` over ``field.flat`` as one
-    vector, so the trace and the parameters equal those of the same loop
-    built from the public pieces, bit for bit.  Overflow in a diverging
-    step is not warned about; its non-finite loss, or parameters after the
-    last step that are non-finite in 32-bit storage, raise
-    :class:`DivergenceDetected`."""
+    Batches are prepared :data:`TRAIN_CHUNK` steps at a time: the chunk's
+    draws are made step by step, in the order of the loop of public pieces
+    (:meth:`SyntheticDataset.sample`, :func:`prior_rows`,
+    :func:`sample_time`), and their transforms, path rows and time
+    embedding then run once over all of its rows (see
+    :class:`_TrainBatches`).  Each step runs :func:`loss_and_grad`'s
+    arithmetic, not its checks, through buffers allocated once per call,
+    clips the flat gradient through one flat square and steps :class:`Adam`
+    over ``field.flat`` as one vector.  So the trace, the parameters and
+    the generator's final state equal those of the loop of public pieces,
+    bit for bit, but in two cases of probability zero or bad input: a prior
+    row below the norm floor is drawn again after its chunk's draws, and an
+    error from preparing a chunk is raised before the chunk's earlier steps
+    run.  Overflow in a diverging step is not warned about; its non-finite
+    loss, or parameters after the last step that are non-finite in 32-bit
+    storage, raise :class:`DivergenceDetected`."""
     if config.loss_kind != field.kind:
         raise ValueError(
             f"config loss kind {config.loss_kind!r} does not match field kind {field.kind!r}"
@@ -621,22 +725,24 @@ def train(
     if dataset.d != field.d:
         raise DimensionMismatch("dataset and field dimensions differ")
     _check_conditions(field, dataset.labels)  # the only ids a batch draws
-    kind, n = PathKind(config.loss_kind), config.batch_size
-    work = _StepBuffers(field, n)
+    work = _StepBuffers(field, config.batch_size)
+    batches = _TrainBatches(field, dataset, config, min(TRAIN_CHUNK, config.steps))
+    squares = np.empty_like(work.grad)
+    square_views = _param_views(squares, field.widths, field.cond_table.shape)
     opt = Adam([field.flat], config.learning_rate, config.weight_decay)
     trace = np.empty(config.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps):
-            z1, cond = dataset.sample(n, rng)
-            z0 = prior_rows(field, n, rng)
-            t = sample_time(rng, config, size=n)
-            path = _path_at(_path_setup(z0, z1, kind, field.radius, t.shape), t)
-            loss, grad = _loss_step(field, (*path, t, cond), config.loss_kind, work)
-            if not np.isfinite(loss):
-                raise DivergenceDetected(f"non-finite loss at step {step}")
-            clip_gradients(work.grads, config.grad_clip)
-            opt.step([grad])
-            trace[step] = loss
+        for first in range(0, config.steps, TRAIN_CHUNK):
+            steps = min(TRAIN_CHUNK, config.steps - first)
+            batches.fill(steps, rng)
+            for i in range(steps):
+                loss, grad = _loss_step(field, batches.batch(i), config.loss_kind, work)
+                if not np.isfinite(loss):
+                    raise DivergenceDetected(f"non-finite loss at step {first + i}")
+                np.multiply(grad, grad, out=squares)
+                _clip_by_squares([grad], square_views, config.grad_clip)
+                opt.step([grad])
+                trace[first + i] = loss
         # a checkpoint stores the parameters in 32-bit, so parameters past
         # that range have diverged as surely as non-finite ones
         if not np.all(np.isfinite(field.flat.astype(np.float32))):

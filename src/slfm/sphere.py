@@ -176,15 +176,22 @@ def project_rows(x, radius: float) -> np.ndarray:
 
 def uniform_rows(n: int, d: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """``n`` independent uniform draws on the sphere of ``radius`` in R^d."""
-    if d < 2:
+    return _onto_sphere(rng.standard_normal((n, d)), radius, rng)
+
+
+def _onto_sphere(eps: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """Rows ``eps`` of standard normal draws, scaled in place onto the
+    sphere of ``radius``: uniform draws there.  A row whose norm falls below
+    ``NORM_FLOOR`` (measure zero) is first drawn again from ``rng``, after
+    every row of ``eps`` was drawn.  Returns ``eps``."""
+    if eps.shape[-1] < 2:
         raise ValueError("uniform sphere sampling needs d >= 2")
-    eps = rng.standard_normal((n, d))
     norms = np.linalg.norm(eps, axis=-1)
     while np.any(norms < NORM_FLOOR):  # measure-zero; resample those rows
         bad = norms < NORM_FLOOR
-        eps[bad] = rng.standard_normal((int(bad.sum()), d))
+        eps[bad] = rng.standard_normal((int(bad.sum()), eps.shape[-1]))
         norms = np.linalg.norm(eps, axis=-1)
-    return eps * (float(radius) / norms)[..., None]
+    return np.multiply(eps, (float(radius) / norms)[..., None], out=eps)
 
 
 def orthonormal_rows(u) -> np.ndarray:

@@ -1040,6 +1040,34 @@ def test_train_odd_time_dim_exits_2_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_time_dim_past_2046_exits_2_and_writes_nothing(tmp_path, capsys):
+    # its top frequency would overflow, and every loss would be NaN
+    out = tmp_path / "t.slfm"
+    assert main(["train", "--seed", "0", "--steps", "2", "--time-dim", "2048", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR time embedding width must be at most 2046, got 2048")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    # the widest width trains
+    assert main(["train", "--seed", "0", "--steps", "2", "--time-dim", "2046", "--out", str(out)]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["final_loss"])
+
+
+def test_sample_rejects_a_sidecar_with_time_dim_past_2046(tmp_path, capsys, monkeypatch):
+    # such a checkpoint could be written before the width had a top: every
+    # chain it sampled was NaN
+    ckpt = tmp_path / "t.slfm"
+    with monkeypatch.context() as m:
+        m.setattr(model, "TIME_DIM_MAX", 2048)
+        field = model.VelocityField.create(4, hidden=(6,), time_dim=2048, rng=np.random.default_rng(0))
+        model.save_checkpoint(ckpt, field)
+    assert main(["sample", str(ckpt), "--seed", "0", "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR time embedding width must be at most 2046, got 2048")
+
+
 def test_train_huge_spread_exits_0(tmp_path, capsys):
     # the noise rows' squared norms pass float max; projected, they are
     # directions like any other, not zero rows below the norm floor

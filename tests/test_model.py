@@ -727,6 +727,63 @@ def test_train_memory_grows_only_by_the_trace():
     assert peaks[2000] - peaks[20] <= 8 * (2000 - 20) + 16384
 
 
+def _train_and_reference(kind, steps, time_config):
+    """train and _reference_train from the same start: each run's (trace,
+    parameters, final generator state)."""
+    cfg = TrainConfig(
+        steps=steps, batch_size=32, loss_kind=kind, weight_decay=0.01, grad_clip=0.05, **time_config
+    )
+    runs = []
+    for run in (train, _reference_train):
+        field = _tiny_field(np.random.default_rng(70), d=4, kind=kind)
+        dataset = _labelled_dataset(4, np.random.default_rng(71))
+        rng = np.random.default_rng(72)
+        trace = run(field, dataset, cfg, rng)
+        runs.append((trace[0] if run is _reference_train else trace, field.flat, rng.bit_generator.state))
+    return runs
+
+
+_TIME_CONFIGS = [
+    {"time_sampling": "logit-normal", "shift": 1.0},
+    {"time_sampling": "uniform", "shift": 3.0},
+]
+
+
+@pytest.mark.parametrize("time_config", _TIME_CONFIGS)
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 37])
+def test_train_chunks_are_bit_identical_to_the_public_pieces(steps, kind, time_config):
+    # runs shorter than a chunk, of exactly one, one step past it, and
+    # several with a partial last chunk: the batches prepared a chunk at a
+    # time must be the loop's, and so must the generator's final state
+    (trace, flat, state), (ref_trace, ref_flat, ref_state) = _train_and_reference(kind, steps, time_config)
+    assert trace.shape == (steps,)
+    assert np.array_equal(trace, ref_trace)
+    assert np.array_equal(flat, ref_flat)
+    assert state == ref_state
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_train_bits_do_not_depend_on_the_chunk_length(monkeypatch, chunk, kind):
+    monkeypatch.setattr(model, "TRAIN_CHUNK", chunk)
+    (trace, flat, state), (ref_trace, ref_flat, ref_state) = _train_and_reference(kind, 17, _TIME_CONFIGS[1])
+    assert np.array_equal(trace, ref_trace)
+    assert np.array_equal(flat, ref_flat)
+    assert state == ref_state
+
+
+def test_train_chunk_error_is_raised_before_any_step():
+    # a dataset on another sphere than the field's fails the path set-up of
+    # the first chunk; no parameter has moved when it is raised
+    field = _tiny_field(np.random.default_rng(73), d=4)
+    before = field.flat.copy()
+    dataset = random_dataset(4, 3.0, 2, 0.2, np.random.default_rng(74))
+    with pytest.raises(RadiusMismatch):
+        train(field, dataset, TrainConfig(steps=20, batch_size=8), np.random.default_rng(75))
+    assert np.array_equal(field.flat, before)
+
+
 def test_train_detects_divergence():
     field = _tiny_field(np.random.default_rng(36), d=4)
     ds = random_dataset(4, 2.0, 2, 0.2, np.random.default_rng(37))
@@ -1427,6 +1484,20 @@ def test_field_rejects_odd_or_narrow_time_dim(time_dim):
     # time_embedding would refuse it at the first step or sample
     with pytest.raises(ValueError, match="time embedding width must be even and at least 2"):
         VelocityField.create(4, hidden=(6,), time_dim=time_dim, rng=np.random.default_rng(82))
+
+
+def test_time_dim_past_2046_is_bad_input():
+    # the top frequency pi * 2**(width/2 - 1) overflows to inf from width
+    # 2048 on, and sin(inf) is NaN; 2046, the widest width, embeds finitely
+    # and without a numpy warning
+    with pytest.raises(ValueError, match="time embedding width must be at most 2046, got 2048"):
+        time_embedding(0.5, 2048)
+    with pytest.raises(ValueError, match="at most 2046"):
+        VelocityField.create(4, hidden=(6,), time_dim=2048, rng=np.random.default_rng(83))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emb = time_embedding([0.0, 0.3, 1.0], 2046)
+    assert emb.shape == (3, 2046) and np.all(np.isfinite(emb))
 
 
 def test_sample_exp_map_leaving_the_sphere_raises_divergence():
