@@ -166,6 +166,11 @@ def cmd_swap(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # a sphere needs two dimensions, and a table no negative width
+    if args.d < 2:
+        raise ValueError(f"--d must be at least 2, got {args.d}")
+    if args.cond_dim < 0:
+        raise ValueError(f"--cond-dim must be at least 0, got {args.cond_dim}")
     radius = math.sqrt(args.d) if args.radius is None else args.radius
     rng = np.random.default_rng(args.seed)
     weights = np.asarray(_parse_float_list(args.weights)) if args.weights else None

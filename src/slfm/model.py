@@ -33,6 +33,7 @@ from .paths import PathKind, _path_at, _path_setup, path_rows
 from .sphere import (
     ON_SPHERE_RTOL,
     _onto_sphere,
+    _tangent_into,
     expmap_rows,
     project_rows,
     tangent_rows,
@@ -105,9 +106,20 @@ def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal features sin/cos(pi * 2**j * t), j = 0..dim/2-1."""
     _check_time_dim(dim)
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    freqs = np.pi * 2.0 ** np.arange(dim // 2)
-    phase = t[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
+    return _time_embedding_into(t, np.empty((len(t), dim)))
+
+
+def _time_embedding_into(t, out) -> np.ndarray:
+    """:func:`time_embedding` of the 1-d times ``t`` written into ``out``,
+    a ``(len(t), dim)`` block: the phases go into its cos half, the sin
+    half is taken from them, and the cos half then in place.  Returns
+    ``out``."""
+    half = out.shape[1] // 2
+    sin, cos = out[:, :half], out[:, half:]
+    np.multiply(t[:, None], np.pi * 2.0 ** np.arange(half), out=cos)
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +301,19 @@ class _StepBuffers:
     """Every array a loss-and-gradient step over ``n`` rows writes into:
     the block input ``x`` [token, time embedding, condition], the layer
     outputs ``acts``, one ``(n, widths[i])`` buffer per layer for
-    ``g @ W_i.T``, one per hidden layer for ``1 - a**2``, and the flat
-    gradient ``grad`` with its parameter views ``grads``.  :func:`train`
-    allocates one set per call and :func:`sample` one per block, and each
-    reuses it every step; a step overwrites what it reads.  A forward pass
-    alone writes only ``x`` and ``acts``."""
+    ``g @ W_i.T``, one per hidden layer for ``1 - a**2``, the loss's
+    scratch (``sq``, ``(n, d)``, for the residual's products, and ``dot``
+    and ``zz``, ``(n, 1)``, for their row sums, which the slerp kind's
+    tangent projection shares) and the flat gradient ``grad`` with its
+    parameter views ``grads``.  :func:`train` allocates one set per call
+    and :func:`sample` one per block, and each reuses it every step; a
+    step overwrites what it reads.  A forward pass alone writes only ``x``
+    and ``acts``.
+
+    The loss's scratch is contiguous views of ``back[0]``'s memory, which
+    holds at least ``d + 2`` values a row (the time embedding is at least
+    2 wide): the loss is taken before the backward pass writes
+    ``back[0]``, and a forward-only caller touches none of it."""
 
     def __init__(self, field: VelocityField, n: int):
         widths, cond_shape = field.widths, field.cond_table.shape
@@ -301,6 +321,9 @@ class _StepBuffers:
         self.acts = [np.empty((n, w)) for w in widths[1:]]
         self.back = [np.empty((n, w)) for w in widths[:-1]]
         self.deriv = [np.empty((n, w)) for w in widths[1:-1]]
+        scratch, nd = self.back[0].reshape(-1), n * field.d
+        self.sq = scratch[:nd].reshape(n, field.d)
+        self.dot, self.zz = scratch[nd : nd + 2 * n].reshape(2, n, 1)
         self.grad = np.empty(field.flat.size)
         self.grads = _param_views(self.grad, widths, cond_shape)
 
@@ -323,29 +346,43 @@ def _forward_embedded(field: VelocityField, z, emb, cond, work: _StepBuffers | N
     d, time_dim, x = field.d, field.time_dim, work.x
     x[:, :d] = z
     x[:, d : d + time_dim] = emb
-    x[:, d + time_dim :] = field.cond_table[cond]
+    # the one row of a single-condition table is every id's: no gather
+    x[:, d + time_dim :] = field.cond_table[0] if field.n_cond == 1 else field.cond_table[cond]
     return _layers(field, x, work.acts), (work, cond)
 
 
 def _backward_rows(field: VelocityField, cache, g_out):
     """Gradient of sum(out * g_out) w.r.t. every parameter, written into
     the cache's flat ``work.grad``, which it returns.  ``matmul`` and
-    ``sum`` overwrite the weight and bias views; only the condition table,
-    which ``np.add.at`` accumulates into, is zeroed first."""
+    ``add.reduce`` overwrite the weight and bias views, and
+    :func:`_table_grad` the condition table's."""
     work, cond = cache
     acts, grads = [work.x, *work.acts[:-1]], work.grads
-    grads[-1].fill(0.0)
     g = g_out
     for i in range(len(field.weights) - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads[2 * i])
-        np.sum(g, axis=0, out=grads[2 * i + 1])
+        np.add.reduce(g, axis=0, out=grads[2 * i + 1])
         g = np.matmul(g, field.weights[i].T, out=work.back[i])
         if i:
             deriv = np.square(acts[i], out=work.deriv[i - 1])
             np.subtract(1.0, deriv, out=deriv)
             g *= deriv
-    np.add.at(grads[-1], np.broadcast_to(cond, g.shape[:1]), g[:, field.d + field.time_dim :])
+    _table_grad(grads[-1], cond, g[:, field.d + field.time_dim :])
     return work.grad
+
+
+def _table_grad(table, cond, rows) -> None:
+    """Overwrite ``table`` with the sums of ``rows`` by their ids ``cond``
+    (one per row, or one for all), with the bits of ``np.add.at`` into
+    zeros: each row added in row order from +0.0.  A one-row table of two
+    or more columns takes one ``add.reduce`` down the rows, which adds them
+    in that order; it would sum a single column pairwise, so that table,
+    and any other, is zeroed and takes ``np.add.at``."""
+    if table.shape[0] == 1 and table.shape[1] != 1:
+        np.add.reduce(rows, axis=0, initial=0.0, out=table[0])
+    else:
+        table.fill(0.0)
+        np.add.at(table, np.broadcast_to(cond, rows.shape[:1]), rows)
 
 
 def forward(field: VelocityField, z, t: float, cond: int) -> np.ndarray:
@@ -406,12 +443,15 @@ def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None
     ``work.grad``, or NaN for a non-finite loss."""
     z_t, u_t, emb, cond = batch
     pred, cache = _forward_embedded(field, z_t, emb, cond, work)
-    # the output buffer is not read by the backward pass, so the residual
-    # and then the output gradient 2 * diff / n overwrite it
+    work = cache[0]
+    # the output buffer is not read by the backward pass, so the residual,
+    # its tangent part and then the output gradient 2 * diff / n overwrite it
     diff = np.subtract(pred, u_t, out=pred)
     if kind == "slerp":
-        diff = tangent_rows(diff, z_t)
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
+        _tangent_into(diff, z_t, work.sq, work.dot, work.zz, diff)
+    # np.mean of the row sums is their add.reduce over n: the same bits
+    rows = np.add.reduce(np.multiply(diff, diff, out=work.sq), axis=1, out=work.dot[:, 0])
+    loss = float(np.add.reduce(rows)) / len(rows)
     if not math.isfinite(loss):
         # a diverged output has no gradient; the backward pass would only spread it
         return loss, np.full_like(field.flat, np.nan)
@@ -684,7 +724,7 @@ class _TrainBatches:
         t = _times_of(self.times[:m], self.config)
         pairs = _path_setup(z0, z1, PathKind(field.kind), field.radius, t.shape)
         self.z_t[:m], self.u_t[:m] = _path_at(pairs, t)
-        self.emb[:m] = time_embedding(t, field.time_dim)
+        _time_embedding_into(t, self.emb[:m])
         self.cond[:m] = cond
 
     def batch(self, step: int):
@@ -737,7 +777,7 @@ def train(
             batches.fill(steps, rng)
             for i in range(steps):
                 loss, grad = _loss_step(field, batches.batch(i), config.loss_kind, work)
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise DivergenceDetected(f"non-finite loss at step {first + i}")
                 np.multiply(grad, grad, out=squares)
                 _clip_by_squares([grad], square_views, config.grad_clip)

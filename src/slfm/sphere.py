@@ -321,12 +321,25 @@ def slerp_velocity_rows(u0, u1, t) -> np.ndarray:
     return geodesic_rows(u0, u1, t)[1]
 
 
+def _tangent_into(v, z, sq, dot, zz, out) -> np.ndarray:
+    """:func:`tangent_rows` of ``v`` at ``z`` written into ``out``, which
+    may be ``v`` or ``sq``: ``v - (sum(v*z) / sum(z*z)) * z`` over the last
+    axis.  ``sq`` (the broadcast shape) holds the products, whose layout
+    sets the order of the sums; ``dot`` and ``zz`` (that shape with a last
+    axis of 1) hold the two sums.  Returns ``out``."""
+    np.add.reduce(np.multiply(v, z, out=sq), axis=-1, keepdims=True, out=dot)
+    np.add.reduce(np.multiply(z, z, out=sq), axis=-1, keepdims=True, out=zz)
+    dot /= zz
+    return np.subtract(v, np.multiply(dot, z, out=sq), out=out)
+
+
 def tangent_rows(v, z) -> np.ndarray:
     """Remove the radial component of ``v`` at the sphere point(s) ``z``."""
     v = np.asarray(v, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    coef = np.sum(v * z, axis=-1, keepdims=True) / np.sum(z * z, axis=-1, keepdims=True)
-    return v - coef * z
+    out = v * z  # fresh, in the layout the products of v and z take
+    sums = out.shape[:-1] + (1,)
+    return _tangent_into(v, z, out, np.empty(sums), np.empty(sums), out)
 
 
 def expmap_rows(p, v, radius: float) -> np.ndarray:

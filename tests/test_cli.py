@@ -585,6 +585,24 @@ def test_train_dimension_past_int64_exits_2(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--d", "-1", "ERROR --d must be at least 2, got -1\n"),
+        ("--d", "1", "ERROR --d must be at least 2, got 1\n"),
+        ("--cond-dim", "-1", "ERROR --cond-dim must be at least 0, got -1\n"),
+    ],
+)
+def test_train_too_small_dimension_exits_2_naming_the_option(tmp_path, capsys, flag, value, message):
+    ckpt = tmp_path / "m.slfm"
+    argv = ["train", "--out", str(ckpt), "--seed", "0", "--steps", "5", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
     ("argv", "callee"),
     [
         (["train", "--seed", "0", "--steps", "5"], (model, "train")),

@@ -816,6 +816,97 @@ def test_train_detects_non_finite_parameters_after_the_last_step():
         train(field, ds, cfg, np.random.default_rng(41))
 
 
+def _add_at_table(n_cond, cond, rows):
+    table = np.zeros((n_cond, rows.shape[1]))
+    np.add.at(table, cond, rows)
+    return table
+
+
+@pytest.mark.parametrize("cond_dim", [1, 2, 8])
+def test_single_condition_table_gradient_gives_the_bits_of_add_at(cond_dim):
+    # one add.reduce down the rows, from +0.0, is np.add.at's row-order sum
+    # only for two columns and more: one column would be summed pairwise
+    rng = np.random.default_rng(80)
+    cond = np.zeros(128, dtype=np.int64)
+    for trial in range(100):
+        # the rows are the last columns of a wider block, as in the backward pass
+        block = rng.standard_normal((128, 20 + cond_dim)) * 10.0 ** rng.uniform(-8, 8, (128, 1))
+        rows = block[:, 20:]
+        if trial == 0:
+            rows[:, -1] = -0.0  # np.add.at into zeros gives +0.0
+        table = np.full((1, cond_dim), np.nan)
+        model._table_grad(table, cond, rows)
+        assert table.tobytes() == _add_at_table(1, cond, rows).tobytes()
+
+
+def test_multi_condition_table_gradient_is_add_at():
+    rng = np.random.default_rng(81)
+    for cond_dim in (1, 8):
+        rows = rng.standard_normal((128, cond_dim)) * 10.0 ** rng.uniform(-8, 8, (128, 1))
+        cond = rng.integers(0, 3, size=128)
+        table = np.full((3, cond_dim), np.nan)
+        model._table_grad(table, cond, rows)
+        assert table.tobytes() == _add_at_table(3, cond, rows).tobytes()
+
+
+def _fresh_reference_train(field, dataset, config, rng):
+    """The loop of public draws, each step's loss and gradient taken by
+    _reference_loss_and_grad: fresh temporaries, np.add.at for the table."""
+    opt = Adam(field.parameters(), config.learning_rate, config.weight_decay)
+    trace = []
+    for _ in range(config.steps):
+        z1, cond = dataset.sample(config.batch_size, rng)
+        z0 = prior_rows(field, config.batch_size, rng)
+        t = sample_time(rng, config, size=config.batch_size)
+        loss, grads = _reference_loss_and_grad(field, (z0, z1, t, cond), config.loss_kind)
+        clip_gradients(grads, config.grad_clip)
+        opt.step(grads)
+        trace.append(loss)
+    return np.array(trace)
+
+
+@pytest.mark.parametrize("cond_dim", [1, 8])
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_single_condition_train_is_bit_identical_to_fresh_temporaries(kind, cond_dim):
+    # the CLI trains one condition, whose table gradient is one sum down the
+    # batch; float64 parameters, as a float32 checkpoint could hide a bit
+    cfg = TrainConfig(steps=20, batch_size=128, loss_kind=kind, weight_decay=0.01, grad_clip=0.05)
+    runs = []
+    for run in (train, _fresh_reference_train):
+        field = VelocityField.create(
+            4, hidden=(12,), time_dim=8, n_cond=1, cond_dim=cond_dim, kind=kind, radius=2.0,
+            rng=np.random.default_rng(82),
+        )
+        dataset = random_dataset(4, 2.0, 2, 0.2, np.random.default_rng(83))
+        runs.append((run(field, dataset, cfg, np.random.default_rng(84)), field.flat))
+    (trace, flat), (ref_trace, ref_flat) = runs
+    assert np.array_equal(trace, ref_trace)
+    assert np.array_equal(flat, ref_flat)
+    # Adam's m / sqrt(v) can absorb a last-bit change of a gradient, so the
+    # gradients of a few batches are compared as well
+    batch_rng = np.random.default_rng(85)
+    for _ in range(4):
+        batch = _batch_for(field, 128, batch_rng)
+        loss, grads = loss_and_grad(field, batch, kind)
+        ref_loss, ref_grads = _reference_loss_and_grad(field, batch, kind)
+        assert loss == ref_loss
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
+@pytest.mark.parametrize("dim", [2, 16, 2046])
+def test_train_batches_embed_their_times_as_time_embedding(dim):
+    # the chunk's embedding is written in place, half by half
+    field = VelocityField.create(4, hidden=(6,), time_dim=dim, rng=np.random.default_rng(85))
+    dataset = random_dataset(4, 2.0, 2, 0.2, np.random.default_rng(86))
+    cfg = TrainConfig(batch_size=32)
+    batches = model._TrainBatches(field, dataset, cfg, 3)
+    batches.fill(3, np.random.default_rng(87))
+    t = model._times_of(batches.times, cfg)
+    phase = t[:, None] * (np.pi * 2.0 ** np.arange(dim // 2))
+    assert np.array_equal(batches.emb, time_embedding(t, dim))
+    assert np.array_equal(batches.emb, np.concatenate([np.sin(phase), np.cos(phase)], axis=1))
+
+
 def test_smoothed_endpoints():
     trace = np.arange(100, dtype=np.float64)
     first, last = smoothed_endpoints(trace, window=10)

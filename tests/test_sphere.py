@@ -755,3 +755,29 @@ def test_project_kernel_rejects_a_zero_row():
         sphere._project_into(rows, 2.0, _dirty(2), _dirty((2, 2)))
     with pytest.raises(NearZeroNorm):
         sphere.project_rows(rows, 2.0)
+
+
+def _tangent_formula(v, z):
+    """tangent_rows as a fresh-temporary formula: v - (<v, z> / <z, z>) z."""
+    return v - np.sum(v * z, axis=-1, keepdims=True) / np.sum(z * z, axis=-1, keepdims=True) * z
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 3), (33, 9), (6, 40)], ids=["1-d", "d3", "d9", "d40"])
+def test_tangent_kernel_gives_the_bits_of_the_formula(shape):
+    rng = np.random.default_rng(41)
+    z = 1e3 * rng.standard_normal(shape)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    want = _tangent_formula(v, z)
+    sums = shape[:-1] + (1,)
+    out = _dirty(shape)
+    got = sphere._tangent_into(v, z, _dirty(shape), _dirty(sums), _dirty(sums), out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, want)
+    # the result may overwrite the rows of v, or the products' scratch
+    w, sq = v.copy(), _dirty(shape)
+    assert np.array_equal(sphere._tangent_into(w, z, sq, _dirty(sums), _dirty(sums), w), want)
+    assert np.array_equal(sphere._tangent_into(v, z, sq, _dirty(sums), _dirty(sums), sq), want)
+    assert np.array_equal(sphere.tangent_rows(v, z), want)
+    # a column-ordered input sums in the order its own products take
+    vf, zf = np.asfortranarray(v), np.asfortranarray(z)
+    assert np.array_equal(sphere.tangent_rows(vf, zf), _tangent_formula(vf, zf))
