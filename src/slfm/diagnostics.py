@@ -11,7 +11,7 @@ extraction reduces each chunk of values in numpy to a few floats with the
 same exact sum, and ``math.fsum`` rounds their sum.
 
 :func:`path_profile` computes the per-pair geometry (endpoint norms, unit
-rows, angles, regime masks) once per profile and evaluates every grid point
+rows, angles, tangent units) once per profile and evaluates every grid point
 from it into buffers it reuses, one contiguous slice of the grid per usable
 CPU.  Each value is still the exact sum of the per-row values, bit-identical
 to evaluating :func:`~slfm.paths.path_rows` at that grid point, whatever the
@@ -116,6 +116,8 @@ def _token_rows(tokens) -> np.ndarray:
         raise DimensionMismatch(f"tokens are not a homogeneous array: {exc}") from None
     if arr.ndim == 0:
         raise DimensionMismatch("tokens must be vectors, got a scalar")
+    if arr.shape[-1] == 0:
+        raise DimensionMismatch(f"tokens have an empty coordinate axis: shape {arr.shape}")
     if arr.ndim == 1:
         arr = arr[None, :]
     return arr.reshape(-1, arr.shape[-1])

@@ -32,8 +32,8 @@ from .errors import DimensionMismatch, NearZeroNorm, RadiusMismatch
 # Fixed numerical guard rails. Behavioural constants, not configuration.
 COS_CLAMP = 1e-6          # cosines clamped to [-1 + COS_CLAMP, 1 - COS_CLAMP]
 NORM_FLOOR = 1e-8         # below this a vector has no usable direction
-SMALL_ANGLE = 1e-4        # below: slerp falls back to lerp + renormalise
-ANTIPODAL_MARGIN = 0.1    # within this of pi: slerp follows a fixed great circle
+SMALL_ANGLE = 1e-4        # no formula reads these two: the tests draw their
+ANTIPODAL_MARGIN = 0.1    # hard slerp angles below 1e-4 and within 0.1 of pi
 ON_SPHERE_RTOL = 1e-6     # | ||x|| - R | <= ON_SPHERE_RTOL * R
 TANGENT_RTOL = 1e-5       # |<v, p>| <= TANGENT_RTOL * ||v|| * R
 
@@ -215,74 +215,55 @@ class _Geodesic(NamedTuple):
     """The t-independent part of :func:`geodesic_rows` for pairs of unit
     rows broadcast to one shape (see :func:`_geodesic_setup`)."""
 
-    u0: np.ndarray
-    u1: np.ndarray
-    small: np.ndarray     # regime masks over the leading shape
-    anti: np.ndarray
-    safe: np.ndarray      # (..., 1) angle; pi/2 on small and antipodal rows
-    sin_safe: np.ndarray
-    speed: np.ndarray     # safe / sin_safe
-    nhat: np.ndarray | None  # orthonormal unit of each antipodal row
+    u0: np.ndarray        # the start rows, broadcast to the pairs' shape
+    nhat: np.ndarray      # unit tangent at u0 toward u1, the circle's second axis
+    omega: np.ndarray     # (..., 1) angle between the rows, in [0, pi]
 
 
 def _geodesic_setup(u0: np.ndarray, u1: np.ndarray, lead=()) -> _Geodesic:
-    """Regime masks, angles and antipodal fallback units of the unit rows
-    ``u0``/``u1``, broadcast against each other and against the leading
-    shape ``lead`` of the times they will be evaluated at; nothing here
-    depends on ``t`` itself.  The rows are taken as they are: float64
-    arrays that a boundary has checked."""
+    """Angles and tangent units of the unit rows ``u0``/``u1``, broadcast
+    against each other and against the leading shape ``lead`` of the
+    times they will be evaluated at; nothing here depends on ``t`` itself.
+    The rows are taken as they are: float64 arrays that a boundary has
+    checked."""
     shape = np.broadcast_shapes(u0.shape, u1.shape, tuple(lead) + (1,))
-    if u0.shape != shape or u1.shape != shape:
-        u0, u1 = np.broadcast_to(u0, shape), np.broadcast_to(u1, shape)
-    dots = np.einsum("...i,...i->...", u0, u1)
-    small = dots > math.cos(SMALL_ANGLE)
-    anti = dots < math.cos(math.pi - ANTIPODAL_MARGIN)
-    omega = np.arccos(np.clip(dots, -1.0, 1.0))  # clip: rounding past +/-1
-    safe = np.where(small | anti, 0.5 * np.pi, omega)[..., None]
-    sin_safe = np.sin(safe)
-    nhat = orthonormal_rows(u0[anti]) if np.any(anti) else None
-    return _Geodesic(u0, u1, small, anti, safe, sin_safe, safe / sin_safe, nhat)
+    nhat = np.subtract(u1, u0, out=np.empty(shape))
+    if u0.shape != shape:
+        u0 = np.broadcast_to(u0, shape)
+    scratch = np.add(u1, u0, out=np.empty(shape))
+    chord_sq = np.einsum("...i,...i->...", nhat, nhat)
+    sum_sq = np.einsum("...i,...i->...", scratch, scratch)
+    omega = 2.0 * np.arctan2(np.sqrt(chord_sq), np.sqrt(sum_sq))
+    # u1 - u0 and u1 + u0 less their u0 parts are the same tangent; take
+    # the shorter (the chord up to pi/2), which has no large u0 part to cancel
+    np.copyto(nhat, scratch, where=(sum_sq < chord_sq)[..., None])
+    np.multiply(np.einsum("...i,...i->...", nhat, u0)[..., None], u0, out=scratch)
+    nhat -= scratch
+    resid_sq = np.einsum("...i,...i->...", nhat, nhat)
+    # a residual of at most 2^-40 of that difference (equal rows, exact
+    # antipodes) has no direction: any unit orthogonal to u0 will do
+    degenerate = resid_sq <= 2.0 ** -80 * np.minimum(chord_sq, sum_sq)
+    if np.any(degenerate):
+        resid_sq = np.where(degenerate, 1.0, resid_sq)
+        nhat[degenerate] = orthonormal_rows(u0[degenerate])
+    nhat /= np.sqrt(resid_sq)[..., None]
+    return _Geodesic(u0, nhat, omega[..., None])
 
 
 def _geodesic_at(g: _Geodesic, t, out=None):
     """Position and velocity of the pairs ``g`` at ``t``, whose shape the
     set-up was broadcast against.  With ``out = (pos, vel, scratch)``,
     arrays of the pairs' shape, they are written into ``pos`` and ``vel``;
-    otherwise into new arrays.  The small-angle and antipodal rows are
-    overwritten from their own formulas, evaluated on those rows only."""
+    otherwise into new arrays."""
     pos, vel, scratch = (None, None, None) if out is None else out
     t = np.asarray(t, dtype=np.float64)
-    tt = t[..., None]
-    a = (1.0 - tt) * g.safe
-    b = tt * g.safe
-    pos = np.multiply(np.sin(a), g.u0, out=pos)
-    scratch = np.multiply(np.sin(b), g.u1, out=scratch)
-    np.add(pos, scratch, out=pos)
-    np.divide(pos, g.sin_safe, out=pos)
-    vel = np.multiply(-np.cos(a), g.u0, out=vel)
-    np.multiply(np.cos(b), g.u1, out=scratch)
-    np.add(vel, scratch, out=vel)
-    np.multiply(g.speed, vel, out=vel)
-    if np.any(g.small):
-        # the renormalised lerp l(t)/||l(t)|| and its derivative
-        m = g.small
-        tm = np.broadcast_to(tt, m.shape + (1,))[m]
-        u0, u1 = g.u0[m], g.u1[m]
-        lerp = (1.0 - tm) * u0 + tm * u1
-        dl = u1 - u0
-        nsq = np.sum(lerp * lerp, axis=-1, keepdims=True)
-        nl = np.sqrt(nsq)
-        tang = dl - lerp * (np.sum(lerp * dl, axis=-1, keepdims=True) / nsq)
-        pos[m] = lerp / nl
-        vel[m] = tang / nl
-    if g.nhat is not None:
-        m = g.anti
-        tm = np.broadcast_to(tt, m.shape + (1,))[m]
-        u0 = g.u0[m]
-        c = np.cos(np.pi * tm)
-        s = np.sin(np.pi * tm)
-        pos[m] = c * u0 + s * g.nhat
-        vel[m] = np.pi * (-s * u0 + c * g.nhat)
+    a = t[..., None] * g.omega
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    pos = np.multiply(cos_a, g.u0, out=pos)
+    np.add(pos, np.multiply(sin_a, g.nhat, out=scratch), out=pos)
+    vel = np.multiply(cos_a, g.nhat, out=vel)
+    np.subtract(vel, np.multiply(sin_a, g.u0, out=scratch), out=vel)
+    np.multiply(g.omega, vel, out=vel)
     return pos, vel
 
 
@@ -290,21 +271,22 @@ def geodesic_rows(u0, u1, t):
     """Spherical linear interpolation between unit rows and its time
     derivative, as ``(position, velocity)``.
 
-    Three regimes by the angle ``w`` between the rows: below
-    ``SMALL_ANGLE`` the path is a renormalised lerp (avoids 0/0 in
-    ``sin w``); above ``pi - ANTIPODAL_MARGIN`` it traces the great circle
-    ``cos(pi t) u0 + sin(pi t) n`` through the deterministic orthogonal
-    unit ``n``; otherwise the standard sine-weighted formula.  The regime
-    dispatch compares the raw cosine against the cosines of the thresholds,
-    and the standard regime takes the arccos of the raw cosine: the
-    ``COS_CLAMP`` clamp of :func:`angle_between` floors angles at about
-    1.4e-3, and a standard row below that floor would follow a curve
-    whose velocity has a radial part.  ``t`` broadcasts against the rows
-    and may lie outside ``[0, 1]`` (geodesic extension).
+    One formula at every angle: ``pos = cos(w t) u0 + sin(w t) n`` and
+    ``vel = w (-sin(w t) u0 + cos(w t) n)``.  The angle is
+    ``w = 2 atan2(|u1 - u0|, |u1 + u0|)``, accurate near 0 and near pi.
+    The unit tangent ``n`` is the shorter of ``u1 - u0`` and ``u1 + u0``
+    less its ``u0`` part, normalised: both give the same tangent, and the
+    shorter has no large ``u0`` part to cancel, so ``n`` is accurate and
+    tangent to rounding at every angle.  At ``t = 1`` the position is
+    ``u1`` to rounding, near-antipodal pairs included.  Where that
+    residual is at most 2^-40 of the difference it came from, ``n`` is the
+    deterministic orthogonal unit of :func:`orthonormal_rows`: equal rows
+    stay at ``u0`` with zero velocity, and exact antipodes follow that
+    circle at speed pi.  ``t`` broadcasts against the rows and may lie
+    outside ``[0, 1]`` (geodesic extension).
 
-    The velocity differentiates the path of its row's regime (norm ``w``
-    in the standard regime) and is analytically tangent to the position in
-    all three regimes, so callers need no tangent projection.
+    The velocity has norm ``w`` and is tangent to the position, so callers
+    need no tangent projection.
     """
     t = np.asarray(t, dtype=np.float64)
     u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)

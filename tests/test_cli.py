@@ -188,6 +188,18 @@ def test_paths_input_dimension_mismatch(tmp_path):
     assert main(["paths", "--input", str(a), str(b), "--kind", "linear"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["linear", "shell", "slerp"])
+def test_paths_input_zero_width_rows_exit_2_naming_the_axis(tmp_path, capsys, kind):
+    a = tmp_path / "a.slfm"
+    b = tmp_path / "b.slfm"
+    _write_rows(a, np.zeros((3, 0)))
+    _write_rows(b, np.zeros((3, 0)))
+    assert main(["paths", "--input", str(a), str(b), "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR tokens have an empty coordinate axis: shape (3, 0)\n"
+
+
 def test_paths_bad_synthetic_family(capsys):
     assert main(["paths", "--synthetic", "torus:d=3,R=1", "--kind", "linear"]) == 2
 

@@ -454,6 +454,23 @@ def test_profile_empty():
         path_profile(np.zeros((0, 3)), np.zeros((0, 3)), PathKind.LINEAR)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: shell_stats(z),
+        lambda z: path_profile(z, z, PathKind.LINEAR),
+        lambda z: path_profile(z, z, PathKind.SLERP),
+        lambda z: diagnostics.component_swap_rows(z, z),
+    ],
+    ids=["shell_stats", "path_profile-linear", "path_profile-slerp", "component_swap_rows"],
+)
+def test_zero_width_tokens_name_the_empty_coordinate_axis(call):
+    # three rows of d = 0 have no coordinates to measure; numpy's own
+    # reshape message must not leak out
+    with pytest.raises(DimensionMismatch, match="empty coordinate axis"):
+        call(np.zeros((3, 0)))
+
+
 # ---------------------------------------------------------------------------
 # component swap
 

@@ -46,6 +46,7 @@ from slfm.model import (
     train,
 )
 from slfm.paths import PathKind, path_rows
+from test_sphere import _near_antipodal_pairs
 
 
 def _tiny_field(rng, d=5, kind="slerp", hidden=(12,), n_cond=3):
@@ -932,6 +933,21 @@ def test_integrate_exact_geodesic_field():
     z1 = sphere.uniform_rows(64, 8, radius, rng)
     u0 = z0 / radius
     u1 = z1 / radius
+
+    def vel(z, t):
+        return radius * sphere.slerp_velocity_rows(u0, u1, t)
+
+    for nfe in (1, 7, 50):
+        out = integrate(vel, z0, nfe, "exp_map", radius)
+        assert np.max(np.abs(out - z1)) <= 1e-5 * radius
+
+
+def test_integrate_exact_geodesic_field_near_antipodal():
+    # test_integrate_exact_geodesic_field on pairs pi - 0.099 ... pi - 1e-6
+    # apart (d = 3): the geodesic field carries each chain to its z1
+    radius = 2.0
+    u0, u1 = _near_antipodal_pairs(np.random.default_rng(76))
+    z0, z1 = radius * u0, radius * u1
 
     def vel(z, t):
         return radius * sphere.slerp_velocity_rows(u0, u1, t)

@@ -22,6 +22,7 @@ from slfm.paths import (
     slerp_path,
 )
 from slfm.sphere import SphereToken, radial_project
+from test_sphere import _near_antipodal_pairs
 
 
 def _sphere_pair(rng, d, radius):
@@ -177,6 +178,22 @@ def test_slerp_path_near_coincident_endpoints(w):
         assert radial_split(p.u_t, p.z_t).share <= 1e-20
         assert np.linalg.norm(p.u_t) == pytest.approx(radius * w, rel=1e-9)
         assert np.linalg.norm(p.z_t) == pytest.approx(radius, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", [PathKind.SLERP, PathKind.SHELL])
+def test_geodesic_paths_near_antipodal_end_on_z1(kind):
+    # pairs pi - 0.099 ... pi - 1e-6 apart (d = 3), within ANTIPODAL_MARGIN
+    # of pi: every path lands on z1, and the slerp velocity stays tangent
+    radius = 2.0
+    u0, u1 = _near_antipodal_pairs(np.random.default_rng(75))
+    z0 = radius * u0
+    z1 = (radius if kind is PathKind.SLERP else 1.5 * radius) * u1
+    z_t, u_t = path_rows(z0, z1, 1.0, kind)
+    assert np.max(np.linalg.norm(z_t - z1, axis=1)) <= 1e-14 * radius
+    assert_allclose(path_rows(z0, z1, 0.0, kind)[0], z0, rtol=0, atol=1e-14 * radius)
+    if kind is PathKind.SLERP:
+        z_t, u_t = path_rows(z0, z1, np.linspace(0.0, 1.0, u0.shape[0]), kind)
+        assert np.max(radial_share_rows(u_t, z_t)) <= 1e-20
 
 
 def test_slerp_path_radius_mismatch():

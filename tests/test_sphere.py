@@ -26,6 +26,7 @@ from slfm.sphere import (
     slerp,
     slerp_velocity,
     tangent_project,
+    unit_rows,
 )
 
 # arccos is clamp-limited near +/-1; the reachable extreme angle sits a hair
@@ -454,6 +455,98 @@ def test_geodesic_rows_mixed_regimes_in_one_call():
 
     # and tangent to the unit position without any projection
     assert np.max(np.abs(np.sum(pos * vel, axis=1)) / speed) <= 1e-12
+
+
+def _pairs_at_angles(rng, d, cos_w, sin_w):
+    """Uniform unit rows u0 and the rows cos(w) u0 + sin(w) e at the given
+    angles w, with e a random unit tangent at u0; the cosines and sines
+    are passed in, so that pairs near pi need no cos(pi - g) rounding."""
+    u0 = rng.standard_normal((cos_w.size, d))
+    u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
+    e = rng.standard_normal(u0.shape)
+    e -= np.sum(e * u0, axis=1, keepdims=True) * u0
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    return u0, cos_w[:, None] * u0 + sin_w[:, None] * e
+
+
+def _near_antipodal_pairs(rng, d=3, n=40):
+    """Unit pairs pi - g apart, g spread from 1e-6 to 0.099: the band
+    within ANTIPODAL_MARGIN of pi."""
+    gap = np.geomspace(1e-6, 0.099, n)
+    return _pairs_at_angles(rng, d, -np.cos(gap), np.sin(gap))
+
+
+def test_geodesic_rows_near_antipodal_end_on_u1():
+    u0, u1 = _near_antipodal_pairs(np.random.default_rng(71))
+    pos, vel = sphere.geodesic_rows(u0, u1, 1.0)
+    assert np.max(np.linalg.norm(pos - u1, axis=1)) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(vel, axis=1) - np.pi)) <= 0.1
+    # the velocity is tangent to rounding, however close to pi
+    assert np.max(np.abs(np.sum(pos * vel, axis=1))) <= 1e-14
+
+
+def test_geodesic_rows_equal_rows_stay_put():
+    u = unit_rows(np.random.default_rng(72).standard_normal((5, 4)))
+    for t in (0.0, 0.3, 1.0, 1.7):
+        pos, vel = sphere.geodesic_rows(u, u.copy(), t)
+        assert_allclose(pos, u, rtol=0, atol=0)
+        assert np.all(vel == 0.0)
+
+
+def test_geodesic_rows_exact_antipodes_follow_the_orthonormal_circle():
+    u = unit_rows(np.random.default_rng(73).standard_normal((5, 4)))
+    n = sphere.orthonormal_rows(u)
+    for t in (0.25, 0.5, 1.0):
+        pos, vel = sphere.geodesic_rows(u, -u, t)
+        again = sphere.geodesic_rows(u, -u, t)
+        assert_allclose(again[0], pos, rtol=0, atol=0)
+        assert_allclose(pos, np.cos(np.pi * t) * u + np.sin(np.pi * t) * n, rtol=0, atol=1e-15)
+        assert_allclose(np.linalg.norm(vel, axis=1), np.pi, rtol=1e-15)
+        assert np.max(np.abs(np.sum(pos * vel, axis=1))) <= 1e-14
+    assert_allclose(sphere.geodesic_rows(u, -u, 1.0)[0], -u, rtol=0, atol=1e-15)
+
+
+def _geodesic_longdouble(u0, u1, t):
+    """The closed form of :func:`sphere.geodesic_rows` in long double on
+    the same float rows: the angle 2 atan2(|u1 - u0|, |u1 + u0|), the
+    shorter of u1 - u0 and u1 + u0 less its u0 part, normalised, as n,
+    then cos/sin of w t."""
+    u0 = u0.astype(np.longdouble)
+    u1 = u1.astype(np.longdouble)
+    chord = u1 - u0
+    plus = u1 + u0
+    chord_sq = np.sum(chord * chord, axis=1)
+    plus_sq = np.sum(plus * plus, axis=1)
+    w = 2 * np.arctan2(np.sqrt(chord_sq), np.sqrt(plus_sq))
+    n = np.where((plus_sq < chord_sq)[:, None], plus, chord)
+    n -= np.sum(n * u0, axis=1, keepdims=True) * u0
+    n /= np.sqrt(np.sum(n * n, axis=1, keepdims=True))
+    a = (np.asarray(t, dtype=np.longdouble) * w)[:, None]
+    pos = np.cos(a) * u0 + np.sin(a) * n
+    vel = w[:, None] * (np.cos(a) * n - np.sin(a) * u0)
+    return pos, vel
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64 here"
+)
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.7, 1.0])
+def test_geodesic_rows_match_a_long_double_reference(t):
+    # angles from 1e-5 (below SMALL_ANGLE) to pi - 0.09, then pi - 0.099
+    # to pi - 1e-6 (within ANTIPODAL_MARGIN of pi)
+    rng = np.random.default_rng(74)
+    w = np.concatenate([np.geomspace(1e-5, 1.0, 60), np.linspace(1.0, math.pi - 0.09, 40)])
+    near = _pairs_at_angles(rng, 7, np.cos(w), np.sin(w))
+    for u0, u1 in (near, _near_antipodal_pairs(rng, d=7, n=40)):
+        pos, vel = sphere.geodesic_rows(u0, u1, t)
+        ref_pos, ref_vel = _geodesic_longdouble(u0, u1, t)
+        assert np.max(np.abs(pos - ref_pos)) <= 2e-14
+        ref_speed = np.sqrt(np.sum(ref_vel * ref_vel, axis=1))
+        assert np.max(np.sqrt(np.sum((vel - ref_vel) ** 2, axis=1)) / ref_speed) <= 2e-14
+        speed = np.linalg.norm(vel, axis=1)
+        assert np.max(np.abs(np.sum(pos * vel, axis=1)) / speed) <= 1e-14
+        if t == 1.0:
+            assert np.max(np.linalg.norm(pos - u1, axis=1)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
