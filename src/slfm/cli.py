@@ -82,21 +82,21 @@ def cmd_gaussian_norms(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    # one norm per token is all that outlives a block; each block is
-    # projected, and squared, in one scratch block sized from the first
+    # one norm per token is all that outlives a block; each block is squared
+    # in place, or projected into one scratch block sized from the first
+    # and squared there
     with container.BlockReader(args.input) as reader:
         log.info("read %d tokens of dimension %d", reader.n_tokens, reader.shape[1])
         norms = np.empty(reader.n_tokens)
         scratch = None
         first = 0
         for rows in reader.token_blocks():
-            if scratch is None:
-                scratch = np.empty_like(rows)
             block_norms = norms[first : first + rows.shape[0]]
-            sq = scratch[: rows.shape[0]]
             if args.project is not None:
-                rows = sq = sphere._project_into(rows, args.project, block_norms, sq)
-            sphere._norms_into(rows, sq, block_norms)
+                if scratch is None:
+                    scratch = np.empty_like(rows)
+                rows = sphere._project_into(rows, args.project, block_norms, scratch[: rows.shape[0]])
+            sphere._norms_into(rows, rows, block_norms)
             first += rows.shape[0]
     row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms))
     emit_report([row], list(row), args.format)
@@ -151,16 +151,16 @@ def cmd_swap(args) -> int:
                 container.BlockWriter(dir_temp, anchor.shape) as out_dir,
                 container.BlockWriter(rad_temp, anchor.shape) as out_rad,
             ):
-                norms = hybrids = None  # one set of buffers, sized from the first block
-                for a, s in zip(anchor.token_blocks(), substitute.token_blocks()):
-                    if hybrids is None:
-                        norms, hybrids = np.empty((3, a.shape[0])), np.empty((2,) + a.shape)
-                    k = a.shape[0]
-                    keep_dir, keep_rad = diagnostics._component_swap_into(
-                        a, s, norms[:, :k], hybrids[:, :k]
-                    )
-                    out_dir.write_rows(keep_dir)
-                    out_rad.write_rows(keep_rad)
+                # each block's hybrids are its f32 items times one ratio per
+                # token; the float64 rows only give the norms, squared in place
+                norms = None
+                for (a_items, a), (s_items, s) in zip(anchor.blocks(), substitute.blocks()):
+                    if norms is None:
+                        norms = np.empty((3, a.shape[0]))
+                    to_direction, to_radius = diagnostics._swap_ratios(a, s, a, s, norms[:, : a.shape[0]])
+                    per_token = (a_items.shape[0], 1) + a_items.shape[2:]
+                    out_dir.write_scaled(a_items, to_direction.reshape(per_token))
+                    out_rad.write_scaled(s_items, to_radius.reshape(per_token))
     log.info("wrote hybrids to %s and %s", args.out_direction, args.out_radius)
     return 0
 

@@ -16,13 +16,21 @@ bounded whatever the container's size:
   f32 buffer and checked for finite values there, into a reused mask (the
   promotion to float64 is exact, so it makes no value non-finite).  One
   copy then promotes it and transposes it into a reused token-row buffer,
-  whose (k, d, h, w) view is the strided target.  A truncated payload or a
-  non-finite value in any block raises :class:`ContainerFormatError`.
-  :func:`read_container` is the one-shot case of the same reader, with
-  C-ordered blocks of its result as targets.
-- :class:`BlockWriter` writes the header and then one block of token rows at
-  a time, with :func:`write_container`'s finite and f32-overflow checks,
-  made on the f32 block into one reused mask.
+  whose (k, d, h, w) view is the strided target.  :meth:`BlockReader.blocks`
+  yields both views of each block, the checked f32 items and the float64
+  token rows; :meth:`BlockReader.token_blocks` yields the rows alone.  A
+  truncated payload or a non-finite value in any block raises
+  :class:`ContainerFormatError`.  :func:`read_container` is the one-shot
+  case of the same reader, with C-ordered blocks of its result as targets.
+- :class:`BlockWriter` writes the header and then one block at a time, into
+  one reused f32 block and one reused mask for :func:`write_container`'s
+  finite and f32-overflow checks.  :meth:`BlockWriter.write_rows` takes
+  float64 token rows and casts them, transposed, into that block.
+  :meth:`BlockWriter.write_scaled` takes f32 items as a reader yields them
+  and a float64 factor per token, and writes their products with a single
+  multiply into the f32 block: numpy's float64 loop rounds each product
+  once to f32, the bytes of :meth:`~BlockWriter.write_rows` given the
+  float64 products, with no float64 block in between.
   Streamed outputs are written to temporaries under :func:`replacing`, which
   moves them over their targets only once every write succeeded.
 """
@@ -30,6 +38,7 @@ bounded whatever the container's size:
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -140,40 +149,48 @@ class BlockReader:
         n, _, h, w = self.shape
         return n * h * w
 
-    def _read_items(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, a float64 (k, d, h, w) array, with the next k items.
-        ``out`` may be a C-contiguous block or any strided view, such as
-        :func:`rows_to_tensor`'s view of k*h*w token rows."""
-        if self._raw.size < out.size:
-            self._raw = np.empty(out.size, dtype="<f4")
-            self._finite = np.empty(out.size, dtype=bool)
-        raw = self._raw[: out.size]
+    def _read_items(self, shape) -> np.ndarray:
+        """The next k items, shape (k, d, h, w), read into the reused f32
+        buffer and checked there; a view the next read overwrites."""
+        size = math.prod(shape)
+        if self._raw.size < size:
+            self._raw = np.empty(size, dtype="<f4")
+            self._finite = np.empty(size, dtype=bool)
+        raw = self._raw[:size]
         got = self._fh.readinto(raw)
         if got != raw.nbytes:
             raise ContainerFormatError(
                 f"payload ended early: read {got} of {raw.nbytes} bytes of a block"
             )
-        if not np.isfinite(raw, out=self._finite[: out.size]).all():
+        if not np.isfinite(raw, out=self._finite[:size]).all():
             raise ContainerFormatError("payload contains non-finite values")
-        np.copyto(out, raw.reshape(out.shape))
-        return out
+        return raw.reshape(shape)
 
-    def token_blocks(self):
-        """Yield the payload as token-row blocks of shape (k*h*w, d), k whole
-        items at a time.  Each block is a view of a buffer that the next
-        block overwrites."""
+    def blocks(self):
+        """Yield the payload k whole items at a time, as pairs of views of
+        one block: the checked f32 items, shape (k, d, h, w), and their
+        float64 token rows, shape (k*h*w, d).  Both are views of buffers
+        that the next block overwrites."""
         n, d, h, w = self.shape
         per_block = _items_per_block(self.shape)
         rows = np.empty((min(n, per_block) * h * w, d))
         for first in range(0, n, per_block):
             k = min(per_block, n - first)
             out = rows[: k * h * w]
-            self._read_items(rows_to_tensor(out, (k, d, h, w)))
-            yield out
+            items = self._read_items((k, d, h, w))
+            np.copyto(rows_to_tensor(out, items.shape), items)
+            yield items, out
+
+    def token_blocks(self):
+        """Yield the payload as token-row blocks of shape (k*h*w, d), k whole
+        items at a time.  Each block is a view of a buffer that the next
+        block overwrites."""
+        for _, rows in self.blocks():
+            yield rows
 
 
 class BlockWriter:
-    """A container of ``shape`` written to ``path`` one block of token rows
+    """A container of ``shape`` written to ``path`` one block of whole items
     at a time.  Use it as a context manager, which closes the file."""
 
     def __init__(self, path, shape):
@@ -200,22 +217,47 @@ class BlockWriter:
                 f"wrote {self._tokens} of the {n * h * w} tokens the header declares"
             )
 
+    def _block(self, shape):
+        """The reused f32 block and mask, as views of ``shape``."""
+        size = math.prod(shape)
+        if self._buf.size < size:
+            self._buf = np.empty(size, dtype="<f4")
+            self._finite = np.empty(size, dtype=bool)
+        return self._buf[:size].reshape(shape), self._finite[:size].reshape(shape)
+
     def write_rows(self, rows) -> None:
         """Append whole items given as token rows of shape (k*h*w, d)."""
         _, d, h, w = self.shape
         rows = np.asarray(rows, dtype=np.float64)
         k = rows.shape[0] // (h * w) if h * w else 0
         items = rows_to_tensor(rows, (k, d, h, w))
-        if self._buf.size < items.size:
-            self._buf = np.empty(items.size, dtype="<f4")
-            self._finite = np.empty(items.size, dtype=bool)
-        payload = _f32_payload(
-            items,
-            out=self._buf[: items.size].reshape(items.shape),
-            mask=self._finite[: items.size].reshape(items.shape),
-        )
-        self._fh.write(payload.data)
+        payload, mask = self._block(items.shape)
+        self._fh.write(_f32_payload(items, out=payload, mask=mask).data)
         self._tokens += rows.shape[0]
+
+    def write_scaled(self, items, factor) -> None:
+        """Append f32(``items`` * ``factor``): ``items`` are k whole items,
+        shape (k, d, h, w), and ``factor`` holds one float64 per token,
+        shape (k, 1, h, w).  Each product is formed in float64 and rounded
+        once to f32, the bytes :meth:`write_rows` writes for the float64
+        products' token rows, with the same checks; only when a check
+        fails is the float64 product formed, to name the fault."""
+        items = np.asarray(items)
+        if items.ndim != 4 or items.shape[1:] != self.shape[1:]:
+            raise ContainerFormatError(
+                f"block of shape {items.shape} does not hold items of {self.shape[1:]}"
+            )
+        # an ndarray, not a Python float, so the float64 loop runs (NEP 50)
+        factor = np.asarray(factor, dtype=np.float64)
+        payload, mask = self._block(items.shape)
+        with np.errstate(over="ignore"):
+            np.multiply(items, factor, out=payload, casting="same_kind")
+            if not np.isfinite(payload, out=mask).all():
+                # raises, naming the fault of the float64 products
+                _f32_payload(np.multiply(items, factor, dtype=np.float64), out=payload, mask=mask)
+        self._fh.write(payload.data)
+        _, _, h, w = self.shape
+        self._tokens += items.shape[0] * h * w
 
 
 def _fsync(path) -> None:
@@ -257,7 +299,8 @@ def read_container(path) -> np.ndarray:
         arr = np.empty(reader.shape)
         per_block = _items_per_block(reader.shape)
         for first in range(0, reader.shape[0], per_block):
-            reader._read_items(arr[first : first + per_block])
+            block = arr[first : first + per_block]
+            np.copyto(block, reader._read_items(block.shape))
     return arr
 
 

@@ -321,27 +321,41 @@ def component_swap(anchor, substitute) -> SwapPair:
     return SwapPair(keep_direction=keep_direction[0], keep_radius=keep_radius[0])
 
 
+def _swap_ratios(a, s, a_sq, s_sq, norms):
+    """The per-row scales of the component swap of the (n, d) stacks ``a``
+    and ``s``: rs/ra for the direction hybrid and ra/rs for the radius
+    hybrid.  ``norms``, a (3, n) buffer, receives the anchor norms in its
+    first row; the two scales are views of the other two.  The squares are
+    written to ``a_sq`` and ``s_sq``, which may be ``a`` and ``s``
+    themselves.  Raises :class:`NearZeroNorm` on a row below
+    ``NORM_FLOOR``."""
+    ra, rs, to_direction = norms
+    _norms_into(a, a_sq, ra)
+    _norms_into(s, s_sq, rs)
+    if np.any(ra < NORM_FLOOR) or np.any(rs < NORM_FLOOR):
+        raise NearZeroNorm("token norm below floor, direction undefined")
+    np.divide(rs, ra, out=to_direction)
+    return to_direction, np.divide(ra, rs, out=rs)
+
+
 def _component_swap_into(a, s, norms, out):
     """:func:`component_swap_rows` of the (n, d) stacks ``a`` and ``s``,
     written into ``out``: the direction and radius hybrids, as a (2, n, d)
-    buffer or a pair of (n, d) ones.  ``norms``, a (3, n) buffer, receives
-    the anchor norms, the substitute norms and each row's scale.  Returns
-    the two hybrids, views of ``out``."""
-    ra, rs, scale = norms
+    buffer or a pair of (n, d) ones, which also take the squares.
+    ``norms`` is :func:`_swap_ratios`' (3, n) buffer.  Returns the two
+    hybrids, views of ``out``."""
     keep_direction, keep_radius = out
-    _norms_into(a, keep_direction, ra)
-    _norms_into(s, keep_radius, rs)
-    if np.any(ra < NORM_FLOOR) or np.any(rs < NORM_FLOOR):
-        raise NearZeroNorm("token norm below floor, direction undefined")
-    np.multiply(np.divide(rs, ra, out=scale)[:, None], a, out=keep_direction)
-    np.multiply(np.divide(ra, rs, out=scale)[:, None], s, out=keep_radius)
+    to_direction, to_radius = _swap_ratios(a, s, keep_direction, keep_radius, norms)
+    np.multiply(to_direction[:, None], a, out=keep_direction)
+    np.multiply(to_radius[:, None], s, out=keep_radius)
     return keep_direction, keep_radius
 
 
 def component_swap_rows(anchors, substitutes):
     """Row-wise :func:`component_swap`; returns the two hybrid stacks.
-    The rows are not scanned for finiteness: ``slfm swap`` hands blocks
-    that ``container.BlockReader`` has checked to the same kernel."""
+    The rows are not scanned for finiteness: ``slfm swap`` takes the same
+    ratios (:func:`_swap_ratios`) of blocks that ``container.BlockReader``
+    has checked."""
     a = _token_rows(anchors)
     s = _token_rows(substitutes)
     if a.shape != s.shape:

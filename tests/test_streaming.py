@@ -304,3 +304,108 @@ def test_streamed_commands_keep_memory_bounded(tmp_path, capsys, small_blocks):
     assert peaks["swap", 2048] - peaks["swap", 256] <= two_blocks
     # stats keeps one float64 norm per token
     assert peaks["stats", 2048] - peaks["stats", 256] <= 8 * extra_tokens + two_blocks
+
+
+def test_swap_holds_no_float64_hybrid_block(tmp_path, capsys, monkeypatch):
+    # items of 512 bytes: a token is 8 f32 channels, 32 bytes.  Per byte of
+    # BLOCK_BYTES, swap's buffers are each reader's f32 block (1), its mask
+    # (1/4) and its float64 token rows (2), each writer's f32 block (1) and
+    # mask (1/4), and three float64 norms per token (3 * 8 / 32).  From
+    # 64 KiB blocks on, nothing else it allocates grows with the block
+    # (numpy's cast buffers stop at 8192 values).
+    shape = (8, 4, 4)
+    budget = 2 * (1 + 1 / 4 + 2) + 2 * (1 + 1 / 4) + 3 * 8 / 32
+    small, large = 1 << 16, 1 << 18
+    peaks = {}
+    for block_bytes, blocks in ((small, 4), (small, 40), (large, 4)):
+        monkeypatch.setattr(container, "BLOCK_BYTES", block_bytes)
+        n = blocks * block_bytes // 512
+        anchor, substitute = tmp_path / f"a{n}.slfm", tmp_path / f"s{n}.slfm"
+        _latents(anchor, (n,) + shape, seed=n)
+        _latents(substitute, (n,) + shape, seed=n + 1, scale=3.0)
+        argv = ["swap", str(anchor), str(substitute),
+                "--out-direction", str(tmp_path / "dir.slfm"), "--out-radius", str(tmp_path / "rad.slfm")]
+        main(argv)  # warm: first-call allocations are not the command's
+        peaks[block_bytes, blocks] = _traced_peak(argv)
+    capsys.readouterr()
+    assert abs(peaks[small, 40] - peaks[small, 4]) <= small
+    # a float64 hybrid block would add 2 per byte
+    per_byte = (peaks[large, 4] - peaks[small, 4]) / (large - small)
+    assert per_byte <= budget + 1
+
+
+# ---------------------------------------------------------------------------
+# the scaled write
+
+
+def _scaled_and_reference(tmp_path, items, factor):
+    """The bytes ``write_scaled`` writes, and those ``write_rows`` writes
+    from the float64 products' token rows."""
+    scaled, reference = tmp_path / "scaled.slfm", tmp_path / "rows.slfm"
+    with container.BlockWriter(scaled, items.shape) as writer:
+        writer.write_scaled(items, factor)
+    with container.BlockWriter(reference, items.shape) as writer:
+        writer.write_rows(container.token_rows(items.astype(np.float64) * factor))
+    return scaled.read_bytes(), reference.read_bytes()
+
+
+def _near_ties(rng, shape):
+    """One-channel f32 items, and float64 factors whose products lie within
+    a few float64 ulps of the midpoint of two adjacent f32 values, or on it."""
+    items = rng.uniform(0.5, 4.0, shape).astype(np.float32)
+    target = rng.uniform(0.5, 4.0, shape).astype(np.float32)
+    tie = (target.astype(np.float64) + np.nextafter(target, np.float32(np.inf))) / 2.0
+    factor = tie / items
+    for _ in range(3):  # up to three float64 ulps either way
+        toward = np.array([0.0, np.nan, np.inf])[rng.integers(0, 3, factor.shape)]
+        factor = np.where(np.isnan(toward), factor, np.nextafter(factor, toward))
+    return items, factor
+
+
+@pytest.mark.parametrize("case", ["random", "subnormal", "near-tie", "h0"])
+def test_scaled_write_equals_write_rows_of_the_float64_products(tmp_path, case):
+    rng = np.random.default_rng(40)
+    shape = (6, 5, 3, 4)
+    if case == "random":
+        items = rng.standard_normal(shape).astype(np.float32)
+        factor = np.exp(rng.uniform(-20.0, 20.0, (6, 1, 3, 4)))
+    elif case == "subnormal":
+        # products from below half the smallest f32 subnormal to normal
+        items = rng.uniform(1.0, 2.0, shape).astype(np.float32)
+        factor = 10.0 ** rng.uniform(-46.0, -37.0, (6, 1, 3, 4))
+    elif case == "near-tie":
+        items, factor = _near_ties(rng, (6, 1, 3, 4))
+    else:
+        items = np.ones((3, 5, 0, 4), dtype=np.float32)
+        factor = np.ones((3, 1, 0, 4))
+    scaled, reference = _scaled_and_reference(tmp_path, items, factor)
+    assert scaled == reference
+    if case == "subnormal":
+        stored = np.frombuffer(scaled[HEADER_BYTES:], dtype="<f4")
+        tiny = np.finfo(np.float32).tiny
+        assert np.any(stored == 0.0) and np.any((stored > 0.0) & (stored < tiny))
+    if case == "near-tie":
+        # the float32 loop, which rounds the factor first, misses the ties
+        assert scaled[HEADER_BYTES:] != (items * factor.astype(np.float32)).tobytes()
+
+
+def test_scaled_write_reports_overflow_as_write_rows_does(tmp_path):
+    items = np.full((2, 4, 1, 1), 3e38, dtype=np.float32)
+    factor = np.array([1.0, 2.0]).reshape(2, 1, 1, 1)
+    path = tmp_path / "x.slfm"
+    with container.BlockWriter(path, items.shape) as writer:
+        with pytest.raises(ContainerFormatError) as scaled:
+            writer.write_scaled(items, factor)
+        with pytest.raises(ContainerFormatError) as rows:
+            writer.write_rows(container.token_rows(items.astype(np.float64) * factor))
+        assert str(scaled.value) == str(rows.value) == "payload overflows 32-bit float storage"
+        # the failed writes counted no token and wrote no byte
+        writer.write_scaled(items, np.ones_like(factor))
+    assert path.read_bytes() == container._header(items.shape) + items.tobytes()
+
+
+def test_scaled_write_rejects_items_of_another_shape(tmp_path):
+    with container.BlockWriter(tmp_path / "x.slfm", (2, 4, 1, 1)) as writer:
+        with pytest.raises(ContainerFormatError, match="does not hold items"):
+            writer.write_scaled(np.ones((2, 3, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
+        writer.write_scaled(np.ones((2, 4, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
