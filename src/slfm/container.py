@@ -24,13 +24,15 @@ bounded whatever the container's size:
   case of the same reader, with C-ordered blocks of its result as targets.
 - :class:`BlockWriter` writes the header and then one block at a time, into
   one reused f32 block and one reused mask for :func:`write_container`'s
-  finite and f32-overflow checks.  :meth:`BlockWriter.write_rows` takes
-  float64 token rows and casts them, transposed, into that block.
-  :meth:`BlockWriter.write_scaled` takes f32 items as a reader yields them
-  and a float64 factor per token, and writes their products with a single
-  multiply into the f32 block: numpy's float64 loop rounds each product
-  once to f32, the bytes of :meth:`~BlockWriter.write_rows` given the
-  float64 products, with no float64 block in between.
+  finite and f32-overflow checks.  Every block goes through
+  :meth:`BlockWriter.write_scaled`, which takes items and a float64 factor
+  per token and writes their products with a single multiply into the f32
+  block: numpy's float64 loop rounds each product once to f32, the bytes
+  :func:`write_container` writes for the float64 products, with no float64
+  block in between.  ``slfm swap`` hands it f32 items as a reader yields
+  them and the swap ratios; :meth:`BlockWriter.write_rows` hands it float64
+  token rows, transposed into items, and a factor of 1.0, so each value is
+  rounded once to f32 as a cast would round it.
   Streamed outputs are written to temporaries under :func:`replacing`, which
   moves them over their targets only once every write succeeded.
 """
@@ -54,19 +56,15 @@ _HEADER = struct.Struct("<4sHIIII")
 BLOCK_BYTES = 1 << 20
 
 
-def _f32_payload(arr, out=None, mask=None) -> np.ndarray:
-    """``arr`` cast to little-endian f32 (into ``out`` when given); raises on
-    non-finite values or values that overflow 32-bit storage.  Every value
-    is finite before the cast if it is finite after it, so ``arr`` itself
-    is scanned only to tell the two faults apart.  Both scans write into
-    ``mask``, a bool array of ``arr``'s shape, when given."""
+def _f32_payload(arr) -> np.ndarray:
+    """``arr`` cast to little-endian f32; raises on non-finite values or
+    values that overflow 32-bit storage.  Every value is finite before the
+    cast if it is finite after it, so ``arr`` itself is scanned only to
+    tell the two faults apart."""
     with np.errstate(over="ignore"):
-        if out is None:
-            out = arr.astype("<f4")
-        else:
-            np.copyto(out, arr, casting="same_kind")
-    if not np.isfinite(out, out=mask).all():
-        if not np.isfinite(arr, out=mask).all():
+        out = arr.astype("<f4")
+    if not np.isfinite(out).all():
+        if not np.isfinite(arr).all():
             raise ContainerFormatError("payload contains non-finite values")
         raise ContainerFormatError("payload overflows 32-bit float storage")
     return out
@@ -226,22 +224,21 @@ class BlockWriter:
         return self._buf[:size].reshape(shape), self._finite[:size].reshape(shape)
 
     def write_rows(self, rows) -> None:
-        """Append whole items given as token rows of shape (k*h*w, d)."""
+        """Append whole items given as token rows of shape (k*h*w, d),
+        through :meth:`write_scaled` with a factor of 1.0: each float64
+        product is the value itself, rounded once to f32 as a cast would."""
         _, d, h, w = self.shape
         rows = np.asarray(rows, dtype=np.float64)
         k = rows.shape[0] // (h * w) if h * w else 0
-        items = rows_to_tensor(rows, (k, d, h, w))
-        payload, mask = self._block(items.shape)
-        self._fh.write(_f32_payload(items, out=payload, mask=mask).data)
-        self._tokens += rows.shape[0]
+        self.write_scaled(rows_to_tensor(rows, (k, d, h, w)), 1.0)
 
     def write_scaled(self, items, factor) -> None:
         """Append f32(``items`` * ``factor``): ``items`` are k whole items,
         shape (k, d, h, w), and ``factor`` holds one float64 per token,
-        shape (k, 1, h, w).  Each product is formed in float64 and rounded
-        once to f32, the bytes :meth:`write_rows` writes for the float64
-        products' token rows, with the same checks; only when a check
-        fails is the float64 product formed, to name the fault."""
+        shape (k, 1, h, w), or one for all.  Each product is formed in
+        float64 and rounded once to f32, the bytes :func:`write_container`
+        writes for the float64 products, with the same checks; only when a
+        check fails is the float64 product formed, to name the fault."""
         items = np.asarray(items)
         if items.ndim != 4 or items.shape[1:] != self.shape[1:]:
             raise ContainerFormatError(
@@ -254,7 +251,7 @@ class BlockWriter:
             np.multiply(items, factor, out=payload, casting="same_kind")
             if not np.isfinite(payload, out=mask).all():
                 # raises, naming the fault of the float64 products
-                _f32_payload(np.multiply(items, factor, dtype=np.float64), out=payload, mask=mask)
+                _f32_payload(np.multiply(items, factor, dtype=np.float64))
         self._fh.write(payload.data)
         _, _, h, w = self.shape
         self._tokens += items.shape[0] * h * w

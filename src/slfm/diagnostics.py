@@ -276,8 +276,9 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     if np.any(t_grid < 0.0) or np.any(t_grid > 1.0) or np.any(np.diff(t_grid) < 0.0):
         raise ValueError("t_grid must be ordered within [0, 1]")
 
-    shell0 = shell_stats(z0s)
-    shell1 = shell_stats(z1s)
+    # the peak bound has proved every coordinate finite
+    shell0 = _shell_stats_of_norms(np.linalg.norm(z0s, axis=-1))
+    shell1 = _shell_stats_of_norms(np.linalg.norm(z1s, axis=-1))
     absolute = shell0.std_radius == 0.0 or shell1.std_radius == 0.0
 
     pairs = _path_setup(z0s, z1s, kind)
@@ -338,19 +339,6 @@ def _swap_ratios(a, s, a_sq, s_sq, norms):
     return to_direction, np.divide(ra, rs, out=rs)
 
 
-def _component_swap_into(a, s, norms, out):
-    """:func:`component_swap_rows` of the (n, d) stacks ``a`` and ``s``,
-    written into ``out``: the direction and radius hybrids, as a (2, n, d)
-    buffer or a pair of (n, d) ones, which also take the squares.
-    ``norms`` is :func:`_swap_ratios`' (3, n) buffer.  Returns the two
-    hybrids, views of ``out``."""
-    keep_direction, keep_radius = out
-    to_direction, to_radius = _swap_ratios(a, s, keep_direction, keep_radius, norms)
-    np.multiply(to_direction[:, None], a, out=keep_direction)
-    np.multiply(to_radius[:, None], s, out=keep_radius)
-    return keep_direction, keep_radius
-
-
 def component_swap_rows(anchors, substitutes):
     """Row-wise :func:`component_swap`; returns the two hybrid stacks.
     The rows are not scanned for finiteness: ``slfm swap`` takes the same
@@ -360,4 +348,9 @@ def component_swap_rows(anchors, substitutes):
     s = _token_rows(substitutes)
     if a.shape != s.shape:
         raise DimensionMismatch(f"stack shapes differ: {a.shape} vs {s.shape}")
-    return _component_swap_into(a, s, np.empty((3, a.shape[0])), (np.empty_like(a), np.empty_like(s)))
+    # the hybrids' buffers take the squares first
+    keep_direction, keep_radius = np.empty_like(a), np.empty_like(s)
+    to_direction, to_radius = _swap_ratios(a, s, keep_direction, keep_radius, np.empty((3, a.shape[0])))
+    np.multiply(to_direction[:, None], a, out=keep_direction)
+    np.multiply(to_radius[:, None], s, out=keep_radius)
+    return keep_direction, keep_radius

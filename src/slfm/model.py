@@ -305,15 +305,10 @@ class _StepBuffers:
     scratch (``sq``, ``(n, d)``, for the residual's products, and ``dot``
     and ``zz``, ``(n, 1)``, for their row sums, which the slerp kind's
     tangent projection shares) and the flat gradient ``grad`` with its
-    parameter views ``grads``.  :func:`train` allocates one set per call
-    and :func:`sample` one per block, and each reuses it every step; a
-    step overwrites what it reads.  A forward pass alone writes only ``x``
-    and ``acts``.
-
-    The loss's scratch is contiguous views of ``back[0]``'s memory, which
-    holds at least ``d + 2`` values a row (the time embedding is at least
-    2 wide): the loss is taken before the backward pass writes
-    ``back[0]``, and a forward-only caller touches none of it."""
+    parameter views ``grads``; no other two share memory.  :func:`train`
+    allocates one set per call and :func:`sample` one per block, and each
+    reuses it every step; a step overwrites what it reads.  A forward pass
+    alone writes only ``x`` and ``acts``."""
 
     def __init__(self, field: VelocityField, n: int):
         widths, cond_shape = field.widths, field.cond_table.shape
@@ -321,9 +316,8 @@ class _StepBuffers:
         self.acts = [np.empty((n, w)) for w in widths[1:]]
         self.back = [np.empty((n, w)) for w in widths[:-1]]
         self.deriv = [np.empty((n, w)) for w in widths[1:-1]]
-        scratch, nd = self.back[0].reshape(-1), n * field.d
-        self.sq = scratch[:nd].reshape(n, field.d)
-        self.dot, self.zz = scratch[nd : nd + 2 * n].reshape(2, n, 1)
+        self.sq = np.empty((n, field.d))
+        self.dot, self.zz = np.empty((2, n, 1))
         self.grad = np.empty(field.flat.size)
         self.grads = _param_views(self.grad, widths, cond_shape)
 
@@ -722,7 +716,7 @@ class _TrainBatches:
         if field.kind == "slerp":
             _onto_sphere(z0, field.radius, rng)
         t = _times_of(self.times[:m], self.config)
-        pairs = _path_setup(z0, z1, PathKind(field.kind), field.radius, t.shape)
+        pairs = _path_setup(z0, z1, PathKind(field.kind), field.radius)
         self.z_t[:m], self.u_t[:m] = _path_at(pairs, t)
         _time_embedding_into(t, self.emb[:m])
         self.cond[:m] = cond

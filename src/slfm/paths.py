@@ -95,15 +95,18 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
     """Evaluate a path for stacks of token pairs.
 
     ``z0``/``z1`` are ``(..., d)`` with matching shapes; ``t`` is a scalar
-    or broadcastable against the leading shape.  Returns ``(z_t, u_t)``.
-    For ``SLERP`` all endpoint rows must lie on one common radius (pass
-    ``radius`` to pin it; otherwise it is inferred from the data).
+    or broadcastable against the leading shape, and broadcasts through the
+    evaluation: one pair at a vector of times gives one row per time.
+    Returns ``(z_t, u_t)``.  For ``SLERP`` all endpoint rows must lie on
+    one common radius (pass ``radius`` to pin it; otherwise it is inferred
+    from the data).  SHELL and SLERP endpoints below the norm floor raise
+    :class:`NearZeroNorm`, and ones whose squared norm overflows
+    ``ValueError``.
     """
     z0, z1 = sphere._as_vectors(z0), sphere._as_vectors(z1)
     if z0.shape != z1.shape:
         raise DimensionMismatch(f"shapes differ: {z0.shape} vs {z1.shape}")
-    t = np.asarray(t, dtype=np.float64)
-    return _path_at(_path_setup(z0, z1, kind, radius, t.shape), t)
+    return _path_at(_path_setup(z0, z1, kind, radius), t)
 
 
 class _PathPairs(NamedTuple):
@@ -119,24 +122,24 @@ class _PathPairs(NamedTuple):
     geodesic: sphere._Geodesic | None = None  # SHELL, SLERP: the unit rows
 
 
-def _path_setup(z0, z1, kind: PathKind, radius: float | None = None, lead=()) -> _PathPairs:
-    """What does not depend on ``t`` for pairs that :func:`path_rows` has
-    checked: the chord, or the endpoint norms, the unit rows and their
-    geodesic set-up, broadcast against the leading shape ``lead`` of the
-    times.  Raises as :func:`path_rows` does on norms below the floor or
-    off the common sphere."""
+def _path_setup(z0, z1, kind: PathKind, radius: float | None = None) -> _PathPairs:
+    """What does not depend on ``t`` for pairs of one shape that
+    :func:`path_rows` has checked: the chord, or the endpoint norms, the
+    unit rows of :func:`sphere._project_into` and their geodesic set-up.
+    Raises as :func:`path_rows` does on norms below the floor, squared
+    norms past the float range or rows off the common sphere."""
     if kind is PathKind.LINEAR:
         return _PathPairs(kind, z0, z1, chord=z1 - z0)
 
-    r0 = np.linalg.norm(z0, axis=-1)
-    r1 = np.linalg.norm(z1, axis=-1)
-    if np.any(r0 < NORM_FLOOR) or np.any(r1 < NORM_FLOOR):
-        raise NearZeroNorm("endpoint norm below floor")
-    u0 = z0 / r0[..., None]
-    u1 = z1 / r1[..., None]
+    r0, r1 = np.empty(z0.shape[:-1]), np.empty(z1.shape[:-1])
+    u0 = sphere._project_into(z0, 1.0, r0, np.empty_like(z0))
+    u1 = sphere._project_into(z1, 1.0, r1, np.empty_like(z1))
+    if not (np.isfinite(r0).all() and np.isfinite(r1).all()):
+        raise ValueError("endpoint rows must have finite squared norms")
+    geodesic = sphere._geodesic_setup(u0, u1)
 
     if kind is PathKind.SHELL:
-        return _PathPairs(kind, z0, z1, r0=r0, r1=r1, geodesic=sphere._geodesic_setup(u0, u1, lead))
+        return _PathPairs(kind, z0, z1, r0=r0, r1=r1, geodesic=geodesic)
 
     if kind is PathKind.SLERP:
         if radius is None:
@@ -148,7 +151,6 @@ def _path_setup(z0, z1, kind: PathKind, radius: float | None = None, lead=()) ->
             raise RadiusMismatch(
                 f"endpoints off the common sphere: max deviation {dev!r} at radius {radius!r}"
             )
-        geodesic = sphere._geodesic_setup(u0, u1, lead)
         return _PathPairs(kind, z0, z1, radius=radius, geodesic=geodesic)
 
     raise ValueError(f"unknown path kind: {kind!r}")

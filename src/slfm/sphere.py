@@ -213,24 +213,19 @@ def orthonormal_rows(u) -> np.ndarray:
 
 class _Geodesic(NamedTuple):
     """The t-independent part of :func:`geodesic_rows` for pairs of unit
-    rows broadcast to one shape (see :func:`_geodesic_setup`)."""
+    rows of one shape (see :func:`_geodesic_setup`)."""
 
-    u0: np.ndarray        # the start rows, broadcast to the pairs' shape
+    u0: np.ndarray        # the start rows
     nhat: np.ndarray      # unit tangent at u0 toward u1, the circle's second axis
     omega: np.ndarray     # (..., 1) angle between the rows, in [0, pi]
 
 
-def _geodesic_setup(u0: np.ndarray, u1: np.ndarray, lead=()) -> _Geodesic:
-    """Angles and tangent units of the unit rows ``u0``/``u1``, broadcast
-    against each other and against the leading shape ``lead`` of the
-    times they will be evaluated at; nothing here depends on ``t`` itself.
-    The rows are taken as they are: float64 arrays that a boundary has
-    checked."""
-    shape = np.broadcast_shapes(u0.shape, u1.shape, tuple(lead) + (1,))
-    nhat = np.subtract(u1, u0, out=np.empty(shape))
-    if u0.shape != shape:
-        u0 = np.broadcast_to(u0, shape)
-    scratch = np.add(u1, u0, out=np.empty(shape))
+def _geodesic_setup(u0: np.ndarray, u1: np.ndarray) -> _Geodesic:
+    """Angles and tangent units of the unit rows ``u0``/``u1``, float64
+    arrays of one shape that a boundary has checked; nothing here depends
+    on the times, which :func:`_geodesic_at` broadcasts against the pairs."""
+    nhat = np.subtract(u1, u0)
+    scratch = np.add(u1, u0)
     chord_sq = np.einsum("...i,...i->...", nhat, nhat)
     sum_sq = np.einsum("...i,...i->...", scratch, scratch)
     omega = 2.0 * np.arctan2(np.sqrt(chord_sq), np.sqrt(sum_sq))
@@ -251,10 +246,10 @@ def _geodesic_setup(u0: np.ndarray, u1: np.ndarray, lead=()) -> _Geodesic:
 
 
 def _geodesic_at(g: _Geodesic, t, out=None):
-    """Position and velocity of the pairs ``g`` at ``t``, whose shape the
-    set-up was broadcast against.  With ``out = (pos, vel, scratch)``,
+    """Position and velocity of the pairs ``g`` at ``t``, which broadcasts
+    against the pairs' leading shape.  With ``out = (pos, vel, scratch)``,
     arrays of the pairs' shape, they are written into ``pos`` and ``vel``;
-    otherwise into new arrays."""
+    otherwise into new arrays of the broadcast shape."""
     pos, vel, scratch = (None, None, None) if out is None else out
     t = np.asarray(t, dtype=np.float64)
     a = t[..., None] * g.omega
@@ -288,9 +283,8 @@ def geodesic_rows(u0, u1, t):
     The velocity has norm ``w`` and is tangent to the position, so callers
     need no tangent projection.
     """
-    t = np.asarray(t, dtype=np.float64)
-    u0, u1 = np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64)
-    return _geodesic_at(_geodesic_setup(u0, u1, t.shape), t)
+    u0, u1 = np.broadcast_arrays(np.asarray(u0, dtype=np.float64), np.asarray(u1, dtype=np.float64))
+    return _geodesic_at(_geodesic_setup(u0, u1), t)
 
 
 def slerp_rows(u0, u1, t) -> np.ndarray:

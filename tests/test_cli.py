@@ -204,6 +204,13 @@ def test_paths_bad_synthetic_family(capsys):
     assert main(["paths", "--synthetic", "torus:d=3,R=1", "--kind", "linear"]) == 2
 
 
+def test_paths_empty_grid_exits_2(capsys):
+    assert main(["paths", "--synthetic", "sphere:d=4,R=1", "--kind", "slerp", "--grid", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR t_grid must be a nonempty 1-d array\n"
+
+
 def test_paths_slerp_rejects_off_sphere_synthetic(capsys):
     rc = main(
         [
@@ -351,6 +358,25 @@ def test_train_zero_steps(tmp_path, capsys):
     assert metrics["initial_loss"] is None
     assert metrics["smoothed_final_loss"] is None
     assert ckpt.exists()
+
+
+def test_train_weights_reach_the_sidecar_and_the_sample_report(tmp_path, capsys):
+    ckpt = tmp_path / "weighted.slfm"
+    assert main(["train", "--out", str(ckpt), "--weights", "0.7,0.3"] + _QUICK_TRAIN) == 0
+    capsys.readouterr()
+    sidecar = json.loads((tmp_path / "weighted.slfm.json").read_text())
+    assert sidecar["extra"]["dataset"]["weights"] == [0.7, 0.3]
+    assert main(["sample", str(ckpt), "--seed", "1", "--n", "16", "--nfe", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["dataset_weights"] == [0.7, 0.3]
+
+
+def test_train_one_weight_for_two_centers_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "weighted.slfm"
+    assert main(["train", "--out", str(ckpt), "--weights", "0.7"] + _QUICK_TRAIN) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR weights must be k reals in [0, 1]\n"
+    assert not ckpt.exists()
 
 
 def test_train_divergence_exit_code(tmp_path, capsys):

@@ -532,13 +532,7 @@ def test_swap_kernel_equals_component_swap_rows():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((16, 9))
     s = 3.0 * rng.standard_normal((16, 9))
-    # blocks of larger buffers, full of NaN so a read before a write shows
-    norms = np.full((3, 20), np.nan)[:, 2:18]
-    out = np.full((2, 20, 9), np.nan)[:, 2:18]
-    keep_dir, keep_rad = diagnostics._component_swap_into(a, s, norms, out)
-    assert np.shares_memory(keep_dir, out) and np.shares_memory(keep_rad, out)
-    want_dir, want_rad = component_swap_rows(a, s)
-    assert np.array_equal(keep_dir, want_dir) and np.array_equal(keep_rad, want_rad)
+    keep_dir, keep_rad = component_swap_rows(a, s)
     ra = np.linalg.norm(a, axis=-1, keepdims=True)
     rs = np.linalg.norm(s, axis=-1, keepdims=True)
     assert np.array_equal(keep_dir, (rs / ra) * a) and np.array_equal(keep_rad, (ra / rs) * s)
@@ -547,7 +541,7 @@ def test_swap_kernel_equals_component_swap_rows():
 def test_swap_kernel_rejects_a_zero_row():
     a = np.array([[3.0, 4.0], [0.0, 0.0]])
     with pytest.raises(NearZeroNorm):
-        diagnostics._component_swap_into(a, np.ones((2, 2)), np.empty((3, 2)), np.empty((2, 2, 2)))
+        component_swap_rows(a, np.ones((2, 2)))
 
 
 def test_swap_rows_shape_mismatch():

@@ -2,6 +2,7 @@
 identity, and the radial/tangential split."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ def test_path_rows_broadcasts_time_axis():
         assert_allclose(z_t[i], one, atol=0)
 
 
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_path_rows_of_one_pair_at_a_vector_of_times_equal_the_calls_at_each_time(kind):
+    rng = np.random.default_rng(30)
+    z0, z1 = rng.standard_normal(5), 3.0 * rng.standard_normal(5)
+    if kind is PathKind.SLERP:
+        z0, z1 = sphere.project_rows(np.stack([z0, z1]), 2.0)
+    t = np.linspace(0.0, 1.0, 9)
+    z_t, u_t = path_rows(z0, z1, t, kind)
+    assert z_t.shape == u_t.shape == (9, 5)
+    for i, ti in enumerate(t):
+        one_z, one_u = path_rows(z0, z1, float(ti), kind)
+        assert np.array_equal(z_t[i], one_z) and np.array_equal(u_t[i], one_u)
+
+
 def test_chord_dip_below_three_quarters():
     rng = np.random.default_rng(11)
     radius = math.sqrt(32)
@@ -403,6 +418,21 @@ def test_path_rows_rejects_non_finite_endpoints(kind, end, bad):
     ends[end][1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         path_rows(ends[0], ends[1], 0.5, kind)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["z0", "z1"])
+@pytest.mark.parametrize("kind", [PathKind.SHELL, PathKind.SLERP])
+def test_path_rows_rejects_endpoints_whose_squared_norms_overflow(kind, end):
+    # finite rows, but a square past float max: no inf or nan rows, no warning
+    ends = [np.array([[1e200, 1e200], [0.0, 1.0]]), np.array([[1e200, -1e200], [1.0, 0.0]])]
+    ends[1 - end][0] = [1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite squared norms"):
+            path_rows(ends[0], ends[1], 0.5, kind)
+        if kind is PathKind.SHELL:
+            with pytest.raises(ValueError, match="finite squared norms"):
+                shell_path(ends[0][0], ends[1][0], 0.5)
 
 
 @pytest.mark.parametrize("end", [0, 1], ids=["z0", "z1"])

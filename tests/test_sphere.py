@@ -138,6 +138,19 @@ def test_uniform_rows_shape_and_errors():
         sphere.uniform_rows(1, 1, 1.0, rng)
 
 
+
+def test_onto_sphere_draws_a_row_below_the_floor_again_after_the_others():
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    eps = rng.standard_normal((4, 3))
+    eps[2] = 0.0
+    want = ref.standard_normal((4, 3))
+    want[2] = ref.standard_normal((1, 3))
+    want *= (2.5 / np.linalg.norm(want, axis=-1))[:, None]
+    out = sphere._onto_sphere(eps, 2.5, rng)
+    assert out is eps and np.array_equal(out, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Gaussian norm statistics
 
@@ -491,6 +504,33 @@ def test_geodesic_rows_equal_rows_stay_put():
         pos, vel = sphere.geodesic_rows(u, u.copy(), t)
         assert_allclose(pos, u, rtol=0, atol=0)
         assert np.all(vel == 0.0)
+
+
+
+def test_geodesic_rows_broadcast_one_start_row_against_a_stack():
+    rng = np.random.default_rng(74)
+    u0 = unit_rows(rng.standard_normal(4))
+    u1 = unit_rows(rng.standard_normal((6, 4)))
+    t = rng.random(6)
+    pos, vel = sphere.geodesic_rows(u0, u1, t)
+    assert pos.shape == vel.shape == (6, 4)
+    for i in range(6):
+        one_pos, one_vel = sphere.geodesic_rows(u0, u1[i], t[i])
+        assert np.array_equal(pos[i], one_pos) and np.array_equal(vel[i], one_vel)
+
+
+def test_geodesic_rows_broadcast_keep_equal_rows_at_the_start():
+    # times of shape (3, 1) against a (5, 4) stack whose row 2 is u0: the
+    # equal row's degenerate tangent is found in the broadcast pairs
+    rng = np.random.default_rng(75)
+    u0 = unit_rows(rng.standard_normal(4))
+    u1 = unit_rows(rng.standard_normal((5, 4)))
+    u1[2] = u0
+    pos, vel = sphere.geodesic_rows(u0, u1, np.array([[0.0], [0.4], [1.0]]))
+    assert pos.shape == vel.shape == (3, 5, 4)
+    assert np.array_equal(pos[:, 2], np.broadcast_to(u0, (3, 4))) and np.all(vel[:, 2] == 0.0)
+    for j in (0, 1, 3, 4):
+        assert_allclose(pos[2, j], u1[j], rtol=0, atol=1e-15)
 
 
 def test_geodesic_rows_exact_antipodes_follow_the_orthonormal_circle():
