@@ -81,23 +81,48 @@ def cmd_gaussian_norms(args) -> int:
     return 0
 
 
+def _run_slices(fn, shape) -> None:
+    """``fn(items)`` for each contiguous range of whole blocks of a
+    container of ``shape``, one range per usable CPU, each on a thread of
+    its own under the caller's numpy error state (a container of one block
+    starts no thread).  Raises the first range's error, in file order,
+    which is the error a loop over the blocks in order would raise."""
+    errstate = np.geterr()
+
+    def run(items):
+        # errstate is per thread: each range enters the caller's
+        with np.errstate(**errstate):
+            fn(items)
+
+    slices = container.block_slices(shape, model._usable_cpus())
+    for exc in model._run_wave(run, slices)[1]:
+        if exc is not None:
+            raise exc
+
+
 def cmd_stats(args) -> int:
-    # one norm per token is all that outlives a block; each block is squared
-    # in place, or projected into one scratch block sized from the first
-    # and squared there
+    # one norm per token is all that outlives a block; each range of blocks
+    # fills its own part of the norms, squaring each block in place, or
+    # projecting it into one scratch block sized from the range's first and
+    # squaring it there
     with container.BlockReader(args.input) as reader:
         log.info("read %d tokens of dimension %d", reader.n_tokens, reader.shape[1])
         norms = np.empty(reader.n_tokens)
-        scratch = None
-        first = 0
-        for rows in reader.token_blocks():
-            block_norms = norms[first : first + rows.shape[0]]
-            if args.project is not None:
-                if scratch is None:
-                    scratch = np.empty_like(rows)
-                rows = sphere._project_into(rows, args.project, block_norms, scratch[: rows.shape[0]])
-            sphere._norms_into(rows, rows, block_norms)
-            first += rows.shape[0]
+        _, _, h, w = reader.shape
+
+        def stats_slice(items):
+            scratch = None
+            first = items.start * h * w
+            for rows in reader.token_blocks(items):
+                block_norms = norms[first : first + rows.shape[0]]
+                if args.project is not None:
+                    if scratch is None:
+                        scratch = np.empty_like(rows)
+                    rows = sphere._project_into(rows, args.project, block_norms, scratch[: rows.shape[0]])
+                sphere._norms_into(rows, rows, block_norms)
+                first += rows.shape[0]
+
+        _run_slices(stats_slice, reader.shape)
     row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms))
     emit_report([row], list(row), args.format)
     return 0
@@ -151,16 +176,21 @@ def cmd_swap(args) -> int:
                 container.BlockWriter(dir_temp, anchor.shape) as out_dir,
                 container.BlockWriter(rad_temp, anchor.shape) as out_rad,
             ):
+                # each range of blocks writes its own part of both hybrids:
                 # each block's hybrids are its f32 items times one ratio per
                 # token; the float64 rows only give the norms, squared in place
-                norms = None
-                for (a_items, a), (s_items, s) in zip(anchor.blocks(), substitute.blocks()):
-                    if norms is None:
-                        norms = np.empty((3, a.shape[0]))
-                    to_direction, to_radius = diagnostics._swap_ratios(a, s, a, s, norms[:, : a.shape[0]])
-                    per_token = (a_items.shape[0], 1) + a_items.shape[2:]
-                    out_dir.write_scaled(a_items, to_direction.reshape(per_token))
-                    out_rad.write_scaled(s_items, to_radius.reshape(per_token))
+                def swap_slice(items):
+                    dir_view, rad_view = out_dir.view(items), out_rad.view(items)
+                    norms = None
+                    for (a_items, a), (s_items, s) in zip(anchor.blocks(items), substitute.blocks(items)):
+                        if norms is None:
+                            norms = np.empty((3, a.shape[0]))
+                        to_direction, to_radius = diagnostics._swap_ratios(a, s, a, s, norms[:, : a.shape[0]])
+                        per_token = (a_items.shape[0], 1) + a_items.shape[2:]
+                        dir_view.write_scaled(a_items, to_direction.reshape(per_token))
+                        rad_view.write_scaled(s_items, to_radius.reshape(per_token))
+
+                _run_slices(swap_slice, anchor.shape)
     log.info("wrote hybrids to %s and %s", args.out_direction, args.out_radius)
     return 0
 

@@ -9,30 +9,36 @@ read-back array reproduces the file byte for byte.
 
 Containers are streamed in blocks of whole items, about ``BLOCK_BYTES`` of
 payload each (one item per block when an item is larger), so memory stays
-bounded whatever the container's size:
+bounded whatever the container's size.  Each file is opened once, and every
+block is read or written at its own offset with positional I/O, so contiguous
+ranges of whole blocks (:func:`block_slices`) can run on threads of their
+own through the one descriptor, each with its own buffers:
 
 - :class:`BlockReader` checks the header, and the payload length against the
-  file size, before it reads any payload.  Each block is read into a reused
-  f32 buffer and checked for finite values there, into a reused mask (the
-  promotion to float64 is exact, so it makes no value non-finite).  One
-  copy then promotes it and transposes it into a reused token-row buffer,
-  whose (k, d, h, w) view is the strided target.  :meth:`BlockReader.blocks`
-  yields both views of each block, the checked f32 items and the float64
-  token rows; :meth:`BlockReader.token_blocks` yields the rows alone.  A
-  truncated payload or a non-finite value in any block raises
+  file size, before it reads any payload.  :meth:`BlockReader.blocks` streams
+  a range of items (all by default) through its own f32 block, the mask that
+  block is checked for finite values into (the promotion to float64 is
+  exact, so it makes no value non-finite), and one token-row block that a
+  single copy promotes and transposes the f32 block into, whose (k, d, h, w)
+  view is the strided target.  It yields both views of each block, the
+  checked f32 items and the float64 token rows;
+  :meth:`BlockReader.token_blocks` yields the rows alone.  A truncated
+  payload or a non-finite value in any block raises
   :class:`ContainerFormatError`.  :func:`read_container` is the one-shot
-  case of the same reader, with C-ordered blocks of its result as targets.
-- :class:`BlockWriter` writes the header and then one block at a time, into
-  one reused f32 block and one reused mask for :func:`write_container`'s
-  finite and f32-overflow checks.  Every block goes through
-  :meth:`BlockWriter.write_scaled`, which takes items and a float64 factor
-  per token and writes their products with a single multiply into the f32
-  block: numpy's float64 loop rounds each product once to f32, the bytes
-  :func:`write_container` writes for the float64 products, with no float64
-  block in between.  ``slfm swap`` hands it f32 items as a reader yields
-  them and the swap ratios; :meth:`BlockWriter.write_rows` hands it float64
+  case of the same reads, with C-ordered blocks of its result as targets.
+- :class:`BlockWriter` writes the header, and :meth:`BlockWriter.view` gives
+  a range of items that is written one block at a time, in order, through
+  its own f32 block and mask for :func:`write_container`'s finite and
+  f32-overflow checks; the writer's own methods write through a view of all
+  its items.  Every block goes through ``write_scaled``, which takes items
+  and a float64 factor per token and writes their products with a single
+  multiply into the f32 block: numpy's float64 loop rounds each product once
+  to f32, the bytes :func:`write_container` writes for the float64 products,
+  with no float64 block in between.  ``slfm swap`` hands it f32 items as a
+  reader yields them and the swap ratios; ``write_rows`` hands it float64
   token rows, transposed into items, and a factor of 1.0, so each value is
-  rounded once to f32 as a cast would round it.
+  rounded once to f32 as a cast would round it.  On exit the tokens its
+  views wrote must add up to those the header declares.
   Streamed outputs are written to temporaries under :func:`replacing`, which
   moves them over their targets only once every write succeeded.
 """
@@ -120,6 +126,24 @@ def _items_per_block(shape) -> int:
     return max(1, BLOCK_BYTES // item_bytes)
 
 
+def block_slices(shape, parts) -> list:
+    """The items of a container of ``shape`` as at most ``parts`` contiguous
+    ranges of whole blocks, in file order, their block counts differing by
+    at most one.  A container without items is one empty range."""
+    n = shape[0]
+    per_block = _items_per_block(shape)
+    blocks = -(-n // per_block)
+    parts = max(1, min(blocks, parts))
+    bounds = [min(n, i * blocks // parts * per_block) for i in range(parts + 1)]
+    return [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
+
+
+def _offset(shape, item) -> int:
+    """The file offset of item ``item``'s payload."""
+    _, d, h, w = shape
+    return _HEADER.size + 4 * d * h * w * item
+
+
 class BlockReader:
     """A container opened for reading in blocks of whole items.
 
@@ -133,8 +157,6 @@ class BlockReader:
         except BaseException:
             self._fh.close()
             raise
-        self._raw = np.empty(0, dtype="<f4")
-        self._finite = np.empty(0, dtype=bool)
 
     def __enter__(self):
         return self
@@ -147,62 +169,69 @@ class BlockReader:
         n, _, h, w = self.shape
         return n * h * w
 
-    def _read_items(self, shape) -> np.ndarray:
-        """The next k items, shape (k, d, h, w), read into the reused f32
-        buffer and checked there; a view the next read overwrites."""
-        size = math.prod(shape)
-        if self._raw.size < size:
-            self._raw = np.empty(size, dtype="<f4")
-            self._finite = np.empty(size, dtype=bool)
-        raw = self._raw[:size]
-        got = self._fh.readinto(raw)
-        if got != raw.nbytes:
-            raise ContainerFormatError(
-                f"payload ended early: read {got} of {raw.nbytes} bytes of a block"
-            )
-        if not np.isfinite(raw, out=self._finite[:size]).all():
+    def _read_items(self, first, raw, finite) -> np.ndarray:
+        """Items ``first``.. read into the f32 block ``raw``, shape
+        (k, d, h, w), and checked there into the mask ``finite``; returns
+        ``raw``."""
+        buf = raw.reshape(-1).view(np.uint8)
+        offset, got = _offset(self.shape, first), 0
+        while got < buf.size:
+            read = os.preadv(self._fh.fileno(), [buf[got:]], offset + got)
+            if read == 0:
+                raise ContainerFormatError(
+                    f"payload ended early: read {got} of {buf.size} bytes of a block"
+                )
+            got += read
+        if not np.isfinite(raw, out=finite).all():
             raise ContainerFormatError("payload contains non-finite values")
-        return raw.reshape(shape)
+        return raw
 
-    def blocks(self):
-        """Yield the payload k whole items at a time, as pairs of views of
-        one block: the checked f32 items, shape (k, d, h, w), and their
-        float64 token rows, shape (k*h*w, d).  Both are views of buffers
-        that the next block overwrites."""
+    def blocks(self, items=None):
+        """Yield the payload of the item range ``items`` (all items by
+        default) k whole items at a time, as pairs of views of one block:
+        the checked f32 items, shape (k, d, h, w), and their float64 token
+        rows, shape (k*h*w, d).  Both are views of buffers that the next
+        block overwrites; each call has buffers of its own, so calls over
+        disjoint ranges may run on threads of their own."""
         n, d, h, w = self.shape
+        items = range(n) if items is None else items
         per_block = _items_per_block(self.shape)
-        rows = np.empty((min(n, per_block) * h * w, d))
-        for first in range(0, n, per_block):
-            k = min(per_block, n - first)
+        raw = np.empty((min(len(items), per_block), d, h, w), dtype="<f4")
+        finite = np.empty(raw.shape, dtype=bool)
+        rows = np.empty((raw.shape[0] * h * w, d))
+        for first in range(items.start, items.stop, per_block):
+            k = min(per_block, items.stop - first)
+            block = self._read_items(first, raw[:k], finite[:k])
             out = rows[: k * h * w]
-            items = self._read_items((k, d, h, w))
-            np.copyto(rows_to_tensor(out, items.shape), items)
-            yield items, out
+            np.copyto(rows_to_tensor(out, block.shape), block)
+            yield block, out
 
-    def token_blocks(self):
-        """Yield the payload as token-row blocks of shape (k*h*w, d), k whole
-        items at a time.  Each block is a view of a buffer that the next
-        block overwrites."""
-        for _, rows in self.blocks():
+    def token_blocks(self, items=None):
+        """Yield the payload of the item range ``items`` (all items by
+        default) as token-row blocks of shape (k*h*w, d), k whole items at a
+        time.  Each block is a view of a buffer that the next block
+        overwrites."""
+        for _, rows in self.blocks(items):
             yield rows
 
 
 class BlockWriter:
     """A container of ``shape`` written to ``path`` one block of whole items
-    at a time.  Use it as a context manager, which closes the file."""
+    at a time, through views of item ranges (:meth:`view`) or in order from
+    the first item (:meth:`write_rows`, :meth:`write_scaled`).  Use it as a
+    context manager, which closes the file."""
 
     def __init__(self, path, shape):
         self.shape = tuple(int(s) for s in shape)
         header = _header(self.shape)
-        self._fh = open(path, "wb")
+        self._fh = open(path, "wb", buffering=0)
         try:
-            self._fh.write(header)
+            _pwrite_all(self._fh.fileno(), header, 0)
         except BaseException:
             self._fh.close()
             raise
-        self._buf = np.empty(0, dtype="<f4")
-        self._finite = np.empty(0, dtype=bool)
-        self._tokens = 0
+        self._views = []
+        self._all = self.view(range(self.shape[0]))
 
     def __enter__(self):
         return self
@@ -210,10 +239,41 @@ class BlockWriter:
     def __exit__(self, exc_type, *exc) -> None:
         self._fh.close()
         n, _, h, w = self.shape
-        if exc_type is None and self._tokens != n * h * w:
+        tokens = sum(view.tokens for view in self._views)
+        if exc_type is None and tokens != n * h * w:
             raise ContainerFormatError(
-                f"wrote {self._tokens} of the {n * h * w} tokens the header declares"
+                f"wrote {tokens} of the {n * h * w} tokens the header declares"
             )
+
+    def view(self, items) -> _WriterView:
+        """A view that writes the item range ``items`` in order, from its
+        first item, with buffers of its own; views of disjoint ranges may
+        write on threads of their own."""
+        view = _WriterView(self, items.start)
+        self._views.append(view)
+        return view
+
+    def write_rows(self, rows) -> None:
+        """:meth:`_WriterView.write_rows` of the next items."""
+        self._all.write_rows(rows)
+
+    def write_scaled(self, items, factor) -> None:
+        """:meth:`_WriterView.write_scaled` of the next items."""
+        self._all.write_scaled(items, factor)
+
+
+class _WriterView:
+    """Items of a :class:`BlockWriter`'s container written in order from
+    item ``first``, each block at its own offset, through one reused f32
+    block and mask; ``tokens`` counts the tokens written."""
+
+    def __init__(self, writer, first):
+        self.shape = writer.shape
+        self._fd = writer._fh.fileno()
+        self._next = first
+        self._buf = np.empty(0, dtype="<f4")
+        self._finite = np.empty(0, dtype=bool)
+        self.tokens = 0
 
     def _block(self, shape):
         """The reused f32 block and mask, as views of ``shape``."""
@@ -252,9 +312,18 @@ class BlockWriter:
             if not np.isfinite(payload, out=mask).all():
                 # raises, naming the fault of the float64 products
                 _f32_payload(np.multiply(items, factor, dtype=np.float64))
-        self._fh.write(payload.data)
+        _pwrite_all(self._fd, payload.reshape(-1).view(np.uint8), _offset(self.shape, self._next))
         _, _, h, w = self.shape
-        self._tokens += items.shape[0] * h * w
+        self._next += items.shape[0]
+        self.tokens += items.shape[0] * h * w
+
+
+def _pwrite_all(fd, data, offset) -> None:
+    """Write every byte of ``data`` at ``offset``."""
+    data = memoryview(data)
+    while data.nbytes:
+        written = os.pwrite(fd, data, offset)
+        data, offset = data[written:], offset + written
 
 
 def _fsync(path) -> None:
@@ -295,9 +364,12 @@ def read_container(path) -> np.ndarray:
     with BlockReader(path) as reader:
         arr = np.empty(reader.shape)
         per_block = _items_per_block(reader.shape)
+        raw = np.empty((min(reader.shape[0], per_block),) + reader.shape[1:], dtype="<f4")
+        finite = np.empty(raw.shape, dtype=bool)
         for first in range(0, reader.shape[0], per_block):
             block = arr[first : first + per_block]
-            np.copyto(block, reader._read_items(block.shape))
+            k = block.shape[0]
+            np.copyto(block, reader._read_items(first, raw[:k], finite[:k]))
     return arr
 
 

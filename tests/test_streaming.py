@@ -1,4 +1,5 @@
-"""Streamed containers: block boundaries, all-or-nothing outputs, bounded memory.
+"""Streamed containers: block boundaries, ranges of blocks on threads,
+all-or-nothing outputs, bounded memory.
 
 Every test that crosses block boundaries shrinks ``container.BLOCK_BYTES`` to
 a few KiB instead of writing a large container.
@@ -6,13 +7,14 @@ a few KiB instead of writing a large container.
 
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from slfm import container, diagnostics, sphere
-from slfm.cli import main
+from slfm import container, diagnostics, model, sphere
+from slfm.cli import _run_slices, main
 from slfm.errors import ContainerFormatError
 
 HEADER_BYTES = container._HEADER.size
@@ -270,6 +272,140 @@ def test_swap_output_may_name_an_input(tmp_path, small_blocks, which):
 
 
 # ---------------------------------------------------------------------------
+# ranges of blocks on threads
+
+CPU_COUNTS = (1, 2, 3, 8)
+
+# (20, 8, 3, 5): 3 blocks, fewer than most CPU counts; (37, 8, 3, 5): 5
+# blocks; (5, 64, 4, 4) in 1000-byte blocks: items over a block, one to a
+# block; n = 0 and h = 0: no tokens
+RANGE_CASES = {
+    "fewer-blocks": ((20, 8, 3, 5), 4096),
+    "blocks": ((37, 8, 3, 5), 4096),
+    "item-over-block": ((5, 64, 4, 4), 1000),
+    "n0": ((0, 4, 2, 2), 4096),
+    "h0": ((3, 4, 0, 2), 4096),
+}
+
+
+def test_block_slices_split_whole_blocks_in_file_order(small_blocks):
+    shape = (37, 8, 3, 5)  # 8 items to a block, 5 blocks
+    assert container.block_slices(shape, 1) == [range(0, 37)]
+    assert container.block_slices(shape, 2) == [range(0, 16), range(16, 37)]
+    assert container.block_slices(shape, 3) == [range(0, 8), range(8, 24), range(24, 37)]
+    assert container.block_slices(shape, 8) == [range(i, min(i + 8, 37)) for i in range(0, 37, 8)]
+    assert container.block_slices((0, 4, 2, 2), 8) == [range(0, 0)]
+    assert container.block_slices((3, 4, 0, 2), 8) == [range(0, 3)]
+
+
+def _outputs(tmp_path, capsys, anchor, substitute):
+    """Exit code, stdout and stderr of stats and stats --project, and exit
+    code and written bytes of swap, fresh and with an output that names
+    an input."""
+    out = {}
+    for name, argv in {
+        "stats": ["stats", str(anchor)],
+        "project": ["stats", str(anchor), "--project", "2.5"],
+    }.items():
+        out[name] = (main(argv), *capsys.readouterr())
+    hybrids = [tmp_path / "dir.slfm", tmp_path / "rad.slfm"]
+    out["swap"] = (_swap(anchor, substitute, *hybrids), *[p.read_bytes() for p in hybrids])
+    named = tmp_path / "named.slfm"
+    named.write_bytes(anchor.read_bytes())
+    hybrids = [named, tmp_path / "rad2.slfm"]
+    out["named"] = (_swap(named, substitute, *hybrids), *[p.read_bytes() for p in hybrids])
+    capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("case", RANGE_CASES)
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch, case):
+    shape, block_bytes = RANGE_CASES[case]
+    monkeypatch.setattr(container, "BLOCK_BYTES", block_bytes)
+    anchor, substitute = tmp_path / "a.slfm", tmp_path / "s.slfm"
+    _latents(anchor, shape, seed=20)
+    _latents(substitute, shape, seed=21, scale=3.0)
+    runs = {}
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        runs[cpus] = _outputs(tmp_path, capsys, anchor, substitute)
+    assert runs[1]["swap"][0] == 0 and runs[1]["named"] == runs[1]["swap"]
+    for cpus in CPU_COUNTS:
+        assert runs[cpus] == runs[1]
+
+
+@pytest.mark.parametrize(("n", "threads"), [(1, 0), (8, 0), (9, 1)], ids=["one-item", "one-block", "two-blocks"])
+def test_a_one_block_container_starts_no_thread(tmp_path, capsys, monkeypatch, small_blocks, n, threads):
+    # 480-byte items, 8 to a block
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    path = tmp_path / "lat.slfm"
+    _latents(path, (n, 8, 3, 5), seed=22)
+    out = ["--out-direction", str(tmp_path / "dir.slfm"), "--out-radius", str(tmp_path / "rad.slfm")]
+    for argv in (["stats", str(path)], ["stats", str(path), "--project", "2.0"], ["swap", str(path), str(path)] + out):
+        before = len(started)
+        assert main(argv) == 0
+        assert len(started) - before == threads
+    capsys.readouterr()
+
+
+def _zero_and_nan(path, zero_item, nan_item):
+    """A container of 5 blocks whose item ``zero_item`` holds a zero token
+    and item ``nan_item`` a NaN."""
+    arr = _latents(path, (37, 8, 3, 5), seed=23)
+    arr[zero_item, :, 1, 2] = 0.0
+    arr[nan_item, 3, 0, 0] = np.nan
+    with open(path, "wb") as fh:
+        fh.write(container._header(arr.shape) + arr.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+@pytest.mark.parametrize(
+    ("zero_item", "nan_item", "message"),
+    [(0, 36, "norm below"), (36, 0, "non-finite")],
+    ids=["zero-first", "nan-first"],
+)
+@pytest.mark.parametrize("run", ["project", "swap"])
+def test_the_first_error_in_file_order_wins(tmp_path, capsys, monkeypatch, small_blocks, run, zero_item, nan_item, message, cpus):
+    # the faults lie in the first and the last block, so in the first and
+    # the last range of blocks whenever there are two
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    path, good = tmp_path / "faults.slfm", tmp_path / "good.slfm"
+    _zero_and_nan(path, zero_item, nan_item)
+    _latents(good, (37, 8, 3, 5), seed=24)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if run == "swap":
+        assert _swap(path, good, tmp_path / "dir.slfm", tmp_path / "rad.slfm") == 2
+    else:
+        assert main(["stats", str(path), "--project", "2.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    # neither hybrid nor any temporary is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_payload_cut_while_a_range_streams_ends_early(tmp_path, monkeypatch, small_blocks):
+    # the length check passed at open; the cut lies in the fourth of five
+    # blocks, so in the last range of blocks whenever there are two
+    path = tmp_path / "lat.slfm"
+    _latents(path, (37, 8, 3, 5), seed=25)
+    errors = []
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        with container.BlockReader(path) as reader:
+            os.truncate(path, HEADER_BYTES + 3 * 4096)
+            with pytest.raises(ContainerFormatError, match="ended early") as caught:
+                _run_slices(lambda items: [None for _ in reader.token_blocks(items)], reader.shape)
+            errors.append(str(caught.value))
+        _latents(path, (37, 8, 3, 5), seed=25)
+    assert errors == [errors[0]] * len(CPU_COUNTS)
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 
@@ -282,8 +418,26 @@ def _traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-def test_streamed_commands_keep_memory_bounded(tmp_path, capsys, small_blocks):
+def _on_cpus(monkeypatch, cpus):
+    """Run ``cpus`` ranges of blocks, each waiting for the others before
+    every block it reads: all of them hold their buffers at once, the peak
+    of ``cpus`` CPUs whatever the threads' timing.  Every container here
+    splits into ranges of as many blocks each."""
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    barrier = threading.Barrier(cpus, timeout=60)
+    blocks = container.BlockReader.blocks
+
+    def in_lockstep(reader, items=None):
+        for block in blocks(reader, items):
+            barrier.wait()
+            yield block
+
+    monkeypatch.setattr(container.BlockReader, "blocks", in_lockstep)
+
+
+def _command_peaks(tmp_path, capsys, monkeypatch, cpus):
     # items of 512 bytes: n = 256 and 8n = 2048 items, 8 items to a block
+    _on_cpus(monkeypatch, cpus)
     shape = (8, 4, 4)
     peaks = {}
     for n in (256, 2048):
@@ -299,6 +453,11 @@ def test_streamed_commands_keep_memory_bounded(tmp_path, capsys, small_blocks):
             main(argv)  # warm: first-call allocations are not the command's
             peaks[cmd, n] = _traced_peak(argv)
     capsys.readouterr()
+    return peaks
+
+
+def test_streamed_commands_keep_memory_bounded(tmp_path, capsys, monkeypatch, small_blocks):
+    peaks = _command_peaks(tmp_path, capsys, monkeypatch, cpus=1)
     two_blocks = 2 * 2 * small_blocks  # a block promoted to float64 takes twice its bytes
     extra_tokens = (2048 - 256) * 16
     assert peaks["swap", 2048] - peaks["swap", 256] <= two_blocks
@@ -306,15 +465,28 @@ def test_streamed_commands_keep_memory_bounded(tmp_path, capsys, small_blocks):
     assert peaks["stats", 2048] - peaks["stats", 256] <= 8 * extra_tokens + two_blocks
 
 
-def test_swap_holds_no_float64_hybrid_block(tmp_path, capsys, monkeypatch):
-    # items of 512 bytes: a token is 8 f32 channels, 32 bytes.  Per byte of
-    # BLOCK_BYTES, swap's buffers are each reader's f32 block (1), its mask
-    # (1/4) and its float64 token rows (2), each writer's f32 block (1) and
-    # mask (1/4), and three float64 norms per token (3 * 8 / 32).  From
-    # 64 KiB blocks on, nothing else it allocates grows with the block
-    # (numpy's cast buffers stop at 8192 values).
+def _cast_buffers(block_bytes) -> int:
+    """The bytes of numpy's cast buffers in one ``write_scaled`` multiply
+    of an f32 block: three of at most 8192 float64 values, held for the
+    call.  Whether the other CPU's are live at the peak depends on the
+    threads' timing, so each two-CPU bound allows for them once."""
+    return 3 * 8 * min(8192, block_bytes // 4)
+
+
+def test_streamed_commands_keep_memory_bounded_on_two_cpus(tmp_path, capsys, monkeypatch, small_blocks):
+    # tracemalloc counts every thread: each CPU holds its own block buffers
+    peaks = _command_peaks(tmp_path, capsys, monkeypatch, cpus=2)
+    two_blocks = 2 * (2 * 2 * small_blocks)
+    extra_tokens = (2048 - 256) * 16
+    assert peaks["swap", 2048] - peaks["swap", 256] <= two_blocks + _cast_buffers(small_blocks)
+    assert peaks["stats", 2048] - peaks["stats", 256] <= 8 * extra_tokens + two_blocks
+
+
+def _swap_peaks(tmp_path, capsys, monkeypatch, cpus):
+    # items of 512 bytes, in containers of 4 and 40 blocks of 64 KiB and of
+    # 4 blocks of 256 KiB
+    _on_cpus(monkeypatch, cpus)
     shape = (8, 4, 4)
-    budget = 2 * (1 + 1 / 4 + 2) + 2 * (1 + 1 / 4) + 3 * 8 / 32
     small, large = 1 << 16, 1 << 18
     peaks = {}
     for block_bytes, blocks in ((small, 4), (small, 40), (large, 4)):
@@ -328,10 +500,33 @@ def test_swap_holds_no_float64_hybrid_block(tmp_path, capsys, monkeypatch):
         main(argv)  # warm: first-call allocations are not the command's
         peaks[block_bytes, blocks] = _traced_peak(argv)
     capsys.readouterr()
+    return peaks, small, large
+
+
+def test_swap_holds_no_float64_hybrid_block(tmp_path, capsys, monkeypatch):
+    # items of 512 bytes: a token is 8 f32 channels, 32 bytes.  Per byte of
+    # BLOCK_BYTES, swap's buffers are each reader's f32 block (1), its mask
+    # (1/4) and its float64 token rows (2), each writer's f32 block (1) and
+    # mask (1/4), and three float64 norms per token (3 * 8 / 32).  From
+    # 64 KiB blocks on, nothing else it allocates grows with the block
+    # (numpy's cast buffers stop at 8192 values).
+    budget = 2 * (1 + 1 / 4 + 2) + 2 * (1 + 1 / 4) + 3 * 8 / 32
+    peaks, small, large = _swap_peaks(tmp_path, capsys, monkeypatch, cpus=1)
     assert abs(peaks[small, 40] - peaks[small, 4]) <= small
     # a float64 hybrid block would add 2 per byte
     per_byte = (peaks[large, 4] - peaks[small, 4]) / (large - small)
     assert per_byte <= budget + 1
+
+
+def test_swap_holds_no_float64_hybrid_block_on_two_cpus(tmp_path, capsys, monkeypatch):
+    # each of the two ranges of blocks holds the one-CPU buffers of its own
+    budget = 2 * (2 * (1 + 1 / 4 + 2) + 2 * (1 + 1 / 4) + 3 * 8 / 32)
+    peaks, small, large = _swap_peaks(tmp_path, capsys, monkeypatch, cpus=2)
+    slack = _cast_buffers(small)  # as many as for a large block
+    assert abs(peaks[small, 40] - peaks[small, 4]) <= small + slack
+    # a float64 hybrid block in each range would add 4 per byte
+    per_byte = (peaks[large, 4] - peaks[small, 4]) / (large - small)
+    assert per_byte <= budget + 1 + slack / (large - small)
 
 
 # ---------------------------------------------------------------------------
