@@ -37,10 +37,16 @@ own through the one descriptor, each with its own buffers:
   with no float64 block in between.  ``slfm swap`` hands it f32 items as a
   reader yields them and the swap ratios; ``write_rows`` hands it float64
   token rows, transposed into items, and a factor of 1.0, so each value is
-  rounded once to f32 as a cast would round it.  On exit the tokens its
-  views wrote must add up to those the header declares.
+  rounded once to f32 as a cast would round it.  A view refuses items past
+  its range, and on exit each view must have written its whole range and
+  the tokens its views wrote must add up to those the header declares.
+  As each block lands, its write-back to disk starts
+  (``POSIX_FADV_DONTNEED`` on the block's byte range, a hint that does not
+  wait), so the disk writes the output while later blocks compute.
   Streamed outputs are written to temporaries under :func:`replacing`, which
-  moves them over their targets only once every write succeeded.
+  moves them over their targets only once every write succeeded; its
+  ``fsync`` of each temporary still makes every byte durable before the
+  rename, and so waits only for the blocks still in flight.
 """
 
 from __future__ import annotations
@@ -231,16 +237,25 @@ class BlockWriter:
             self._fh.close()
             raise
         self._views = []
-        self._all = self.view(range(self.shape[0]))
+        self._all = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
         self._fh.close()
+        if exc_type is not None:
+            return
         n, _, h, w = self.shape
+        for view in self._views:
+            # items without payload leave no bytes to miss
+            if _offset(self.shape, view._next) != _offset(self.shape, view._stop):
+                raise ContainerFormatError(
+                    f"items {view._next}..{view._stop - 1} of the {n} the header declares"
+                    " were never written"
+                )
         tokens = sum(view.tokens for view in self._views)
-        if exc_type is None and tokens != n * h * w:
+        if tokens != n * h * w:
             raise ContainerFormatError(
                 f"wrote {tokens} of the {n * h * w} tokens the header declares"
             )
@@ -248,29 +263,35 @@ class BlockWriter:
     def view(self, items) -> _WriterView:
         """A view that writes the item range ``items`` in order, from its
         first item, with buffers of its own; views of disjoint ranges may
-        write on threads of their own."""
-        view = _WriterView(self, items.start)
+        write on threads of their own.  Each view must write its whole
+        range, and no item past it."""
+        view = _WriterView(self, items)
         self._views.append(view)
         return view
 
+    def _whole(self) -> _WriterView:
+        if self._all is None:
+            self._all = self.view(range(self.shape[0]))
+        return self._all
+
     def write_rows(self, rows) -> None:
         """:meth:`_WriterView.write_rows` of the next items."""
-        self._all.write_rows(rows)
+        self._whole().write_rows(rows)
 
     def write_scaled(self, items, factor) -> None:
         """:meth:`_WriterView.write_scaled` of the next items."""
-        self._all.write_scaled(items, factor)
+        self._whole().write_scaled(items, factor)
 
 
 class _WriterView:
-    """Items of a :class:`BlockWriter`'s container written in order from
-    item ``first``, each block at its own offset, through one reused f32
+    """The item range ``items`` of a :class:`BlockWriter`'s container,
+    written in order, each block at its own offset, through one reused f32
     block and mask; ``tokens`` counts the tokens written."""
 
-    def __init__(self, writer, first):
+    def __init__(self, writer, items):
         self.shape = writer.shape
         self._fd = writer._fh.fileno()
-        self._next = first
+        self._next, self._stop = items.start, items.stop
         self._buf = np.empty(0, dtype="<f4")
         self._finite = np.empty(0, dtype=bool)
         self.tokens = 0
@@ -304,6 +325,11 @@ class _WriterView:
             raise ContainerFormatError(
                 f"block of shape {items.shape} does not hold items of {self.shape[1:]}"
             )
+        if self._next + items.shape[0] > self._stop:
+            raise ContainerFormatError(
+                f"block of {items.shape[0]} items from item {self._next}"
+                f" runs past item {self._stop}"
+            )
         # an ndarray, not a Python float, so the float64 loop runs (NEP 50)
         factor = np.asarray(factor, dtype=np.float64)
         payload, mask = self._block(items.shape)
@@ -312,7 +338,9 @@ class _WriterView:
             if not np.isfinite(payload, out=mask).all():
                 # raises, naming the fault of the float64 products
                 _f32_payload(np.multiply(items, factor, dtype=np.float64))
-        _pwrite_all(self._fd, payload.reshape(-1).view(np.uint8), _offset(self.shape, self._next))
+        offset = _offset(self.shape, self._next)
+        _pwrite_all(self._fd, payload.reshape(-1).view(np.uint8), offset)
+        _start_writeback(self._fd, offset, payload.nbytes)
         _, _, h, w = self.shape
         self._next += items.shape[0]
         self.tokens += items.shape[0] * h * w
@@ -324,6 +352,23 @@ def _pwrite_all(fd, data, offset) -> None:
     while data.nbytes:
         written = os.pwrite(fd, data, offset)
         data, offset = data[written:], offset + written
+
+
+def _start_writeback(fd, offset, nbytes) -> None:
+    """Start the write-back of the ``nbytes`` written at ``offset`` without
+    waiting for it, so that the disk writes a block while the next ones are
+    computed and a later ``fsync`` waits only for the blocks still in
+    flight.  On Linux ``POSIX_FADV_DONTNEED`` queues the range's dirty
+    pages for writing and drops only pages already clean, which those of a
+    block just written mostly are not.  It is a hint: where ``os`` has no
+    ``posix_fadvise`` nothing is done, and its errors are ignored.  An
+    empty range is skipped, as a length of 0 would name the rest of the
+    file."""
+    advise = getattr(os, "posix_fadvise", None)
+    if advise is None or nbytes == 0:
+        return
+    with contextlib.suppress(OSError):
+        advise(fd, offset, nbytes, os.POSIX_FADV_DONTNEED)
 
 
 def _fsync(path) -> None:
@@ -342,7 +387,9 @@ def replacing(targets, fsync=_fsync):
     When the block exits normally, every temporary is flushed to disk, moved
     over its target with ``os.replace``, and the targets' directories are
     flushed.  Otherwise no target is touched.  The temporaries are removed
-    either way.  ``fsync(path)`` flushes a file or a directory to disk."""
+    either way.  ``fsync(path)`` flushes a file or a directory to disk; it
+    is what makes a temporary durable before its rename, whether or not a
+    :class:`BlockWriter` already started its write-back block by block."""
     targets = [str(t) for t in targets]
     temps = [f"{target}.{os.getpid()}.tmp" for target in targets]
     try:

@@ -1,5 +1,6 @@
 """Streamed containers: block boundaries, ranges of blocks on threads,
-all-or-nothing outputs, bounded memory.
+all-or-nothing outputs, write-back hints and the flush order, a fuzz of
+``stats`` and ``swap``, bounded memory.
 
 Every test that crosses block boundaries shrinks ``container.BLOCK_BYTES`` to
 a few KiB instead of writing a large container.
@@ -12,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slfm import container, diagnostics, model, sphere
 from slfm.cli import _run_slices, main
@@ -176,6 +178,27 @@ def test_writer_rejects_a_short_container(tmp_path):
     with pytest.raises(ContainerFormatError, match="declares"):
         with container.BlockWriter(tmp_path / "x.slfm", (2, 3, 1, 1)) as writer:
             writer.write_rows(np.ones((1, 3)))
+
+
+def test_writer_view_refuses_items_past_its_range(tmp_path):
+    path = tmp_path / "x.slfm"
+    with container.BlockWriter(path, (4, 2, 1, 1)) as writer:
+        first = writer.view(range(0, 2))
+        with pytest.raises(ContainerFormatError, match="runs past item 2"):
+            first.write_rows(np.ones((3, 2)))
+        # the refused block wrote no byte and counted no token
+        first.write_rows(np.ones((2, 2)))
+        writer.view(range(2, 4)).write_rows(np.full((2, 2), 2.0))
+    assert np.array_equal(container.read_container(path)[:, :, 0, 0], [[1, 1], [1, 1], [2, 2], [2, 2]])
+
+
+def test_writer_rejects_a_view_that_stops_short(tmp_path):
+    # two views of all four items write two each: the tokens add up to the
+    # header's, but items 2 and 3 were never written
+    with pytest.raises(ContainerFormatError, match="items 2..3 of the 4 the header declares"):
+        with container.BlockWriter(tmp_path / "x.slfm", (4, 2, 1, 1)) as writer:
+            for view in (writer.view(range(4)), writer.view(range(4))):
+                view.write_rows(np.ones((2, 2)))
 
 
 EMPTY_SHAPES = {"n0": (0, 4, 2, 2), "h0": (3, 4, 0, 2), "d0": (3, 0, 2, 2)}
@@ -403,6 +426,209 @@ def test_payload_cut_while_a_range_streams_ends_early(tmp_path, monkeypatch, sma
             errors.append(str(caught.value))
         _latents(path, (37, 8, 3, 5), seed=25)
     assert errors == [errors[0]] * len(CPU_COUNTS)
+
+
+# ---------------------------------------------------------------------------
+# write-back hints and the flush order
+
+needs_fadvise = pytest.mark.skipif(not hasattr(os, "posix_fadvise"), reason="no os.posix_fadvise")
+
+
+def _streamed_inputs(tmp_path, monkeypatch, run):
+    """The inputs of ``swap`` (5 blocks of the small blocks) or of
+    ``sample --out`` (3 blocks of chains)."""
+    if run == "swap":
+        anchor, substitute = tmp_path / "a.slfm", tmp_path / "s.slfm"
+        _latents(anchor, (37, 8, 3, 5), seed=30)
+        _latents(substitute, (37, 8, 3, 5), seed=31, scale=3.0)
+        return [anchor, substitute]
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 100)
+    ckpt = tmp_path / "m.slfm"
+    model.save_checkpoint(ckpt, model.VelocityField.create(4, hidden=(8,), rng=np.random.default_rng(32)))
+    return [ckpt]
+
+
+def _stream(tmp_path, run, inputs, tag):
+    """Run ``swap`` or ``sample --out`` on ``inputs``, writing outputs
+    named by ``tag``; returns their paths."""
+    if run == "swap":
+        targets = [tmp_path / f"{tag}_dir.slfm", tmp_path / f"{tag}_rad.slfm"]
+        assert _swap(*inputs, *targets) == 0
+    else:
+        targets = [tmp_path / f"{tag}.slfm"]
+        argv = ["sample", str(inputs[0]), "--seed", "0", "--n", "250", "--nfe", "2", "--out", str(targets[0])]
+        assert main(argv) == 0
+    return targets
+
+
+def _watch_flushes(monkeypatch):
+    """Record each write-back hint (inode, offset, length, advice), each
+    fsync (inode) and each rename (inode) as it happens."""
+    events = []
+    real_advise, real_fsync, real_replace = os.posix_fadvise, os.fsync, os.replace
+
+    def advise(fd, offset, length, advice):
+        events.append(("advise", os.fstat(fd).st_ino, offset, length, advice))
+        real_advise(fd, offset, length, advice)
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(source, target):
+        events.append(("replace", os.stat(source).st_ino))
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "posix_fadvise", advise)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+@needs_fadvise
+@pytest.mark.parametrize("run", ["swap", "sample"])
+def test_streamed_outputs_reach_disk_before_they_are_renamed(tmp_path, capsys, monkeypatch, small_blocks, run):
+    inputs = _streamed_inputs(tmp_path, monkeypatch, run)
+    events = _watch_flushes(monkeypatch)
+    targets = _stream(tmp_path, run, inputs, "out")
+    capsys.readouterr()
+    files = [os.stat(target).st_ino for target in targets]
+    flushes = [event for event in events if event[0] != "advise"]
+    # every hint comes first; then each temporary is flushed before any
+    # rename, and the directory after the renames: the hints start the
+    # write-back, and the fsyncs still wait for all of it
+    assert len(events) > len(flushes) and events[-len(flushes) :] == flushes
+    assert [kind for kind, _ in flushes] == ["fsync"] * len(files) + ["replace"] * len(files) + ["fsync"]
+    assert [ino for _, ino in flushes[:-1]] == files + files
+    assert flushes[-1][1] == os.stat(tmp_path).st_ino
+
+
+@needs_fadvise
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("run", ["swap", "sample"])
+def test_write_back_hints_cover_every_payload_byte_once(tmp_path, capsys, monkeypatch, small_blocks, run, cpus):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    inputs = _streamed_inputs(tmp_path, monkeypatch, run)
+    events = _watch_flushes(monkeypatch)
+    targets = _stream(tmp_path, run, inputs, "out")
+    capsys.readouterr()
+    hints = [event for event in events if event[0] == "advise"]
+    assert {advice for *_, advice in hints} == {os.POSIX_FADV_DONTNEED}
+    # one hint per block written: 5 for each hybrid, 3 for the samples
+    assert len(hints) == {"swap": 10, "sample": 3}[run]
+    for target in targets:
+        ino = os.stat(target).st_ino
+        spans = sorted((offset, offset + length) for _, i, offset, length, _ in hints if i == ino)
+        # the hinted ranges tile the payload, with no gap and no overlap
+        assert spans[0][0] == HEADER_BYTES and spans[-1][1] == os.path.getsize(target)
+        assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+
+
+def _refused_hint(*args):
+    raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("fallback", ["no-fadvise", "fadvise-raises"])
+@pytest.mark.parametrize("run", ["swap", "sample"])
+def test_write_back_fallbacks_write_the_same_bytes(tmp_path, capsys, monkeypatch, small_blocks, run, fallback):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    inputs = _streamed_inputs(tmp_path, monkeypatch, run)
+    expected = [target.read_bytes() for target in _stream(tmp_path, run, inputs, "hinted")]
+    if fallback == "no-fadvise":
+        monkeypatch.delattr(os, "posix_fadvise", raising=False)
+    else:
+        monkeypatch.setattr(os, "posix_fadvise", _refused_hint, raising=False)
+    assert [target.read_bytes() for target in _stream(tmp_path, run, inputs, "plain")] == expected
+    capsys.readouterr()
+    # and these are the bytes of the one-shot writes
+    if run == "swap":
+        assert expected == _one_shot_swap(tmp_path, *inputs)
+    else:
+        field, _ = model.load_checkpoint(inputs[0])
+        outputs = model.sample(field, 250, "exp_map", 2, 0, np.random.default_rng(0)).outputs
+        container.write_container(tmp_path / "one_shot.slfm", outputs.reshape(250, field.d, 1, 1))
+        assert expected == [(tmp_path / "one_shot.slfm").read_bytes()]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any header, payload and argv of stats and swap exits 0 or 2
+
+# f32 values: 3e38 overflows some swap products, 1e-45 underflows some
+# squares, and a fault may add a non-finite one
+_VALUES = st.sampled_from([1.0, -2.5, 0.5, 3.0] * 12 + [0.0, 1e-45, 3e38])
+# a dimension of 0 leaves no token, or no payload
+_SIZES = st.sampled_from([1, 2, 3, 4] * 3 + [0])
+_FAULTS = ["none"] * 14 + ["magic", "version", "short", "long", "huge", "nan", "inf"]
+
+
+@st.composite
+def _containers(draw, shape=None):
+    """The bytes of a container of ``shape`` (drawn when None) with at most
+    one fault: a bad magic or version, a payload a few bytes short or
+    long, a huge dimension or a non-finite value."""
+    n, d, h, w = shape or (draw(_SIZES) for _ in range(4))
+    values = draw(st.lists(_VALUES, min_size=n * d * h * w, max_size=n * d * h * w))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault in ("nan", "inf") and values:
+        values[draw(st.integers(0, len(values) - 1))] = float(fault)
+    if fault == "huge":
+        n, d, h, w = (draw(st.sampled_from([n, 2**31, 2**32 - 1])) for _ in (n, d, h, w))
+    magic = b"SLFX" if fault == "magic" else container.MAGIC
+    version = 2 if fault == "version" else container.VERSION
+    data = container._HEADER.pack(magic, version, d, h, w, n) + np.array(values, dtype="<f4").tobytes()
+    if fault == "short":
+        return data[: -draw(st.sampled_from([1, 4, container._HEADER.size + 1]))]
+    return data + (b"\0" * 4 if fault == "long" else b"")
+
+
+@st.composite
+def _pairs(draw):
+    """An anchor, and a substitute of its shape or of any."""
+    shape = tuple(draw(_SIZES) for _ in range(4))
+    anchor = draw(_containers(shape))
+    return anchor, draw(_containers(shape) | _containers())
+
+
+_RADII = st.sampled_from(["2.0"] * 4 + ["1e-300", "1e300", "0", "-1", "nan", "inf", "x"])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pair=_pairs(),
+    command=st.sampled_from(["swap", "stats", "project", "swap-named", "swap", "swap-same"]),
+    radius=_RADII,
+    cpus=st.integers(1, 2),
+    block_bytes=st.sampled_from([4, 16, 1024]),
+)
+def test_stats_and_swap_exit_0_or_2_on_any_input(
+    tmp_path_factory, capsys, pair, command, radius, cpus, block_bytes
+):
+    directory = tmp_path_factory.mktemp("fuzz")
+    a, s = directory / "a.slfm", directory / "s.slfm"
+    a.write_bytes(pair[0])
+    s.write_bytes(pair[1])
+    out = [str(directory / "dir.slfm"), str(directory / "rad.slfm")]
+    argv = {
+        "stats": ["stats", str(a)],
+        "project": ["stats", str(a), "--project", radius],
+        "swap": ["swap", str(a), str(s), "--out-direction", out[0], "--out-radius", out[1]],
+        "swap-named": ["swap", str(a), str(s), "--out-direction", str(a), "--out-radius", out[1]],
+        "swap-same": ["swap", str(a), str(s), "--out-direction", out[0], "--out-radius", out[0]],
+    }[command]
+    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_usable_cpus", lambda: cpus)
+        patch.setattr(container, "BLOCK_BYTES", block_bytes)
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 2)
+    if code == 2:
+        # a refusal prints no report, and leaves every file as it was
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+    elif command.startswith("swap"):
+        assert not [p for p in directory.iterdir() if p.name.endswith(".tmp")]
 
 
 # ---------------------------------------------------------------------------
