@@ -13,9 +13,13 @@ same exact sum, and ``math.fsum`` rounds their sum.
 :func:`path_profile` computes the per-pair geometry (endpoint norms, unit
 rows, angles, tangent units) once per profile and evaluates every grid point
 from it into buffers it reuses, one contiguous slice of the grid per usable
-CPU.  Each value is still the exact sum of the per-row values, bit-identical
-to evaluating :func:`~slfm.paths.path_rows` at that grid point, whatever the
-CPU count.
+CPU.  A shell or slerp grid point is ten passes over the ``(n, d)`` rows:
+two row-scaled products and an add each for the position and the velocity
+(``paths._path_at``), the norms' squares and sum, and the velocity's two
+products with itself and the position.  A linear velocity is the chord at
+every t, so its energy is taken once per profile.  Each value is still the
+exact sum of the per-row values, bit-identical to evaluating
+:func:`~slfm.paths.path_rows` at that grid point, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import model
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
-from .paths import PathKind, _path_at, _path_setup, _radial_energy_rows
+from .paths import PathKind, _energy_rows, _path_at, _path_setup, _radial_energy_rows
 from .sphere import NORM_FLOOR, _as_vectors, _norms_into
 
 # Population std below DEGENERATE_RTOL * mean is rounding noise from a
@@ -244,6 +248,10 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     endpoint set has zero norm spread the off-shell column switches to
     absolute norm deviation from the nearest endpoint mean.
 
+    Each grid point writes its rows with ``paths._path_at``: shell and
+    slerp rows come from each pair's two unit rows and per-pair
+    coefficients that carry the radius, and a linear velocity is the
+    chord, whose energy is taken once here rather than at every point.
     The grid runs as contiguous slices, one per usable CPU and each on a
     thread of its own with its own three ``(n, d)`` buffers (a one-point
     grid starts no thread).  Every point's arithmetic is the same as alone,
@@ -282,6 +290,8 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     absolute = shell0.std_radius == 0.0 or shell1.std_radius == 0.0
 
     pairs = _path_setup(z0s, z1s, kind)
+    # a LINEAR velocity is the chord at every t, so its energy is too
+    energy = _energy_rows(pairs.chord) if kind is PathKind.LINEAR else None
     mean_norm, std_norm, mean_off, mean_share = (np.empty_like(t_grid) for _ in range(4))
     errstate = np.geterr()
 
@@ -296,7 +306,7 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
                 mean_norm[i] = _fsum_mean(norms)
                 std_norm[i] = _fsum_std(norms, mean_norm[i])
                 mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
-                mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms)[2])
+                mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms, energy)[2])
 
     # the grid points share nothing but the set-up: one contiguous slice per
     # usable CPU, and the first error in grid order is the one raised

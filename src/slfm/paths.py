@@ -159,7 +159,14 @@ def _path_setup(z0, z1, kind: PathKind, radius: float | None = None) -> _PathPai
 def _path_at(pairs: _PathPairs, t, out=None):
     """``(z_t, u_t)`` of the pairs at ``t``.  With ``out = (z_t, u_t,
     scratch)``, arrays of the pairs' shape, the result is written into
-    those; a LINEAR ``u_t`` is the pairs' own chord either way."""
+    those; a LINEAR ``u_t`` is the pairs' own chord either way.
+
+    SHELL and SLERP rows are not the unit geodesic rescaled: the radius
+    goes into the per-pair coefficients of :func:`sphere._geodesic_at`,
+    so each of ``z_t`` and ``u_t`` is two row-scaled products and one add.
+    A SLERP path has the constant radius R; a SHELL path the radius
+    ``r_t = (1 - t) r0 + t r1`` and its rate ``r1 - r0``, which makes
+    ``u_t = (r1 - r0) dir_t + r_t d(dir_t)/dt``."""
     t = np.asarray(t, dtype=np.float64)
     z_t, _, scratch = (None, None, None) if out is None else out
 
@@ -171,18 +178,10 @@ def _path_at(pairs: _PathPairs, t, out=None):
             return z_t, pairs.chord
         return z_t, np.broadcast_to(pairs.chord, z_t.shape).copy()
 
-    dir_t, dir_v = sphere._geodesic_at(pairs.geodesic, t, out)
     if pairs.kind is PathKind.SHELL:
-        # z_t = r_t dir_t and u_t = (r1 - r0) dir_t + r_t d(dir_t)/dt
-        r_t = ((1.0 - t) * pairs.r0 + t * pairs.r1)[..., None]
-        np.multiply(r_t, dir_v, out=dir_v)
-        dr = (pairs.r1 - pairs.r0)[..., None]
-        np.add(np.multiply(dr, dir_t, out=scratch), dir_v, out=dir_v)
-        np.multiply(r_t, dir_t, out=dir_t)
-        return dir_t, dir_v
-    np.multiply(pairs.radius, dir_t, out=dir_t)
-    np.multiply(pairs.radius, dir_v, out=dir_v)
-    return dir_t, dir_v
+        r_t = (1.0 - t) * pairs.r0 + t * pairs.r1
+        return sphere._geodesic_at(pairs.geodesic, t, r_t, pairs.r1 - pairs.r0, out)
+    return sphere._geodesic_at(pairs.geodesic, t, pairs.radius, out=out)
 
 
 def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
@@ -203,17 +202,23 @@ def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
     )
 
 
-def _radial_energy_rows(u: np.ndarray, z: np.ndarray, zn: np.ndarray):
+def _energy_rows(u: np.ndarray) -> np.ndarray:
+    """Row-wise energy ``||u||^2`` of the velocities ``u``."""
+    return np.einsum("...i,...i->...", u, u)
+
+
+def _radial_energy_rows(u: np.ndarray, z: np.ndarray, zn: np.ndarray, total=None):
     """Row-wise ``(radial, total, share)`` of the velocities ``u`` at ``z``,
     given the norms ``zn`` of ``z``: the radial energy ``<u, z>^2 / ||z||^2``,
-    the total energy ``||u||^2`` and their ratio, at most 1 and 0 on
-    zero-velocity rows.  Raises :class:`NearZeroNorm` where ``zn`` is below
-    the floor."""
+    the total energy ``||u||^2`` (:func:`_energy_rows`, unless ``total``
+    gives it) and their ratio, at most 1 and 0 on zero-velocity rows.
+    Raises :class:`NearZeroNorm` where ``zn`` is below the floor."""
     if np.any(zn < NORM_FLOOR):
         raise NearZeroNorm("reference point norm below floor")
     along = np.einsum("...i,...i->...", u, z) / zn
     radial = along * along
-    total = np.einsum("...i,...i->...", u, u)
+    if total is None:
+        total = _energy_rows(u)
     with np.errstate(invalid="ignore", divide="ignore"):
         share = np.where(total > 0.0, radial / np.where(total > 0.0, total, 1.0), 0.0)
     return radial, total, np.minimum(share, 1.0)

@@ -217,7 +217,7 @@ class _Geodesic(NamedTuple):
 
     u0: np.ndarray        # the start rows
     nhat: np.ndarray      # unit tangent at u0 toward u1, the circle's second axis
-    omega: np.ndarray     # (..., 1) angle between the rows, in [0, pi]
+    omega: np.ndarray     # (...) angle between the rows, in [0, pi]
 
 
 def _geodesic_setup(u0: np.ndarray, u1: np.ndarray) -> _Geodesic:
@@ -242,24 +242,42 @@ def _geodesic_setup(u0: np.ndarray, u1: np.ndarray) -> _Geodesic:
         resid_sq = np.where(degenerate, 1.0, resid_sq)
         nhat[degenerate] = orthonormal_rows(u0[degenerate])
     nhat /= np.sqrt(resid_sq)[..., None]
-    return _Geodesic(u0, nhat, omega[..., None])
+    return _Geodesic(u0, nhat, omega)
 
 
-def _geodesic_at(g: _Geodesic, t, out=None):
-    """Position and velocity of the pairs ``g`` at ``t``, which broadcasts
-    against the pairs' leading shape.  With ``out = (pos, vel, scratch)``,
-    arrays of the pairs' shape, they are written into ``pos`` and ``vel``;
-    otherwise into new arrays of the broadcast shape."""
+def _circle_into(g: _Geodesic, a, b, out=None, scratch=None) -> np.ndarray:
+    """The rows ``a u0 + b nhat`` of the pairs ``g``, for coefficients
+    ``a`` and ``b`` that broadcast against the pairs' leading shape: two
+    row-scaled products and one add, into ``out`` (with ``scratch`` for
+    the second product) when given, into a new array otherwise.  Every
+    row of a path on the pairs' great circles is one of these."""
+    out = np.multiply(a[..., None], g.u0, out=out)
+    return np.add(out, np.multiply(b[..., None], g.nhat, out=scratch), out=out)
+
+
+def _geodesic_at(g: _Geodesic, t, radius=1.0, rate=None, out=None):
+    """Position and velocity at ``t`` of ``radius`` times the unit geodesic
+    of the pairs ``g``, where ``t`` broadcasts against the pairs' leading
+    shape and ``radius`` against that broadcast, and ``rate`` is the
+    radius's time derivative (``None`` for a constant radius).
+
+    Both are rows of :func:`_circle_into`: the position has the
+    coefficients ``r (cos wt, sin wt)``, and the velocity
+    ``r w (-sin wt, cos wt)``, plus ``rate (cos wt, sin wt)`` when the
+    radius changes, all formed on per-pair values before they meet a row.
+    With ``out = (pos, vel, scratch)``, arrays of the pairs' shape, the
+    rows are written into ``pos`` and ``vel``; otherwise into new arrays
+    of the broadcast shape."""
     pos, vel, scratch = (None, None, None) if out is None else out
-    t = np.asarray(t, dtype=np.float64)
-    a = t[..., None] * g.omega
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    pos = np.multiply(cos_a, g.u0, out=pos)
-    np.add(pos, np.multiply(sin_a, g.nhat, out=scratch), out=pos)
-    vel = np.multiply(cos_a, g.nhat, out=vel)
-    np.subtract(vel, np.multiply(sin_a, g.u0, out=scratch), out=vel)
-    np.multiply(g.omega, vel, out=vel)
-    return pos, vel
+    wt = np.asarray(t, dtype=np.float64) * g.omega
+    cos_wt, sin_wt = np.cos(wt), np.sin(wt)
+    speed = radius * g.omega
+    a, b = -speed * sin_wt, speed * cos_wt
+    if rate is not None:
+        a += rate * cos_wt
+        b += rate * sin_wt
+    pos = _circle_into(g, radius * cos_wt, radius * sin_wt, pos, scratch)
+    return pos, _circle_into(g, a, b, vel, scratch)
 
 
 def geodesic_rows(u0, u1, t):
@@ -267,18 +285,20 @@ def geodesic_rows(u0, u1, t):
     derivative, as ``(position, velocity)``.
 
     One formula at every angle: ``pos = cos(w t) u0 + sin(w t) n`` and
-    ``vel = w (-sin(w t) u0 + cos(w t) n)``.  The angle is
-    ``w = 2 atan2(|u1 - u0|, |u1 + u0|)``, accurate near 0 and near pi.
-    The unit tangent ``n`` is the shorter of ``u1 - u0`` and ``u1 + u0``
-    less its ``u0`` part, normalised: both give the same tangent, and the
-    shorter has no large ``u0`` part to cancel, so ``n`` is accurate and
-    tangent to rounding at every angle.  At ``t = 1`` the position is
-    ``u1`` to rounding, near-antipodal pairs included.  Where that
-    residual is at most 2^-40 of the difference it came from, ``n`` is the
-    deterministic orthogonal unit of :func:`orthonormal_rows`: equal rows
-    stay at ``u0`` with zero velocity, and exact antipodes follow that
-    circle at speed pi.  ``t`` broadcasts against the rows and may lie
-    outside ``[0, 1]`` (geodesic extension).
+    ``vel = -w sin(w t) u0 + w cos(w t) n``, each row two scaled copies of
+    the pair's fixed rows ``u0`` and ``n`` and one add
+    (:func:`_circle_into`), with the coefficients formed per pair.  The
+    angle is ``w = 2 atan2(|u1 - u0|, |u1 + u0|)``, accurate near 0 and
+    near pi.  The unit tangent ``n`` is the shorter of ``u1 - u0`` and
+    ``u1 + u0`` less its ``u0`` part, normalised: both give the same
+    tangent, and the shorter has no large ``u0`` part to cancel, so ``n``
+    is accurate and tangent to rounding at every angle.  At ``t = 1`` the
+    position is ``u1`` to rounding, near-antipodal pairs included.  Where
+    that residual is at most 2^-40 of the difference it came from, ``n``
+    is the deterministic orthogonal unit of :func:`orthonormal_rows`:
+    equal rows stay at ``u0`` with zero velocity, and exact antipodes
+    follow that circle at speed pi.  ``t`` broadcasts against the rows and
+    may lie outside ``[0, 1]`` (geodesic extension).
 
     The velocity has norm ``w`` and is tangent to the position, so callers
     need no tangent projection.

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slfm
 from slfm import container, diagnostics, model
@@ -826,6 +826,58 @@ def test_paths_past_float_range_exit_2(capsys, spec, kind, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ERROR ") and captured.err.count("\n") == 1
+
+
+_SPEC_REALS = st.sampled_from(
+    ["2.0", "0.13", "3", "0.5"] * 8 + ["0", "-1", "nan", "inf", "1e-300", "1e154", "1e200", "x"]
+)
+
+
+@st.composite
+def _synthetic_specs(draw):
+    """A ``--synthetic`` spec of either family (or an unknown one), with a
+    dimension and reals that may be out of range or not numbers at all."""
+    family = draw(st.sampled_from(["sphere", "gauss-shells"] * 4 + ["torus"]))
+    d = draw(st.sampled_from(["2", "3", "8"] * 6 + ["0", "1", "-1", "x"]))
+    if family == "gauss-shells":
+        r0, r1, cv = (draw(_SPEC_REALS) for _ in range(3))
+        return f"gauss-shells:d={d},r0={r0},r1={r1},cv={cv}"
+    return f"{family}:d={d},R={draw(_SPEC_REALS)}"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    spec=_synthetic_specs(),
+    kind=st.sampled_from(["linear", "shell", "slerp"]),
+    pairs=st.integers(-1, 33),
+    grid=st.integers(-1, 5),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_paths_exits_0_or_2_on_any_synthetic_argv(capsys, spec, kind, pairs, grid, fmt):
+    # a profile of finite rows, one per grid point, or one ERROR line and
+    # no report; never a traceback or a numpy warning, on two grid slices
+    argv = ["paths", "--synthetic", spec, "--kind", kind, "--pairs", str(pairs),
+            "--grid", str(grid), "--format", fmt]
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(model, "_usable_cpus", lambda: 2)
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR ") and captured.err.count("\n") == 1
+        return
+    assert captured.err == ""
+    if fmt == "json":
+        rows = json.loads(captured.out)
+    else:
+        header, rows = _csv_rows(captured.out)
+        rows = [{k: float(v) for k, v in row.items()} for row in rows]
+    assert len(rows) == grid
+    assert all(math.isfinite(v) for row in rows for v in row.values())
 
 
 @pytest.mark.parametrize(

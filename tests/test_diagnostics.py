@@ -5,12 +5,13 @@ import struct
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slfm import container, diagnostics, model, sphere
+from slfm import container, diagnostics, model, sphere, synthetic
 from slfm.cli import main
 from slfm.diagnostics import (
     ShellStats,
@@ -452,6 +453,64 @@ def test_profile_rejects_mismatched_batches():
 def test_profile_empty():
     with pytest.raises(EmptyInput):
         path_profile(np.zeros((0, 3)), np.zeros((0, 3)), PathKind.LINEAR)
+
+
+def _peak_limit(n, d):
+    """The largest endpoint coordinate :func:`path_profile` takes."""
+    return math.sqrt(sys.float_info.max / (16 * n * d))
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_profile_at_its_peak_bound_is_finite_without_a_warning(monkeypatch, kind):
+    # endpoints at 0.999999 of the bound: shell radii r1 = 0.3 r0 for
+    # linear and shell, one common radius for slerp; every product the
+    # rows and their coefficients form stays in range, on two slices
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(18)
+    n, d = 64, 8
+    u0, u1 = unit_rows(rng.standard_normal((n, d))), unit_rows(rng.standard_normal((n, d)))
+    r0 = np.ones((n, 1)) if kind is PathKind.SLERP else rng.uniform(0.5, 1.0, (n, 1))
+    r1 = r0 if kind is PathKind.SLERP else 0.3 * r0
+    z0, z1 = r0 * u0, r1 * u1
+    scale = 0.999999 * _peak_limit(n, d) / max(np.max(np.abs(z0)), np.max(np.abs(z1)))
+    z0, z1 = scale * z0, scale * z1
+    peak = max(np.max(np.abs(z0)), np.max(np.abs(z1)))
+    assert 0.99999 * _peak_limit(n, d) <= peak <= _peak_limit(n, d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        profile = path_profile(z0, z1, kind, np.linspace(0.0, 1.0, 11))
+    assert caught == []
+    for name in ("mean_norm", "std_norm", "mean_offshell_sigma", "mean_radial_share"):
+        assert np.all(np.isfinite(getattr(profile, name)))
+
+
+def _sphere_spec_at(fraction, n, d, seed):
+    """A ``sphere:`` spec whose ``paths --pairs n --seed seed`` endpoints
+    peak at about ``fraction`` of :func:`path_profile`'s bound."""
+    z0, z1 = synthetic.sphere_pairs(n, d, 1.0, np.random.default_rng(seed))
+    radius = fraction * _peak_limit(n, d) / float(max(np.max(np.abs(z0)), np.max(np.abs(z1))))
+    return f"sphere:d={d},R={radius!r}"
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_paths_exits_0_below_its_peak_bound_and_2_past_it(capsys, kind):
+    n, d = 64, 8
+    for fraction, code in ((0.999999, 0), (1.000001, 2)):
+        argv = ["paths", "--synthetic", _sphere_spec_at(fraction, n, d, 0), "--kind", kind.value,
+                "--pairs", str(n), "--grid", "11", "--seed", "0"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert caught == []
+        captured = capsys.readouterr()
+        if code == 0:
+            rows = captured.out.strip().splitlines()[1:]
+            assert len(rows) == 11 and captured.err == ""
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("ERROR endpoint coordinates must be finite and at most")
+            assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from slfm import sphere
+from slfm import paths, sphere
 from slfm.errors import DimensionMismatch, NearZeroNorm, RadiusMismatch
+from slfm.paths import PathKind
 from slfm.sphere import (
     SphereToken,
     TangentVector,
@@ -587,6 +588,47 @@ def test_geodesic_rows_match_a_long_double_reference(t):
         assert np.max(np.abs(np.sum(pos * vel, axis=1)) / speed) <= 1e-14
         if t == 1.0:
             assert np.max(np.linalg.norm(pos - u1, axis=1)) <= 1e-14
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64 here"
+)
+@pytest.mark.parametrize("kind", [PathKind.SHELL, PathKind.SLERP])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.7, 1.0])
+def test_path_rows_match_a_long_double_reference(kind, t):
+    # the twin of the unit kernel's test above, on the same angles: shell
+    # rows with per-row radii r0 != r1, and slerp rows on one radius, whose
+    # radius enters the rows' coefficients rather than rescaling them
+    rng = np.random.default_rng(76)
+    w = np.concatenate([np.geomspace(1e-5, 1.0, 60), np.linspace(1.0, math.pi - 0.09, 40)])
+    near = _pairs_at_angles(rng, 7, np.cos(w), np.sin(w))
+    for u0, u1 in (near, _near_antipodal_pairs(rng, d=7, n=40)):
+        n = u0.shape[0]
+        if kind is PathKind.SHELL:
+            r0, r1, radius = rng.uniform(0.5, 4.0, n), rng.uniform(0.05, 3.0, n), None
+        else:
+            r0 = r1 = np.full(n, 2.5)
+            radius = 2.5
+        z0, z1 = r0[:, None] * u0, r1[:, None] * u1
+        z_t, u_t = paths.path_rows(z0, z1, t, kind, radius=radius)
+        # the reference takes the unit rows and norms that path_rows takes:
+        # near pi a rounding of u0 would turn the plane of the circle
+        unit_pos, unit_vel = _geodesic_longdouble(unit_rows(z0), unit_rows(z1), t)
+        n0, n1 = (np.linalg.norm(z, axis=1).astype(np.longdouble) for z in (z0, z1))
+        if kind is PathKind.SHELL:
+            r_t, rate = (1 - t) * n0 + t * n1, n1 - n0
+        else:
+            r_t, rate = np.full(n, radius, dtype=np.longdouble), np.zeros(n, dtype=np.longdouble)
+        ref_z = r_t[:, None] * unit_pos
+        ref_u = rate[:, None] * unit_pos + r_t[:, None] * unit_vel
+        assert np.max(np.sqrt(np.sum((z_t - ref_z) ** 2, axis=1)) / r_t) <= 2e-14
+        ref_speed = np.sqrt(np.sum(ref_u * ref_u, axis=1))
+        assert np.max(np.sqrt(np.sum((u_t - ref_u) ** 2, axis=1)) / ref_speed) <= 2e-14
+        if kind is PathKind.SLERP:
+            cos_zu = np.sum(z_t * u_t, axis=1) / (np.linalg.norm(z_t, axis=1) * np.linalg.norm(u_t, axis=1))
+            assert np.max(np.abs(cos_zu)) <= 1e-14
+        if t == 1.0:
+            assert np.max(np.linalg.norm(z_t - z1, axis=1) / r1) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
