@@ -282,17 +282,16 @@ def _check_conditions(field: VelocityField, cond) -> np.ndarray:
     return cond.astype(np.int64, copy=False)
 
 
-def _layers(field: VelocityField, x: np.ndarray, outs: list) -> np.ndarray:
-    """The layer loop: layer i of the field maps the rows before it into
-    ``outs[i]``, an (n, widths[i+1]) buffer, as tanh(a @ W + b) for hidden
-    layers and a @ W + b for the last.  Returns the last output."""
-    a = x
-    last = len(outs) - 1
-    for i, (w, b, out) in enumerate(zip(field.weights, field.biases, outs)):
+def _layers(field: VelocityField, outs: list) -> np.ndarray:
+    """The layer loop, given the first layer's affine part in ``outs[0]``:
+    layer i of the field maps the rows before it into ``outs[i]``, an
+    (n, widths[i+1]) buffer, as tanh(a @ W + b) for hidden layers and
+    a @ W + b for the last.  Returns the last output."""
+    a = outs[0]
+    for w, b, out in zip(field.weights[1:], field.biases[1:], outs[1:]):
+        np.tanh(a, out=a)
         np.matmul(a, w, out=out)
         out += b
-        if i < last:
-            np.tanh(out, out=out)
         a = out
     return a
 
@@ -307,8 +306,10 @@ class _StepBuffers:
     tangent projection shares) and the flat gradient ``grad`` with its
     parameter views ``grads``; no other two share memory.  :func:`train`
     allocates one set per call and :func:`sample` one per block, and each
-    reuses it every step; a step overwrites what it reads.  A forward pass
-    alone writes only ``x`` and ``acts``."""
+    reuses it every step; a step overwrites what it reads.  The full-input
+    forward pass, :func:`_forward_embedded`, writes only ``x`` and
+    ``acts``; :func:`_forward_rows`, at one time and one condition, writes
+    only ``acts``, so ``x`` holds whatever the last full-input pass left."""
 
     def __init__(self, field: VelocityField, n: int):
         widths, cond_shape = field.widths, field.cond_table.shape
@@ -322,19 +323,39 @@ class _StepBuffers:
         self.grads = _param_views(self.grad, widths, cond_shape)
 
 
-def _forward_rows(field: VelocityField, z, t, cond, work: _StepBuffers | None = None):
-    """The field at rows ``z`` and times ``t`` under conditions ``cond``,
-    run through ``work`` (fresh buffers when it is None).  ``t`` and
-    ``cond`` are one value per row or one value for all rows; a single
-    value fills its columns from one embedding row; the caller has checked
-    the (n, d) shape and the ids (see :func:`_check_conditions`).  Returns
-    (output, cache for :func:`_backward_rows`); the output is ``work.acts[-1]``."""
-    return _forward_embedded(field, z, time_embedding(t, field.time_dim), cond, work)
+def _forward_rows(field: VelocityField, z, t: float, cond, work: _StepBuffers | None = None) -> np.ndarray:
+    """The field's output at rows ``z``, all at the one time ``t`` under
+    the one condition id ``cond`` (a sampler's step, or :func:`forward`),
+    run through ``work`` (fresh buffers when it is None); the caller has
+    checked the (n, d) shape and the id (see :func:`_check_conditions`).
+    Returns ``work.acts[-1]``, and no cache: only :func:`_forward_embedded`
+    leaves what :func:`_backward_rows` reads.
+
+    Every row has the same time and condition columns, so their part of
+    the first layer, ``emb(t) @ W0[d:d+td] + table[cond] @ W0[d+td:] + b0``,
+    is one row, taken once, and the first layer is ``z @ W0[:d]`` plus that
+    row; ``work.x`` is not written.  That rounds apart from the full-input
+    product only in the last bits.  Per-row times or ids, as in training,
+    take :func:`_forward_embedded`."""
+    if work is None:
+        work = _StepBuffers(field, len(z))
+    d, split, w0 = field.d, field.d + field.time_dim, field.weights[0]
+    shared = time_embedding(t, field.time_dim)[0] @ w0[d:split]
+    shared += field.cond_table[cond] @ w0[split:]
+    shared += field.biases[0]
+    np.matmul(z, w0[:d], out=work.acts[0])
+    work.acts[0] += shared
+    return _layers(field, work.acts)
 
 
 def _forward_embedded(field: VelocityField, z, emb, cond, work: _StepBuffers | None = None):
-    """:func:`_forward_rows` given the time embedding ``emb`` of the times,
-    its rows or one row for all: the field's input layout, in one place."""
+    """The field at rows ``z`` given the time embedding ``emb`` of their
+    times (its rows, or one row for all) and the ids ``cond`` (one per row,
+    or one for all), through the full input [token, time embedding,
+    condition] written into ``work.x``: the field's input layout, in one
+    place, and the only first layer :func:`train` and
+    :func:`loss_and_grad` run.  Returns (output, cache for
+    :func:`_backward_rows`); the output is ``work.acts[-1]``."""
     if work is None:
         work = _StepBuffers(field, len(z))
     d, time_dim, x = field.d, field.time_dim, work.x
@@ -342,7 +363,9 @@ def _forward_embedded(field: VelocityField, z, emb, cond, work: _StepBuffers | N
     x[:, d : d + time_dim] = emb
     # the one row of a single-condition table is every id's: no gather
     x[:, d + time_dim :] = field.cond_table[0] if field.n_cond == 1 else field.cond_table[cond]
-    return _layers(field, x, work.acts), (work, cond)
+    np.matmul(x, field.weights[0], out=work.acts[0])
+    work.acts[0] += field.biases[0]
+    return _layers(field, work.acts), (work, cond)
 
 
 def _backward_rows(field: VelocityField, cache, g_out):
@@ -387,8 +410,7 @@ def forward(field: VelocityField, z, t: float, cond: int) -> np.ndarray:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t!r} outside [0, 1]")
-    out, _ = _forward_rows(field, z[None, :], t, _check_conditions(field, int(cond)))
-    return out[0]
+    return _forward_rows(field, z[None, :], t, _check_conditions(field, int(cond)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +922,7 @@ def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: i
         # errstate is per thread: each block enters its own
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate(
-                lambda z, t: _forward_rows(field, z, t, cond, work)[0],
+                lambda z, t: _forward_rows(field, z, t, cond, work),
                 z0, nfe, sampler, field.radius,
             )
 

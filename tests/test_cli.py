@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slfm
-from slfm import container, diagnostics, model
+from slfm import container, diagnostics, model, sphere
 from slfm.cli import main
 
 
@@ -609,6 +609,64 @@ def test_sample_condition_past_int64_exits_2(tmp_path, capsys, cond):
     assert captured.out == ""
     assert captured.err.startswith("ERROR condition ids must lie in")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def two_conditions(tmp_path_factory):
+    """A slerp checkpoint of a two-condition field, which the CLI's own
+    train never makes: 20 library steps on two centers labelled 0 and 1,
+    the set recorded in the sidecar as train records it."""
+    rng = np.random.default_rng(80)
+    dataset = model.SyntheticDataset(
+        4, 2.0, sphere.uniform_rows(2, 4, 2.0, rng), 0.15, np.array([0.5, 0.5]), labels=[0, 1]
+    )
+    field = model.VelocityField.create(4, n_cond=2, rng=rng)
+    model.train(field, dataset, model.TrainConfig(steps=20), rng)
+    spec = {"d": 4, "radius": 2.0, "centers": dataset.centers.tolist(), "spread": 0.15,
+            "weights": [0.5, 0.5], "labels": [0, 1]}
+    ckpt = tmp_path_factory.mktemp("two_conditions") / "c2.slfm"
+    model.save_checkpoint(ckpt, field, extra={"dataset": spec})
+    return ckpt
+
+
+_FAR_IDS = [-(2**70), -(2**63) - 1, 2**63, 2**64 - 1, 2**70]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(0, 40),
+    nfe=st.integers(0, 6),
+    sampler=st.sampled_from(["euler", "euler-project", "expmap"]),
+    cond=st.one_of(st.integers(-3, 4), st.sampled_from(_FAR_IDS)),
+    seed=st.one_of(st.integers(0, 2**32), st.sampled_from([-1, 2**70])),
+)
+def test_sample_exits_0_2_or_3_on_any_argv(two_conditions, capsys, n, nfe, sampler, cond, seed):
+    # a report of n chains, or one ERROR line and no report; never a
+    # traceback or a numpy warning, in blocks of 8 rows on two threads.
+    # Exit 2 exactly when the argv names no chain, no step, a condition
+    # outside the two, or a negative seed
+    argv = ["sample", str(two_conditions), "--n", str(n), "--nfe", str(nfe),
+            "--sampler", sampler, "--cond", str(cond), "--seed", str(seed)]
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(model, "_usable_cpus", lambda: 2)
+        patch.setattr(model, "SAMPLE_BLOCK", 8)
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    bad = n < 1 or nfe < 1 or cond not in (0, 1) or seed < 0
+    assert code == 2 if bad else code in (0, 3)
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR ") and captured.err.count("\n") == 1
+        return
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert (report["sampler"], report["n"], report["nfe"]) == (sampler, n, nfe)
+    assert math.isfinite(report["max_radius_deviation"])
+    assert len(report["assignment_histogram"]) == 2
+    assert abs(math.fsum(report["assignment_histogram"]) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("flag", ["--d", "--time-dim", "--cond-dim"])

@@ -303,6 +303,39 @@ def test_forward_weight_perturbation_moves_output():
     assert not np.array_equal(before, after)
 
 
+# The shared-row first layer adds one row of the time, condition and bias
+# terms to z @ W0[:d]; the full input sums the same terms in one product.
+# Both are float64 sums in other orders, so the outputs agree to a few ulps
+# of the output's scale: differences seen here, at up to 1 024 rows and
+# widths 64, reach about 1e-15 of it, a hundredth of the bound.
+SHARED_ROW_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("cond_dim", [0, 1, 4])
+@pytest.mark.parametrize("hidden", [(), (12, 9)], ids=["no-hidden", "two-hidden"])
+@pytest.mark.parametrize(("n_cond", "cond"), [(1, 0), (3, 0), (3, 1), (3, 2)])
+def test_shared_row_forward_matches_the_full_input(n_cond, cond, hidden, cond_dim, t):
+    # one time and one id: the first layer takes their part once, as one
+    # row, and leaves the full input unwritten; with no hidden layer the
+    # first layer is the output layer
+    rng = np.random.default_rng(73)
+    field = VelocityField.create(
+        5, hidden=hidden, time_dim=8, n_cond=n_cond, cond_dim=cond_dim, kind="slerp", rng=rng
+    )
+    for b in field.biases:  # so the shared row carries a bias term too
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    z = sphere.uniform_rows(33, 5, field.radius, rng)
+    work = model._StepBuffers(field, 33)
+    work.x.fill(np.nan)
+    out = model._forward_rows(field, z, t, model._check_conditions(field, cond), work)
+    assert out is work.acts[-1]
+    assert np.all(np.isnan(work.x))
+    emb = np.repeat(time_embedding(t, 8), 33, axis=0)
+    full, _ = model._forward_embedded(field, z, emb, np.full(33, cond), model._StepBuffers(field, 33))
+    assert_allclose(out, full, rtol=0, atol=SHARED_ROW_RTOL * np.max(np.abs(full)))
+
+
 # ---------------------------------------------------------------------------
 # losses and gradients
 
@@ -340,13 +373,8 @@ def _fd_grad(field, batch, kind, i_param, i_flat, eps=1e-5):
     return (lp - lm) / (2.0 * eps)
 
 
-@pytest.mark.parametrize("kind", ["linear", "slerp"])
-def test_gradients_match_finite_differences(kind):
-    rng = np.random.default_rng(14)
-    field = _tiny_field(rng, kind=kind)
-    batch = _batch_for(field, 4, rng)
+def _assert_gradients_match_finite_differences(field, batch, kind, probe_rng):
     _, grads = loss_and_grad(field, batch, kind)
-    probe_rng = np.random.default_rng(15)
     for _ in range(100):
         i_param = int(probe_rng.integers(len(grads)))
         i_flat = int(probe_rng.integers(grads[i_param].size))
@@ -354,6 +382,24 @@ def test_gradients_match_finite_differences(kind):
         fd = _fd_grad(field, batch, kind, i_param, i_flat)
         scale = max(abs(an), abs(fd), 1e-4)
         assert abs(an - fd) / scale <= 1e-4
+
+
+@pytest.mark.parametrize("kind", ["linear", "slerp"])
+def test_gradients_match_finite_differences(kind):
+    rng = np.random.default_rng(14)
+    field = _tiny_field(rng, kind=kind)
+    batch = _batch_for(field, 4, rng)
+    _assert_gradients_match_finite_differences(field, batch, kind, np.random.default_rng(15))
+
+
+@pytest.mark.parametrize("kind", ["linear", "slerp"])
+def test_one_row_batch_gradients_match_finite_differences(kind):
+    # one row has one time-embedding row, as a sampler's step does; its
+    # backward pass must still read the full input its forward pass wrote
+    rng = np.random.default_rng(16)
+    field = _tiny_field(rng, kind=kind)
+    batch = _batch_for(field, 1, rng)
+    _assert_gradients_match_finite_differences(field, batch, kind, np.random.default_rng(17))
 
 
 def _reference_loss_and_grad(field, batch, kind):
@@ -674,15 +720,16 @@ def _labelled_dataset(d, rng):
     return SyntheticDataset(d, math.sqrt(d), centers, 0.2, np.full(3, 1.0 / 3.0), labels=[0, 1, 2])
 
 
-def _reference_train(field, dataset, config, rng):
-    """train as a loop of the public pieces; returns (trace, pre-clip norms)."""
+def _reference_train(field, dataset, config, rng, step=loss_and_grad):
+    """train as a loop of the public pieces, with ``step`` for
+    :func:`loss_and_grad`; returns (trace, pre-clip norms)."""
     opt = Adam(field.parameters(), config.learning_rate, config.weight_decay)
     trace, norms = [], []
     for _ in range(config.steps):
         z1, cond = dataset.sample(config.batch_size, rng)
         z0 = prior_rows(field, config.batch_size, rng)
         t = sample_time(rng, config, size=config.batch_size)
-        loss, grads = loss_and_grad(field, (z0, z1, t, cond), config.loss_kind)
+        loss, grads = step(field, (z0, z1, t, cond), config.loss_kind)
         norms.append(clip_gradients(grads, config.grad_clip))
         opt.step(grads)
         trace.append(loss)
@@ -703,6 +750,22 @@ def test_train_is_bit_identical_to_the_public_pieces(kind):
     assert np.all(norms > cfg.grad_clip)  # every step clips
     assert np.array_equal(trace, ref_trace)
     assert np.array_equal(field.flat, ref_field.flat)
+
+
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_one_row_batches_train_as_fresh_temporaries(kind):
+    # every step of batch 1 writes the full input its backward pass reads:
+    # 17 steps, one chunk and one step more, reused buffers and all, round
+    # as the loop that concatenates each step's input afresh
+    cfg = TrainConfig(steps=17, batch_size=1, loss_kind=kind)
+    runs = []
+    for run in (train, lambda *a: _reference_train(*a, step=_reference_loss_and_grad)[0]):
+        field = _tiny_field(np.random.default_rng(66), d=4, kind=kind)
+        dataset = _labelled_dataset(4, np.random.default_rng(67))
+        runs.append((run(field, dataset, cfg, np.random.default_rng(68)), field.flat))
+    (trace, flat), (ref_trace, ref_flat) = runs
+    assert np.array_equal(trace, ref_trace)
+    assert np.array_equal(flat, ref_flat)
 
 
 def test_train_memory_grows_only_by_the_trace():
@@ -1082,7 +1145,7 @@ def test_sample_matches_integrating_the_forward_pass(monkeypatch, sampler):
     z0 = prior_rows(field, 40, np.random.default_rng(60))
 
     def vel(z, t):
-        return model._forward_rows(field, z, t, 2)[0]
+        return model._forward_rows(field, z, t, 2)
 
     ref = integrate(vel, z0, 5, sampler, field.radius)
     assert_allclose(run.outputs, ref, rtol=0, atol=1e-12)
