@@ -102,28 +102,25 @@ def _run_slices(fn, shape) -> None:
 
 def cmd_stats(args) -> int:
     # one norm per token is all that outlives a block; each range of blocks
-    # fills its own part of the norms, squaring each block in place, or
-    # projecting it into one scratch block sized from the range's first and
-    # squaring it there
+    # fills its own part of the norms straight from the f32 channel planes,
+    # through one slab sized from the range's first block
     with container.BlockReader(args.input) as reader:
         log.info("read %d tokens of dimension %d", reader.n_tokens, reader.shape[1])
-        norms = np.empty(reader.n_tokens)
-        _, _, h, w = reader.shape
+        n, _, h, w = reader.shape
+        norms = np.empty((n, h, w))
 
         def stats_slice(items):
-            scratch = None
-            first = items.start * h * w
-            for rows in reader.token_blocks(items):
-                block_norms = norms[first : first + rows.shape[0]]
-                if args.project is not None:
-                    if scratch is None:
-                        scratch = np.empty_like(rows)
-                    rows = sphere._project_into(rows, args.project, block_norms, scratch[: rows.shape[0]])
-                sphere._norms_into(rows, rows, block_norms)
-                first += rows.shape[0]
+            slab = None
+            first = items.start
+            for block in reader.blocks(items):
+                if slab is None:
+                    slab = sphere._plane_slab(block.shape)
+                k = block.shape[0]
+                sphere._plane_norms_into(block, norms[first : first + k], slab, args.project)
+                first += k
 
         _run_slices(stats_slice, reader.shape)
-    row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms))
+    row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms.reshape(-1)))
     emit_report([row], list(row), args.format)
     return 0
 
@@ -178,17 +175,19 @@ def cmd_swap(args) -> int:
             ):
                 # each range of blocks writes its own part of both hybrids:
                 # each block's hybrids are its f32 items times one ratio per
-                # token; the float64 rows only give the norms, squared in place
+                # token, whose norms come straight from the channel planes
                 def swap_slice(items):
                     dir_view, rad_view = out_dir.view(items), out_rad.view(items)
-                    norms = None
-                    for (a_items, a), (s_items, s) in zip(anchor.blocks(items), substitute.blocks(items)):
-                        if norms is None:
-                            norms = np.empty((3, a.shape[0]))
-                        to_direction, to_radius = diagnostics._swap_ratios(a, s, a, s, norms[:, : a.shape[0]])
-                        per_token = (a_items.shape[0], 1) + a_items.shape[2:]
-                        dir_view.write_scaled(a_items, to_direction.reshape(per_token))
-                        rad_view.write_scaled(s_items, to_radius.reshape(per_token))
+                    norms = slab = None
+                    for a, s in zip(anchor.blocks(items), substitute.blocks(items)):
+                        if slab is None:
+                            slab, norms = sphere._plane_slab(a.shape), np.empty((3, a.shape[0], 1) + a.shape[2:])
+                        ra, rs, to_direction = norms[:, : a.shape[0]]
+                        sphere._plane_norms_into(a, ra[:, 0], slab)
+                        sphere._plane_norms_into(s, rs[:, 0], slab)
+                        to_direction, to_radius = diagnostics._swap_ratios(ra, rs, to_direction)
+                        dir_view.write_scaled(a, to_direction)
+                        rad_view.write_scaled(s, to_radius)
 
                 _run_slices(swap_slice, anchor.shape)
     log.info("wrote hybrids to %s and %s", args.out_direction, args.out_radius)

@@ -16,16 +16,17 @@ own through the one descriptor, each with its own buffers:
 
 - :class:`BlockReader` checks the header, and the payload length against the
   file size, before it reads any payload.  :meth:`BlockReader.blocks` streams
-  a range of items (all by default) through its own f32 block, the mask that
-  block is checked for finite values into (the promotion to float64 is
-  exact, so it makes no value non-finite), and one token-row block that a
-  single copy promotes and transposes the f32 block into, whose (k, d, h, w)
-  view is the strided target.  It yields both views of each block, the
-  checked f32 items and the float64 token rows;
-  :meth:`BlockReader.token_blocks` yields the rows alone.  A truncated
-  payload or a non-finite value in any block raises
-  :class:`ContainerFormatError`.  :func:`read_container` is the one-shot
-  case of the same reads, with C-ordered blocks of its result as targets.
+  a range of items (all by default) through its own f32 block and the mask
+  that block is checked for finite values into (a promotion to float64 is
+  exact, so it makes no value non-finite), and yields the checked f32 items
+  in the container's own (k, d, h, w) layout.  ``slfm stats`` and ``swap``
+  take each token's norm from those items' channel planes
+  (``sphere._plane_norms_into``), so no float64 token rows are formed and
+  nothing is transposed.  :meth:`BlockReader.token_blocks` gives each
+  block's float64 token rows as a new array, for tests and library callers.
+  A truncated payload or a non-finite value in any block raises
+  :class:`ContainerFormatError`.  :func:`read_container` copies the same
+  blocks into its float64 result.
 - :class:`BlockWriter` writes the header, and :meth:`BlockWriter.view` gives
   a range of items that is written one block at a time, in order, through
   its own f32 block and mask for :func:`write_container`'s finite and
@@ -175,50 +176,40 @@ class BlockReader:
         n, _, h, w = self.shape
         return n * h * w
 
-    def _read_items(self, first, raw, finite) -> np.ndarray:
-        """Items ``first``.. read into the f32 block ``raw``, shape
-        (k, d, h, w), and checked there into the mask ``finite``; returns
-        ``raw``."""
-        buf = raw.reshape(-1).view(np.uint8)
-        offset, got = _offset(self.shape, first), 0
-        while got < buf.size:
-            read = os.preadv(self._fh.fileno(), [buf[got:]], offset + got)
-            if read == 0:
-                raise ContainerFormatError(
-                    f"payload ended early: read {got} of {buf.size} bytes of a block"
-                )
-            got += read
-        if not np.isfinite(raw, out=finite).all():
-            raise ContainerFormatError("payload contains non-finite values")
-        return raw
-
     def blocks(self, items=None):
         """Yield the payload of the item range ``items`` (all items by
-        default) k whole items at a time, as pairs of views of one block:
-        the checked f32 items, shape (k, d, h, w), and their float64 token
-        rows, shape (k*h*w, d).  Both are views of buffers that the next
-        block overwrites; each call has buffers of its own, so calls over
-        disjoint ranges may run on threads of their own."""
-        n, d, h, w = self.shape
+        default) k whole items at a time, as checked f32 items of shape
+        (k, d, h, w): views of one block that the next block overwrites.
+        Each block is read at its own offset and checked for finite values
+        into a mask of its own; each call has its own block and mask, so
+        calls over disjoint ranges may run on threads of their own."""
+        n = self.shape[0]
         items = range(n) if items is None else items
         per_block = _items_per_block(self.shape)
-        raw = np.empty((min(len(items), per_block), d, h, w), dtype="<f4")
+        raw = np.empty((min(len(items), per_block),) + self.shape[1:], dtype="<f4")
         finite = np.empty(raw.shape, dtype=bool)
-        rows = np.empty((raw.shape[0] * h * w, d))
         for first in range(items.start, items.stop, per_block):
             k = min(per_block, items.stop - first)
-            block = self._read_items(first, raw[:k], finite[:k])
-            out = rows[: k * h * w]
-            np.copyto(rows_to_tensor(out, block.shape), block)
-            yield block, out
+            block = raw[:k]
+            buf = block.reshape(-1).view(np.uint8)
+            offset, got = _offset(self.shape, first), 0
+            while got < buf.size:
+                read = os.preadv(self._fh.fileno(), [buf[got:]], offset + got)
+                if read == 0:
+                    raise ContainerFormatError(
+                        f"payload ended early: read {got} of {buf.size} bytes of a block"
+                    )
+                got += read
+            if not np.isfinite(block, out=finite[:k]).all():
+                raise ContainerFormatError("payload contains non-finite values")
+            yield block
 
     def token_blocks(self, items=None):
         """Yield the payload of the item range ``items`` (all items by
-        default) as token-row blocks of shape (k*h*w, d), k whole items at a
-        time.  Each block is a view of a buffer that the next block
-        overwrites."""
-        for _, rows in self.blocks(items):
-            yield rows
+        default) as new float64 token-row blocks of shape (k*h*w, d), k
+        whole items at a time: :func:`token_rows` of :meth:`blocks`."""
+        for block in self.blocks(items):
+            yield token_rows(block)
 
 
 class BlockWriter:
@@ -410,13 +401,10 @@ def read_container(path) -> np.ndarray:
     """Read a container into a float64 (n_items, d, h, w) array."""
     with BlockReader(path) as reader:
         arr = np.empty(reader.shape)
-        per_block = _items_per_block(reader.shape)
-        raw = np.empty((min(reader.shape[0], per_block),) + reader.shape[1:], dtype="<f4")
-        finite = np.empty(raw.shape, dtype=bool)
-        for first in range(0, reader.shape[0], per_block):
-            block = arr[first : first + per_block]
-            k = block.shape[0]
-            np.copyto(block, reader._read_items(first, raw[:k], finite[:k]))
+        first = 0
+        for block in reader.blocks():
+            np.copyto(arr[first : first + block.shape[0]], block)
+            first += block.shape[0]
     return arr
 
 

@@ -332,35 +332,33 @@ def component_swap(anchor, substitute) -> SwapPair:
     return SwapPair(keep_direction=keep_direction[0], keep_radius=keep_radius[0])
 
 
-def _swap_ratios(a, s, a_sq, s_sq, norms):
-    """The per-row scales of the component swap of the (n, d) stacks ``a``
-    and ``s``: rs/ra for the direction hybrid and ra/rs for the radius
-    hybrid.  ``norms``, a (3, n) buffer, receives the anchor norms in its
-    first row; the two scales are views of the other two.  The squares are
-    written to ``a_sq`` and ``s_sq``, which may be ``a`` and ``s``
-    themselves.  Raises :class:`NearZeroNorm` on a row below
-    ``NORM_FLOOR``."""
-    ra, rs, to_direction = norms
-    _norms_into(a, a_sq, ra)
-    _norms_into(s, s_sq, rs)
+def _swap_ratios(ra, rs, out):
+    """The per-token scales of the component swap of tokens with the norms
+    ``ra`` (anchors) and ``rs`` (substitutes): rs/ra for the direction
+    hybrid, written into ``out``, and ra/rs for the radius hybrid, written
+    over ``rs``.  Returns both.  Raises :class:`NearZeroNorm` on a norm
+    below ``NORM_FLOOR``."""
     if np.any(ra < NORM_FLOOR) or np.any(rs < NORM_FLOOR):
         raise NearZeroNorm("token norm below floor, direction undefined")
-    np.divide(rs, ra, out=to_direction)
-    return to_direction, np.divide(ra, rs, out=rs)
+    np.divide(rs, ra, out=out)
+    return out, np.divide(ra, rs, out=rs)
 
 
 def component_swap_rows(anchors, substitutes):
     """Row-wise :func:`component_swap`; returns the two hybrid stacks.
     The rows are not scanned for finiteness: ``slfm swap`` takes the same
-    ratios (:func:`_swap_ratios`) of blocks that ``container.BlockReader``
-    has checked."""
+    ratios (:func:`_swap_ratios`) of the norms of blocks that
+    ``container.BlockReader`` has checked."""
     a = _token_rows(anchors)
     s = _token_rows(substitutes)
     if a.shape != s.shape:
         raise DimensionMismatch(f"stack shapes differ: {a.shape} vs {s.shape}")
     # the hybrids' buffers take the squares first
     keep_direction, keep_radius = np.empty_like(a), np.empty_like(s)
-    to_direction, to_radius = _swap_ratios(a, s, keep_direction, keep_radius, np.empty((3, a.shape[0])))
+    ra, rs, to_direction = np.empty((3, a.shape[0]))
+    _norms_into(a, keep_direction, ra)
+    _norms_into(s, keep_radius, rs)
+    to_direction, to_radius = _swap_ratios(ra, rs, to_direction)
     np.multiply(to_direction[:, None], a, out=keep_direction)
     np.multiply(to_radius[:, None], s, out=keep_radius)
     return keep_direction, keep_radius

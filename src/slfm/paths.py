@@ -99,7 +99,8 @@ def path_rows(z0, z1, t, kind: PathKind, radius: float | None = None):
     evaluation: one pair at a vector of times gives one row per time.
     Returns ``(z_t, u_t)``.  For ``SLERP`` all endpoint rows must lie on
     one common radius (pass ``radius`` to pin it; otherwise it is inferred
-    from the data).  SHELL and SLERP endpoints below the norm floor raise
+    from the data).  SHELL and SLERP endpoints of fewer than two
+    dimensions raise :class:`DimensionMismatch`, ones below the norm floor
     :class:`NearZeroNorm`, and ones whose squared norm overflows
     ``ValueError``.
     """
@@ -126,10 +127,14 @@ def _path_setup(z0, z1, kind: PathKind, radius: float | None = None) -> _PathPai
     """What does not depend on ``t`` for pairs of one shape that
     :func:`path_rows` has checked: the chord, or the endpoint norms, the
     unit rows of :func:`sphere._project_into` and their geodesic set-up.
-    Raises as :func:`path_rows` does on norms below the floor, squared
-    norms past the float range or rows off the common sphere."""
+    Raises as :func:`path_rows` does on SHELL or SLERP rows of fewer than
+    two dimensions, norms below the floor, squared norms past the float
+    range or rows off the common sphere."""
     if kind is PathKind.LINEAR:
         return _PathPairs(kind, z0, z1, chord=z1 - z0)
+    # a direction on a sphere needs two dimensions
+    if z0.shape[-1] < 2:
+        raise DimensionMismatch(f"{kind.value} paths need a dimension of at least 2, got {z0.shape[-1]}")
 
     r0, r1 = np.empty(z0.shape[:-1]), np.empty(z1.shape[:-1])
     u0 = sphere._project_into(z0, 1.0, r0, np.empty_like(z0))

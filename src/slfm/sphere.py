@@ -139,6 +139,89 @@ def _norms_into(x, sq, out) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _plane_slab(shape) -> np.ndarray:
+    """The float64 scratch of :func:`_plane_norms_into` for f32 items of
+    ``shape`` (k, d, h, w), or for fewer of them: ``min(d, 16)`` token
+    planes of ``k * h * w`` values."""
+    k, d, h, w = shape
+    return np.empty(min(d, 16) * k * h * w)
+
+
+def _plane_norms_into(items, out, slab, radius=None) -> np.ndarray:
+    """Token norms of the f32 items ``items`` (k, d, h, w), written into
+    ``out`` (k, h, w) straight from the channel planes: the bits of
+    ``np.linalg.norm`` of their float64 token rows (``items`` promoted and
+    transposed to C-ordered (k*h*w, d) rows), with no such rows formed.
+    Each channel plane is promoted into a contiguous token plane of
+    ``slab`` (:func:`_plane_slab`), squared there, and added in the order
+    of numpy's pairwise ``add.reduce`` along a contiguous axis
+    (:func:`_pairwise_planes`), so every add runs over whole planes.
+
+    With a ``radius``, ``out`` receives instead the norms of the tokens
+    :func:`project_rows` puts on the sphere of ``radius``: each promoted
+    plane is divided by the tokens' own norms and multiplied by ``radius``
+    before it is squared, the operations of :func:`_project_into`, whose
+    overflow branch no f32 token reaches.  It raises as that does on a norm
+    below the floor.  Returns ``out``."""
+    project = None
+    if radius is not None:
+        norms = _plane_norms_into(items, np.empty(out.shape), slab)
+        if np.any(norms < NORM_FLOOR):
+            raise NearZeroNorm(f"row norm below {NORM_FLOOR}")
+        project = (norms, float(radius))
+    m = min(items.shape[1], 16)
+    planes = slab[: m * out.size].reshape((m,) + out.shape)
+    _pairwise_planes(items, 0, items.shape[1], out, planes, project)
+    return np.sqrt(out, out=out)
+
+
+def _pairwise_planes(items, first, stop, out, slab, project) -> np.ndarray:
+    """The sum of the squared channel planes ``first``..``stop - 1`` of
+    ``items`` into ``out``, added as numpy's pairwise ``add.reduce`` adds
+    that many contiguous values: below 8 in order; up to 128, eight running
+    sums over strides of 8, combined as ((s0 + s1) + (s2 + s3)) +
+    ((s4 + s5) + (s6 + s7)), then the rest in order; above 128, the sums
+    of the two parts split at half the count, rounded down to a multiple
+    of 8, added.  The first eight planes of ``slab`` hold the running sums
+    and the others the squares of the planes still to add; below 8 planes
+    the squares fill ``slab`` from its first plane.  Returns ``out``."""
+    n = stop - first
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_planes(items, first, first + half, out, slab, project)
+        rest = _pairwise_planes(items, first + half, stop, np.empty_like(out), slab, project)
+        return np.add(out, rest, out=out)
+    lead = n - n % 8
+    if lead:
+        sums, squares = slab[:8], slab[8:]
+        _squares_into(items, first, first + 8, sums, project)
+        for c in range(first + 8, first + lead, 8):
+            np.add(sums, _squares_into(items, c, c + 8, squares, project), out=sums)
+        np.add(sums[0::2], sums[1::2], out=sums[0::2])
+        np.add(sums[0::4], sums[2::4], out=sums[0::4])
+        np.add(sums[0], sums[4], out=out)
+    else:
+        # numpy starts from -0.0, which adds to a square as 0.0 does
+        squares = slab
+        out.fill(0.0)
+    for plane in _squares_into(items, first + lead, stop, squares, project):
+        np.add(out, plane, out=out)
+    return out
+
+
+def _squares_into(items, first, stop, slab, project) -> np.ndarray:
+    """The channel planes ``first``..``stop - 1`` of ``items``, promoted
+    into the leading planes of ``slab``, projected when ``project`` is
+    ``(norms, radius)``, and squared there; returns those planes."""
+    planes = slab[: stop - first]
+    np.copyto(planes, items[:, first:stop].transpose(1, 0, 2, 3))
+    if project is not None:
+        norms, radius = project
+        np.divide(planes, norms, out=planes)
+        np.multiply(planes, radius, out=planes)
+    return np.multiply(planes, planes, out=planes)
+
+
 def _project_into(x, radius, norms, out) -> np.ndarray:
     """:func:`project_rows` of ``x`` written into ``out`` (``x``'s shape);
     ``norms`` (shape ``x.shape[:-1]``) receives the row norms.  ``out`` is

@@ -200,6 +200,26 @@ def test_paths_input_zero_width_rows_exit_2_naming_the_axis(tmp_path, capsys, ki
     assert captured.err == "ERROR tokens have an empty coordinate axis: shape (3, 0)\n"
 
 
+@pytest.mark.parametrize("kind", ["shell", "slerp"])
+def test_paths_input_of_one_dimensional_rows_exits_2(tmp_path, capsys, kind):
+    # no nan rows, no numpy warning: one error line, as train --d 1 gives
+    rng = np.random.default_rng(4)
+    a, b = tmp_path / "a.slfm", tmp_path / "b.slfm"
+    _write_rows(a, rng.standard_normal((9, 1)))
+    _write_rows(b, rng.standard_normal((9, 1)))
+    argv = ["paths", "--input", str(a), str(b), "--grid", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--kind", kind]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {kind} paths need a dimension of at least 2, got 1\n"
+    assert main(argv + ["--kind", "linear"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+
 def test_paths_bad_synthetic_family(capsys):
     assert main(["paths", "--synthetic", "torus:d=3,R=1", "--kind", "linear"]) == 2
 

@@ -435,6 +435,20 @@ def test_path_rows_rejects_endpoints_whose_squared_norms_overflow(kind, end):
                 shell_path(ends[0][0], ends[1][0], 0.5)
 
 
+@pytest.mark.parametrize("kind", [PathKind.SHELL, PathKind.SLERP])
+def test_geodesic_paths_refuse_one_dimensional_rows(kind):
+    # a direction needs two dimensions; a line does not
+    z0, z1 = np.array([[1.0], [-2.0]]), np.array([[3.0], [-2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="at least 2, got 1"):
+            path_rows(z0, z1, 0.5, kind)
+        with pytest.raises(DimensionMismatch, match="at least 2, got 1"):
+            path_rows(z0, z1, 0.5, kind, radius=2.0)
+    z_t, u_t = path_rows(z0, z1, 0.5, PathKind.LINEAR)
+    assert np.array_equal(z_t, [[2.0], [-2.0]]) and np.array_equal(u_t, [[2.0], [0.0]])
+
+
 @pytest.mark.parametrize("end", [0, 1], ids=["z0", "z1"])
 def test_linear_path_rejects_non_finite_endpoint(end):
     ends = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

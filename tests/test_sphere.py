@@ -932,6 +932,78 @@ def test_project_kernel_rejects_a_zero_row():
         sphere.project_rows(rows, 2.0)
 
 
+def _plane_items(rng, shape):
+    """f32 items of ``shape`` (k, d, h, w) whose coordinates are Gaussian,
+    zero, tiny (f32 normal and subnormal) or the f32 maximum, each token
+    holding one coordinate of magnitude at least 1/2."""
+    k, d, h, w = shape
+    scale = rng.choice([0.0, 1e-30, 1e-42, 1.0, 1.0, 1.0], size=shape)
+    items = (scale * rng.standard_normal(shape)).astype(np.float32)
+    items[:, d // 2] = rng.choice([-1.0, 1.0], size=(k, h, w)) * rng.uniform(0.5, 2.0, (k, h, w))
+    items[0, 0, 0, 0] = np.finfo(np.float32).max
+    items[-1, -1, -1, -1] = -np.finfo(np.float32).max
+    return items
+
+
+def _plane_rows(items):
+    """The C-ordered float64 token rows (k*h*w, d) of f32 items (k, d, h,
+    w), as a copy into a row buffer lays them out; numpy sums the rows of
+    another layout in another order."""
+    k, d, h, w = items.shape
+    return np.ascontiguousarray(items.astype(np.float64).transpose(0, 2, 3, 1).reshape(k * h * w, d))
+
+
+def _plane_norms(items, radius=None, spare=0):
+    """The plane kernel's norms of ``items`` through NaN-filled buffers,
+    with a slab sized for ``spare`` more items than it is given."""
+    k, d, h, w = items.shape
+    slab = sphere._plane_slab((k + spare, d, h, w))
+    slab.fill(np.nan)
+    out = _dirty((k, h, w))
+    got = sphere._plane_norms_into(items, out, slab, radius)
+    assert np.shares_memory(got, out)
+    return got.reshape(-1)
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_plane_kernel_gives_the_bits_of_linalg_norm_at_every_d():
+    # d = 1..300 crosses every branch of numpy's pairwise sum: in order
+    # below 8 (7), eight running sums up to 128 (8, 9, 127, 128), and the
+    # halves split at a multiple of 8 above it (129, 136, 256, 257)
+    rng = np.random.default_rng(43)
+    for d in range(0, 301):
+        items = _plane_items(rng, (3, d, 2, 5)) if d else np.zeros((3, 0, 2, 5), np.float32)
+        rows = _plane_rows(items)
+        assert _same_bits(_plane_norms(items, spare=d % 3), np.linalg.norm(rows, axis=-1)), d
+        if d:
+            radius = math.sqrt(d)
+            want = np.linalg.norm(sphere.project_rows(rows, radius), axis=-1)
+            assert _same_bits(_plane_norms(items, radius), want), d
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 32, 64, 64), (1, 129, 16, 16), (4096, 4, 1, 1), (3, 200, 1, 7)],
+    ids=["benchmark-block", "d129", "samples", "d200"],
+)
+def test_plane_kernel_gives_the_bits_of_linalg_norm_on_whole_blocks(shape):
+    items = _plane_items(np.random.default_rng(44), shape)
+    rows = _plane_rows(items)
+    assert _same_bits(_plane_norms(items), np.linalg.norm(rows, axis=-1))
+    want = np.linalg.norm(sphere.project_rows(rows, 2.5), axis=-1)
+    assert _same_bits(_plane_norms(items, 2.5), want)
+
+
+def test_plane_kernel_projection_rejects_a_zero_token():
+    items = _plane_items(np.random.default_rng(45), (2, 9, 1, 3))
+    items[1, :, 0, 2] = 0.0
+    assert _plane_norms(items)[5] == 0.0
+    with pytest.raises(NearZeroNorm):
+        _plane_norms(items, 2.0)
+
+
 def _tangent_formula(v, z):
     """tangent_rows as a fresh-temporary formula: v - (<v, z> / <z, z>) z."""
     return v - np.sum(v * z, axis=-1, keepdims=True) / np.sum(z * z, axis=-1, keepdims=True) * z

@@ -1,6 +1,6 @@
 """Streamed containers: block boundaries, ranges of blocks on threads,
-all-or-nothing outputs, write-back hints and the flush order, a fuzz of
-``stats`` and ``swap``, bounded memory.
+all-or-nothing outputs, write-back hints and the flush order, fuzzes of
+``stats``, ``swap`` and ``paths --input``, bounded memory.
 
 Every test that crosses block boundaries shrinks ``container.BLOCK_BYTES`` to
 a few KiB instead of writing a large container.
@@ -10,6 +10,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,27 @@ def test_streamed_swap_equals_one_shot_component_swap(tmp_path, monkeypatch, sha
     anchor, substitute = tmp_path / "a.slfm", tmp_path / "s.slfm"
     _latents(anchor, shape, seed=2)
     _latents(substitute, shape, seed=3, scale=3.0)
+    out_dir, out_rad = tmp_path / "dir.slfm", tmp_path / "rad.slfm"
+    assert _swap(anchor, substitute, out_dir, out_rad) == 0
+    assert [out_dir.read_bytes(), out_rad.read_bytes()] == _one_shot_swap(tmp_path, anchor, substitute)
+
+
+# d = 1, 3, 8, 33, 129 and 200 take every branch of the plane kernel's
+# pairwise sum; in 4 KiB blocks, 400 items of 2 x 3 tokens make from 3 to
+# 400 blocks, so 3 CPUs run 3 ranges
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("d", [1, 3, 8, 33, 129, 200])
+def test_plane_norms_give_the_one_shot_stats_and_swap_bytes(tmp_path, capsys, monkeypatch, small_blocks, d, cpus):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    shape = (400, d, 2, 3)
+    anchor, substitute = tmp_path / "a.slfm", tmp_path / "s.slfm"
+    rows = container.token_rows(_latents(anchor, shape, seed=d))
+    _latents(substitute, shape, seed=d + 1, scale=3.0)
+    radius = math.sqrt(d)
+    assert _stats_row(capsys, ["stats", str(anchor)]) == _expected_row(diagnostics.shell_stats(rows))
+    assert _stats_row(capsys, ["stats", str(anchor), "--project", repr(radius)]) == _expected_row(
+        diagnostics.shell_stats(sphere.project_rows(rows, radius))
+    )
     out_dir, out_rad = tmp_path / "dir.slfm", tmp_path / "rad.slfm"
     assert _swap(anchor, substitute, out_dir, out_rad) == 0
     assert [out_dir.read_bytes(), out_rad.read_bytes()] == _one_shot_swap(tmp_path, anchor, substitute)
@@ -629,6 +651,41 @@ def test_stats_and_swap_exit_0_or_2_on_any_input(
         assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
     elif command.startswith("swap"):
         assert not [p for p in directory.iterdir() if p.name.endswith(".tmp")]
+
+
+@st.composite
+def _path_inputs(draw):
+    """Two containers for ``paths --input`` of dimension 0 to 3, the second
+    mostly of the first's shape, each with at most one fault."""
+    first, other = ((draw(_SIZES), draw(st.integers(0, 3)), draw(_SIZES), draw(_SIZES)) for _ in range(2))
+    return draw(_containers(first)), draw(_containers(draw(st.sampled_from([first] * 3 + [other]))))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=_path_inputs(), kind=st.sampled_from(["linear", "shell", "slerp"]), grid=st.integers(-1, 4))
+def test_paths_input_exits_0_or_2_on_any_containers(tmp_path_factory, capsys, pair, kind, grid):
+    # a profile of finite rows, one per grid point, or one ERROR line and no
+    # report; never a traceback or a numpy warning, on two grid slices
+    directory = tmp_path_factory.mktemp("paths")
+    a, b = directory / "a.slfm", directory / "b.slfm"
+    a.write_bytes(pair[0])
+    b.write_bytes(pair[1])
+    argv = ["paths", "--input", str(a), str(b), "--kind", kind, "--grid", str(grid)]
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(model, "_usable_cpus", lambda: 2)
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR ") and captured.err.count("\n") == 1
+        return
+    _, *lines = captured.out.splitlines()
+    assert len(lines) == grid
+    assert all(math.isfinite(float(v)) for line in lines for v in line.split(","))
 
 
 # ---------------------------------------------------------------------------
