@@ -83,21 +83,9 @@ def cmd_gaussian_norms(args) -> int:
 
 def _run_slices(fn, shape) -> None:
     """``fn(items)`` for each contiguous range of whole blocks of a
-    container of ``shape``, one range per usable CPU, each on a thread of
-    its own under the caller's numpy error state (a container of one block
-    starts no thread).  Raises the first range's error, in file order,
-    which is the error a loop over the blocks in order would raise."""
-    errstate = np.geterr()
-
-    def run(items):
-        # errstate is per thread: each range enters the caller's
-        with np.errstate(**errstate):
-            fn(items)
-
-    slices = container.block_slices(shape, model._usable_cpus())
-    for exc in model._run_wave(run, slices)[1]:
-        if exc is not None:
-            raise exc
+    container of ``shape``, one range per usable CPU, through
+    :func:`model._run_ranges`: the first error in file order is raised."""
+    model._run_ranges(fn, container.block_slices(shape, model._usable_cpus()))
 
 
 def cmd_stats(args) -> int:

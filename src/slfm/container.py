@@ -410,12 +410,13 @@ def read_container(path) -> np.ndarray:
 
 def token_rows(tensor) -> np.ndarray:
     """Flatten a (n, d, h, w) tensor into per-position tokens of shape
-    (n*h*w, d)."""
+    (n*h*w, d), C-ordered whatever the shape, so each token's coordinates
+    are summed in the same order however its container was laid out."""
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.ndim != 4:
         raise ContainerFormatError(f"expected a 4-d (n, d, h, w) array, got shape {arr.shape}")
     n, d, h, w = arr.shape
-    return arr.transpose(0, 2, 3, 1).reshape(n * h * w, d)
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1).reshape(n * h * w, d))
 
 
 def rows_to_tensor(rows, shape) -> np.ndarray:

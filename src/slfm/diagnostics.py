@@ -252,11 +252,11 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     slerp rows come from each pair's two unit rows and per-pair
     coefficients that carry the radius, and a linear velocity is the
     chord, whose energy is taken once here rather than at every point.
-    The grid runs as contiguous slices, one per usable CPU and each on a
-    thread of its own with its own three ``(n, d)`` buffers (a one-point
-    grid starts no thread).  Every point's arithmetic is the same as alone,
-    so the curves do not depend on the CPU count, and an error is the one
-    the first failing grid point raises.
+    The grid runs as contiguous slices through ``model._run_ranges``, one
+    per usable CPU, each with its own three ``(n, d)`` buffers.  Every
+    point's arithmetic is the same as alone, so the curves do not depend on
+    the CPU count, and an error is the one the first failing grid point
+    raises.
     """
 
     z0s = _token_rows(z0s)
@@ -293,27 +293,21 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     # a LINEAR velocity is the chord at every t, so its energy is too
     energy = _energy_rows(pairs.chord) if kind is PathKind.LINEAR else None
     mean_norm, std_norm, mean_off, mean_share = (np.empty_like(t_grid) for _ in range(4))
-    errstate = np.geterr()
 
     def profile_slice(points):
         z_t, u_t, scratch = (np.empty(z0s.shape) for _ in range(3))
         norms = np.empty(n)
-        # errstate is per thread: each slice enters the caller's
-        with np.errstate(**errstate):
-            for i in points:
-                z, u = _path_at(pairs, float(t_grid[i]), (z_t, u_t, scratch))
-                _norms_into(z, scratch, norms)
-                mean_norm[i] = _fsum_mean(norms)
-                std_norm[i] = _fsum_std(norms, mean_norm[i])
-                mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
-                mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms, energy)[2])
+        for i in points:
+            z, u = _path_at(pairs, float(t_grid[i]), (z_t, u_t, scratch))
+            _norms_into(z, scratch, norms)
+            mean_norm[i] = _fsum_mean(norms)
+            std_norm[i] = _fsum_std(norms, mean_norm[i])
+            mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
+            mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms, energy)[2])
 
-    # the grid points share nothing but the set-up: one contiguous slice per
-    # usable CPU, and the first error in grid order is the one raised
+    # the grid points share nothing but the set-up
     slices = np.array_split(np.arange(t_grid.shape[0]), min(t_grid.shape[0], model._usable_cpus()))
-    for exc in model._run_wave(profile_slice, slices)[1]:
-        if exc is not None:
-            raise exc
+    model._run_ranges(profile_slice, slices)
     return PathProfile(t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute)
 
 

@@ -862,22 +862,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_wave(fn, items) -> tuple:
-    """``fn(item)`` for every item at once: the first on this thread, each
-    other on a thread of its own.  Every thread is joined before this
-    returns or raises.  Returns what each call returned and what each
-    raised, None where it did not, as two lists in item order."""
-    returned, raised = [None] * len(items), [None] * len(items)
+def _run_ranges(fn, ranges) -> list:
+    """``fn(r)`` for every range ``r`` at once, each under the caller's numpy
+    error state: the first on this thread, each other on a thread of its
+    own.  Joins every thread, then raises the first range's error, in range
+    order, as a loop over the ranges would; else returns what each call
+    returned, in range order."""
+    errstate = np.geterr()
+    returned, raised = [None] * len(ranges), [None] * len(ranges)
 
     def call(i):
         try:
-            returned[i] = fn(items[i])
-        except BaseException as exc:  # handed to the caller, in item order
+            # errstate is per thread: each range enters the caller's
+            with np.errstate(**errstate):
+                returned[i] = fn(ranges[i])
+        except BaseException as exc:  # raised below, in range order
             raised[i] = exc
 
     started = []
     try:
-        for i in range(1, len(items)):
+        for i in range(1, len(ranges)):
             thread = threading.Thread(target=call, args=(i,))
             thread.start()
             started.append(thread)
@@ -885,7 +889,10 @@ def _run_wave(fn, items) -> tuple:
     finally:
         for thread in started:
             thread.join()
-    return returned, raised
+    for exc in raised:
+        if exc is not None:
+            raise exc
+    return returned
 
 
 def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: int, rng):
@@ -897,18 +904,18 @@ def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: i
     block's largest |norm - R|; the rows are the block's own.
 
     The blocks share nothing, so they run in waves of as many blocks as
-    this process has usable CPUs, one thread per block (a single block
-    starts no thread); every block's arithmetic is the same as alone, so
-    the outputs do not depend on the CPU count.  Each wave draws its
-    blocks' prior rows in row order before it starts, the random stream of
-    one ``(n, d)`` draw.  Once the wave has ended, its blocks are checked in
-    row order, each from one pass over its norms, which overflow does not
-    warn about: a non-finite norm (a diverging chain, whichever the sampler)
-    raises :class:`DivergenceDetected`, and so does a chain of a
-    sphere-preserving sampler on a slerp field that ends off the sphere (see
-    :data:`SPHERE_SAMPLER_RTOL`) or a projected chain that collapses to the
-    origin.  The first bad block, or the first block whose integration
-    raised, ends the run; no later wave starts."""
+    this process has usable CPUs, through :func:`_run_ranges`; every
+    block's arithmetic is the same as alone, so the outputs do not depend
+    on the CPU count.  Each wave draws its blocks' prior rows in row order
+    before it starts, the random stream of one ``(n, d)`` draw.  Each block
+    checks its own chains on its own thread, from one pass over their norms,
+    which overflow does not warn about: a non-finite norm (a diverging
+    chain, whichever the sampler) raises :class:`DivergenceDetected`, and so
+    does a chain of a sphere-preserving sampler on a slerp field that ends
+    off the sphere (see :data:`SPHERE_SAMPLER_RTOL`) or a projected chain
+    that collapses to the origin.  The first bad block of a wave in row
+    order, or the first whose integration raised, is raised before any
+    block of that wave is handed on; no later wave starts."""
     if n < 1:
         raise ValueError("need at least one chain")
     _check_sampler(sampler, nfe)
@@ -917,33 +924,32 @@ def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: i
     starts = range(0, n, SAMPLE_BLOCK)
     width = min(len(starts), _usable_cpus())
 
-    def integrate_block(z0):
+    def integrate_block(job):
+        block, z0 = job
+        named = f"rows {block.start}..{block.stop - 1}"
         work = _StepBuffers(field, len(z0))
-        # errstate is per thread: each block enters its own
         with np.errstate(over="ignore", invalid="ignore"):
-            return integrate(
-                lambda z, t: _forward_rows(field, z, t, cond, work),
-                z0, nfe, sampler, field.radius,
-            )
+            try:
+                rows = integrate(
+                    lambda z, t: _forward_rows(field, z, t, cond, work),
+                    z0, nfe, sampler, field.radius,
+                )
+            except NearZeroNorm as exc:  # only a projected chain can raise it
+                raise DivergenceDetected(f"chains among {named} collapsed: {exc}") from None
+            norms = np.linalg.norm(rows, axis=-1)
+            dev = float(np.max(np.abs(norms - field.radius)))
+        if not np.all(np.isfinite(norms)):
+            raise DivergenceDetected(f"non-finite chains among {named}")
+        if on_sphere and dev > SPHERE_SAMPLER_RTOL * field.radius:
+            raise DivergenceDetected(f"chains among {named} left the sphere by {dev!r}")
+        return rows, dev
 
     def waves():
         for first in range(0, len(starts), width):
-            wave = [slice(s, min(s + SAMPLE_BLOCK, n)) for s in starts[first : first + width]]
-            priors = [prior_rows(field, block.stop - block.start, rng) for block in wave]
-            for block, rows, exc in zip(wave, *_run_wave(integrate_block, priors)):
-                named = f"rows {block.start}..{block.stop - 1}"
-                if isinstance(exc, NearZeroNorm):  # only a projected chain can raise it
-                    raise DivergenceDetected(f"chains among {named} collapsed: {exc}") from None
-                if exc is not None:
-                    raise exc
-                with np.errstate(over="ignore", invalid="ignore"):
-                    norms = np.linalg.norm(rows, axis=-1)
-                    dev = float(np.max(np.abs(norms - field.radius)))
-                if not np.all(np.isfinite(norms)):
-                    raise DivergenceDetected(f"non-finite chains among {named}")
-                if on_sphere and dev > SPHERE_SAMPLER_RTOL * field.radius:
-                    raise DivergenceDetected(f"chains among {named} left the sphere by {dev!r}")
-                yield rows, dev
+            wave = [range(s, min(s + SAMPLE_BLOCK, n)) for s in starts[first : first + width]]
+            yield from _run_ranges(
+                integrate_block, [(block, prior_rows(field, len(block), rng)) for block in wave]
+            )
 
     return waves()
 

@@ -987,6 +987,65 @@ def test_train_non_finite_config_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "m.slfm").exists()
 
 
+_PAST_INT64 = str(2**63)
+_TRAIN_REALS = ["0", "-1", "1e-300", "1e300", "1e308", "nan", "inf", "-inf", "x"]
+_TRAIN_INTS = ["-1", "0", "1", "3", "-" + _PAST_INT64, _PAST_INT64, str(10**30)]
+# each option's usual values (None: its default) and its odd ones; at most
+# 18 steps of at most 9 rows
+_TRAIN_OPTIONS = {
+    "--steps": ([str(k) for k in range(19)], ["-1", "-" + _PAST_INT64]),
+    "--batch": ([str(k) for k in range(1, 10)], ["0", "-1", "-" + _PAST_INT64]),
+    "--d": (["2", "3", "4"], ["8"] + _TRAIN_INTS),
+    "--centers": (["1", "2", "3"], _TRAIN_INTS),
+    "--spread": ([None, "0.15", "1.0"], _TRAIN_REALS),
+    "--weights": ([None], ["0.6,0.4", "1", "0.2,0.3,0.5", "0,0", "-1,2", "nan,1", "1e308,1e308", "x"]),
+    "--radius": ([None, "2.0"], _TRAIN_REALS),
+    "--lr": (["1e-3", "0.1"], _TRAIN_REALS),
+    "--hidden": (["8", "4,4"], ["0", "", "-1", "4,x", "4," + _PAST_INT64, str(10**30)]),
+    "--time-dim": (["4", "16"], ["2", "2046", "2048"] + _TRAIN_INTS),
+    "--cond-dim": (["2", "8"], _TRAIN_INTS),
+    "--time-sampling": ([None], list(model.TIME_SAMPLING)),
+    "--time-mean": ([None, "0.5"], _TRAIN_REALS),
+    "--time-std": ([None, "0.5"], _TRAIN_REALS),
+    "--shift": ([None, "3.0"], _TRAIN_REALS),
+    "--weight-decay": ([None, "0.01"], _TRAIN_REALS),
+    "--loss-kind": ([None], list(model.LOSS_KINDS)),
+}
+
+
+@st.composite
+def _train_options(draw):
+    """``--flag=value`` words: usual values, with up to three options odd."""
+    odd = draw(st.lists(st.sampled_from(list(_TRAIN_OPTIONS)), max_size=3))
+    words = []
+    for flag, (usual, unusual) in _TRAIN_OPTIONS.items():
+        value = draw(st.sampled_from(unusual if flag in odd else usual))
+        if value is not None:
+            words.append(f"{flag}={value}")
+    return words
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(options=_train_options(), seed=st.integers(0, 3))
+def test_train_exits_0_2_or_3_on_any_argv(tmp_path_factory, capsys, options, seed):
+    # a report and a checkpoint, or an error and no checkpoint; never a
+    # traceback or a numpy warning
+    ckpt = tmp_path_factory.mktemp("train") / "m.slfm"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--out", str(ckpt), "--seed", str(seed)] + options)
+    assert caught == []
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 2, 3)
+    if code:
+        assert captured.out == ""
+        assert not ckpt.exists()
+        return
+    assert f"--steps={json.loads(captured.out)['steps']}" in options
+    assert ckpt.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

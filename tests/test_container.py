@@ -165,6 +165,14 @@ def test_token_rows_layout():
     assert_allclose(rows[4], arr[1, :, 0, 0], atol=0)
 
 
+def test_token_rows_are_c_ordered_for_one_item():
+    # one item of 2 x 2 tokens: the reshape alone would give a strided view
+    arr = np.arange(3 * 2 * 2, dtype=np.float64).reshape(1, 3, 2, 2)
+    rows = token_rows(arr)
+    assert rows.flags.c_contiguous
+    assert np.array_equal(rows, arr[0].reshape(3, 4).T)
+
+
 def test_rows_to_tensor_inverts(tmp_path):
     rng = np.random.default_rng(2)
     arr = rng.standard_normal((3, 5, 4, 2))

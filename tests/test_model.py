@@ -1523,6 +1523,81 @@ def test_sample_raises_a_worker_error_in_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_run_ranges_returns_in_range_order():
+    # all four ranges meet at a barrier, so they end in any order
+    barrier = threading.Barrier(4, timeout=60)
+
+    def fn(r):
+        barrier.wait()
+        return list(r)
+
+    ranges = [range(0, 3), range(3, 5), range(5, 9), range(9, 10)]
+    assert model._run_ranges(fn, ranges) == [list(r) for r in ranges]
+
+
+def test_run_ranges_raises_the_first_range_error():
+    # the second range raises first in time; the first range's error, the
+    # one a loop in range order would raise, is the one that comes out
+    raised = threading.Event()
+
+    def fn(i):
+        if i == 0:
+            assert raised.wait(timeout=60)
+            raise ValueError("first range")
+        try:
+            raise KeyError("second range")
+        finally:
+            raised.set()
+
+    with pytest.raises(ValueError, match="first range"):
+        model._run_ranges(fn, [0, 1])
+
+
+def _overflow_off_main(i):
+    # only the range on a worker thread overflows
+    if threading.current_thread() is threading.main_thread():
+        return None
+    return np.full(2, 1e308) * 10.0
+
+
+def test_run_ranges_raises_a_worker_overflow_under_the_callers_errstate():
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            model._run_ranges(_overflow_off_main, [0, 1])
+
+
+def test_run_ranges_ignores_a_worker_overflow_under_the_callers_errstate():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore"):
+            first, second = model._run_ranges(_overflow_off_main, [0, 1])
+    assert first is None and np.all(np.isinf(second))
+    assert caught == []
+
+
+def test_run_ranges_joins_every_thread_before_it_raises():
+    # the first range raises at once, the three on worker threads later
+    def fn(i):
+        if i:
+            threading.Event().wait(0.05)
+        raise RuntimeError(f"range {i}")
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="range 0"):
+        model._run_ranges(fn, [0, 1, 2, 3])
+    assert threading.active_count() == threads
+
+
+def test_run_ranges_of_one_range_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(model.threading, "Thread", no_thread)
+    assert model._run_ranges(lambda r: (r, threading.current_thread()), ["only"]) == [
+        ("only", threading.current_thread())
+    ]
+
+
 def test_assignment_histogram_far_out_radius_does_not_overflow():
     # at R = 1.3e154 a squared distance (up to 4 R^2) passes float max; rows
     # and centers are scaled by a power of two first, so each row still goes

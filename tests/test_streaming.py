@@ -126,6 +126,36 @@ def test_plane_norms_give_the_one_shot_stats_and_swap_bytes(tmp_path, capsys, mo
     assert [out_dir.read_bytes(), out_rad.read_bytes()] == _one_shot_swap(tmp_path, anchor, substitute)
 
 
+# one item of 16 x 16 tokens of d = 40: the reshape to token rows needs no
+# copy there, and a strided row stack would sum each token's squares in
+# another order than the one the streamed stats and one-shot rows use
+def test_stats_of_one_item_equals_one_shot_shell_stats(tmp_path, capsys):
+    path = tmp_path / "one.slfm"
+    for seed in range(8):
+        _latents(path, (1, 40, 16, 16), seed=seed)
+        rows = container.token_rows(container.read_container(path))
+        assert _stats_row(capsys, ["stats", str(path)]) == _expected_row(diagnostics.shell_stats(rows))
+
+
+@pytest.mark.parametrize("kind", ["linear", "shell"])
+def test_paths_input_of_one_item_equals_its_tokens_one_to_an_item(tmp_path, capsys, kind):
+    # the same tokens as (1, 40, 16, 16) and as (256, 40, 1, 1) containers
+    # print the same bytes
+    items, rows = [], []
+    for seed in range(4):
+        path = tmp_path / f"item{seed}.slfm"
+        items.append(str(path))
+        rows.append(str(tmp_path / f"rows{seed}.slfm"))
+        tokens = container.token_rows(_latents(path, (1, 40, 16, 16), seed=seed, scale=1.0 + seed))
+        container.write_container(rows[-1], tokens.reshape(256, 40, 1, 1))
+    for pair in range(0, 4, 2):
+        argv = ["paths", "--kind", kind, "--grid", "5", "--input"]
+        assert main(argv + items[pair : pair + 2]) == 0
+        by_item = capsys.readouterr().out
+        assert main(argv + rows[pair : pair + 2]) == 0
+        assert capsys.readouterr().out == by_item
+
+
 def test_read_container_crosses_blocks(tmp_path, small_blocks):
     path = tmp_path / "lat.slfm"
     arr = _latents(path, (37, 8, 3, 5), seed=4)
