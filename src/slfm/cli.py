@@ -29,6 +29,8 @@ from .paths import PathKind
 
 log = logging.getLogger("slfm")
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _fmt(value) -> str:
     # repr of a Python float is the shortest string that round-trips, which
@@ -188,13 +190,20 @@ def cmd_train(args) -> int:
         raise ValueError(f"--d must be at least 2, got {args.d}")
     if args.cond_dim < 0:
         raise ValueError(f"--cond-dim must be at least 0, got {args.cond_dim}")
+    # numpy holds an array dimension in an int64: name the option past it
+    hidden = _parse_int_list(args.hidden)
+    sizes = [("--d", args.d), ("--centers", args.centers), ("--time-dim", args.time_dim),
+             ("--cond-dim", args.cond_dim)] + [("--hidden", width) for width in hidden]
+    for flag, value in sizes:
+        if value > _INT64_MAX:
+            raise ValueError(f"{flag} must be at most {_INT64_MAX}, got {value}")
     radius = math.sqrt(args.d) if args.radius is None else args.radius
     rng = np.random.default_rng(args.seed)
     weights = np.asarray(_parse_float_list(args.weights)) if args.weights else None
     dataset = model.random_dataset(args.d, radius, args.centers, args.spread, rng, weights)
     field = model.VelocityField.create(
         args.d,
-        hidden=tuple(_parse_int_list(args.hidden)),
+        hidden=tuple(hidden),
         time_dim=args.time_dim,
         n_cond=1,
         cond_dim=args.cond_dim,

@@ -30,17 +30,18 @@ own through the one descriptor, each with its own buffers:
 - :class:`BlockWriter` writes the header, and :meth:`BlockWriter.view` gives
   a range of items that is written one block at a time, in order, through
   its own f32 block and mask for :func:`write_container`'s finite and
-  f32-overflow checks; the writer's own methods write through a view of all
-  its items.  Every block goes through ``write_scaled``, which takes items
-  and a float64 factor per token and writes their products with a single
-  multiply into the f32 block: numpy's float64 loop rounds each product once
-  to f32, the bytes :func:`write_container` writes for the float64 products,
-  with no float64 block in between.  ``slfm swap`` hands it f32 items as a
-  reader yields them and the swap ratios; ``write_rows`` hands it float64
-  token rows, transposed into items, and a factor of 1.0, so each value is
-  rounded once to f32 as a cast would round it.  A view refuses items past
-  its range, and on exit each view must have written its whole range and
-  the tokens its views wrote must add up to those the header declares.
+  f32-overflow checks; the writer's own ``write_rows`` writes through a view
+  of all its items.  Every block goes through a view's ``write_scaled``,
+  which takes items and a float64 factor per token and writes their
+  products with a single multiply into the f32 block: numpy's float64 loop
+  rounds each product once to f32, the bytes :func:`write_container` writes
+  for the float64 products, with no float64 block in between.  ``slfm
+  swap`` hands it f32 items as a reader yields them and the swap ratios;
+  ``write_rows`` hands it float64 token rows, transposed into items, and a
+  factor of 1.0, so each value is rounded once to f32 as a cast would round
+  it.  A view refuses items past its range, and on exit each view must
+  have written its whole range and the tokens its views wrote must add up
+  to those the header declares.
   As each block lands, its write-back to disk starts
   (``POSIX_FADV_DONTNEED`` on the block's byte range, a hint that does not
   wait), so the disk writes the output while later blocks compute.
@@ -215,8 +216,8 @@ class BlockReader:
 class BlockWriter:
     """A container of ``shape`` written to ``path`` one block of whole items
     at a time, through views of item ranges (:meth:`view`) or in order from
-    the first item (:meth:`write_rows`, :meth:`write_scaled`).  Use it as a
-    context manager, which closes the file."""
+    the first item (:meth:`write_rows`).  Use it as a context manager,
+    which closes the file."""
 
     def __init__(self, path, shape):
         self.shape = tuple(int(s) for s in shape)
@@ -268,10 +269,6 @@ class BlockWriter:
     def write_rows(self, rows) -> None:
         """:meth:`_WriterView.write_rows` of the next items."""
         self._whole().write_rows(rows)
-
-    def write_scaled(self, items, factor) -> None:
-        """:meth:`_WriterView.write_scaled` of the next items."""
-        self._whole().write_scaled(items, factor)
 
 
 class _WriterView:

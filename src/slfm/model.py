@@ -32,11 +32,13 @@ from .errors import (
 from .paths import PathKind, _path_at, _path_setup, path_rows
 from .sphere import (
     ON_SPHERE_RTOL,
+    _expmap_into,
     _onto_sphere,
+    _project_into,
+    _row_sums_into,
     _tangent_into,
-    expmap_rows,
     project_rows,
-    tangent_rows,
+    tangent_rows,  # unused here; the benchmark's tracer tests read model.tangent_rows
     token_radius,
     uniform_rows,
 )
@@ -302,14 +304,16 @@ class _StepBuffers:
     outputs ``acts``, one ``(n, widths[i])`` buffer per layer for
     ``g @ W_i.T``, one per hidden layer for ``1 - a**2``, the loss's
     scratch (``sq``, ``(n, d)``, for the residual's products, and ``dot``
-    and ``zz``, ``(n, 1)``, for their row sums, which the slerp kind's
-    tangent projection shares) and the flat gradient ``grad`` with its
-    parameter views ``grads``; no other two share memory.  :func:`train`
-    allocates one set per call and :func:`sample` one per block, and each
-    reuses it every step; a step overwrites what it reads.  The full-input
-    forward pass, :func:`_forward_embedded`, writes only ``x`` and
-    ``acts``; :func:`_forward_rows`, at one time and one condition, writes
-    only ``acts``, so ``x`` holds whatever the last full-input pass left."""
+    and ``zz``, ``(n,)``, for their row sums, which the slerp kind's
+    tangent projection shares), the flat gradient ``grad`` with its
+    parameter views ``grads``, and the one time row ``time_row``, ``(1,
+    time_dim)``; no other two share memory.  :func:`train` allocates one
+    set per call and :func:`sample` one per block, and each reuses it every
+    step; a step overwrites what it reads.  The full-input forward pass,
+    :func:`_forward_embedded`, writes only ``x`` and ``acts``;
+    :func:`_forward_rows`, at one time and one condition, writes only
+    ``time_row`` and ``acts``, so ``x`` holds whatever the last full-input
+    pass left."""
 
     def __init__(self, field: VelocityField, n: int):
         widths, cond_shape = field.widths, field.cond_table.shape
@@ -318,9 +322,10 @@ class _StepBuffers:
         self.back = [np.empty((n, w)) for w in widths[:-1]]
         self.deriv = [np.empty((n, w)) for w in widths[1:-1]]
         self.sq = np.empty((n, field.d))
-        self.dot, self.zz = np.empty((2, n, 1))
+        self.dot, self.zz = np.empty((2, n))
         self.grad = np.empty(field.flat.size)
         self.grads = _param_views(self.grad, widths, cond_shape)
+        self.time_row = np.empty((1, field.time_dim))
 
 
 def _forward_rows(field: VelocityField, z, t: float, cond, work: _StepBuffers | None = None) -> np.ndarray:
@@ -334,13 +339,16 @@ def _forward_rows(field: VelocityField, z, t: float, cond, work: _StepBuffers | 
     Every row has the same time and condition columns, so their part of
     the first layer, ``emb(t) @ W0[d:d+td] + table[cond] @ W0[d+td:] + b0``,
     is one row, taken once, and the first layer is ``z @ W0[:d]`` plus that
-    row; ``work.x`` is not written.  That rounds apart from the full-input
-    product only in the last bits.  Per-row times or ids, as in training,
-    take :func:`_forward_embedded`."""
+    row; ``work.x`` is not written, and ``emb(t)`` goes into
+    ``work.time_row`` unchecked, as the field's width was checked when it
+    was built.  That rounds apart from the full-input product only in the
+    last bits.  Per-row times or ids, as in training, take
+    :func:`_forward_embedded`."""
     if work is None:
         work = _StepBuffers(field, len(z))
     d, split, w0 = field.d, field.d + field.time_dim, field.weights[0]
-    shared = time_embedding(t, field.time_dim)[0] @ w0[d:split]
+    emb = _time_embedding_into(np.array([t], dtype=np.float64), work.time_row)
+    shared = emb[0] @ w0[d:split]
     shared += field.cond_table[cond] @ w0[split:]
     shared += field.biases[0]
     np.matmul(z, w0[:d], out=work.acts[0])
@@ -466,7 +474,7 @@ def _loss_step(field: VelocityField, batch, kind: str, work: _StepBuffers | None
     if kind == "slerp":
         _tangent_into(diff, z_t, work.sq, work.dot, work.zz, diff)
     # np.mean of the row sums is their add.reduce over n: the same bits
-    rows = np.add.reduce(np.multiply(diff, diff, out=work.sq), axis=1, out=work.dot[:, 0])
+    rows = _row_sums_into(np.multiply(diff, diff, out=work.sq), work.dot)
     loss = float(np.add.reduce(rows)) / len(rows)
     if not math.isfinite(loss):
         # a diverged output has no gradient; the backward pass would only spread it
@@ -833,23 +841,32 @@ def _check_sampler(sampler: str, nfe: int) -> None:
 def integrate(vel_fn, z0, nfe: int, sampler: str, radius: float) -> np.ndarray:
     """Drive rows from t=0 to t=1 on the uniform grid t_k = k/nfe.
 
-    ``vel_fn(z_rows, t)`` supplies the velocity.  The exp_map sampler
-    tangent-projects the velocity before each step.  No step checks the
-    rows; :func:`_sample_blocks` checks each block's result once, from one
-    pass over its norms.
+    ``vel_fn(z_rows, t)`` supplies the velocity, which no step writes into.
+    The exp_map sampler tangent-projects the velocity before each step.
+    Each step runs in place, through one set of buffers per call, and has
+    the bits of the public row functions: ``z + h v`` for euler,
+    :func:`project_rows` of it for euler_project, and
+    ``expmap_rows(z, h * tangent_rows(v, z), radius)`` for exp_map.  No
+    step checks the rows; :func:`_sample_blocks` checks each block's result
+    once, from one pass over its norms.
     """
 
     _check_sampler(sampler, nfe)
     z = np.array(z0, dtype=np.float64, copy=True)
     h = 1.0 / nfe
+    step, sq = np.empty_like(z), np.empty_like(z)
+    a, b, c = (np.empty(z.shape[:-1]) for _ in range(3))
     for k in range(nfe):
         v = vel_fn(z, k / nfe)
         if sampler == "euler":
-            z = z + h * v
+            z += np.multiply(v, h, out=step)
         elif sampler == "euler_project":
-            z = project_rows(z + h * v, radius)
+            np.add(z, np.multiply(v, h, out=step), out=step)
+            _project_into(step, radius, a, z)
         else:
-            z = expmap_rows(z, h * tangent_rows(v, z), radius)
+            _tangent_into(v, z, sq, a, b, step)
+            step *= h
+            _expmap_into(z, step, radius, sq, a, b, c, z)
     return z
 
 

@@ -16,6 +16,18 @@ such as a sampler's chains or a training step's batch, are not checked
 again; ``model._sample_blocks`` checks each block's result once, and
 ``model.train`` checks its sources before the first step.  Everything
 runs in float64.
+
+The samplers, the training step and the streamed commands run rows through
+private kernels that write into buffers their caller owns, with the bits
+of the public functions that wrap them: ``_norms_into`` (the norms of
+``np.linalg.norm``), ``_project_into`` (:func:`project_rows`),
+``_tangent_into`` (:func:`tangent_rows`), ``_expmap_into``
+(:func:`expmap_rows`), ``_circle_into`` (the rows of
+:func:`geodesic_rows`) and ``_plane_norms_into`` (token norms straight
+from f32 container planes).  Under them, ``_row_sums_into`` takes the row
+sums: one whole column at a time for rows narrower than 8, where numpy's
+own sum is an in-order loop that whole-column adds repeat bit for bit, and
+through ``add.reduce`` otherwise.
 """
 
 from __future__ import annotations
@@ -129,13 +141,34 @@ class GaussianNormStats:
 # row-wise primitives
 
 
+# Rows narrower than this are summed one whole column at a time
+# (:func:`_row_sums_into`).  numpy's add.reduce makes one inner-loop call
+# per row along so short a last axis, and below 8 values its pairwise sum is
+# an in-order loop from +0.0, which whole-column adds repeat bit for bit.
+_COLUMNWISE_BELOW = 8
+
+
+def _row_sums_into(x, out) -> np.ndarray:
+    """``np.add.reduce(x, axis=-1)`` written into ``out`` (shape
+    ``x.shape[:-1]``), with its bits: rows of 1 to ``_COLUMNWISE_BELOW - 1``
+    values are added one whole column at a time, in order from +0.0; wider
+    rows, and empty ones, take ``add.reduce`` itself.  Returns ``out``."""
+    d = x.shape[-1]
+    if not 0 < d < _COLUMNWISE_BELOW:
+        return np.add.reduce(x, axis=-1, out=out)
+    np.add(x[..., 0], 0.0, out=out)
+    for j in range(1, d):
+        np.add(out, x[..., j], out=out)
+    return out
+
+
 def _norms_into(x, sq, out) -> np.ndarray:
     """Row norms of ``x`` written into ``out`` (shape ``x.shape[:-1]``), with
     ``sq`` (``x``'s shape, and it may be ``x`` itself) as scratch for the
-    squares: multiply, ``add.reduce`` over the last axis, ``sqrt``, the
-    same bits as ``np.linalg.norm(x, axis=-1)`` for C-ordered rows.
+    squares: multiply, the row sums of :func:`_row_sums_into`, ``sqrt``,
+    the same bits as ``np.linalg.norm(x, axis=-1)`` for C-ordered rows.
     Returns ``out``."""
-    np.add.reduce(np.multiply(x, x, out=sq), axis=-1, out=out)
+    _row_sums_into(np.multiply(x, x, out=sq), out)
     return np.sqrt(out, out=out)
 
 
@@ -404,12 +437,12 @@ def _tangent_into(v, z, sq, dot, zz, out) -> np.ndarray:
     """:func:`tangent_rows` of ``v`` at ``z`` written into ``out``, which
     may be ``v`` or ``sq``: ``v - (sum(v*z) / sum(z*z)) * z`` over the last
     axis.  ``sq`` (the broadcast shape) holds the products, whose layout
-    sets the order of the sums; ``dot`` and ``zz`` (that shape with a last
-    axis of 1) hold the two sums.  Returns ``out``."""
-    np.add.reduce(np.multiply(v, z, out=sq), axis=-1, keepdims=True, out=dot)
-    np.add.reduce(np.multiply(z, z, out=sq), axis=-1, keepdims=True, out=zz)
+    sets the order of the sums; ``dot`` and ``zz`` (that shape without its
+    last axis) hold the two sums.  Returns ``out``."""
+    _row_sums_into(np.multiply(v, z, out=sq), dot)
+    _row_sums_into(np.multiply(z, z, out=sq), zz)
     dot /= zz
-    return np.subtract(v, np.multiply(dot, z, out=sq), out=out)
+    return np.subtract(v, np.multiply(dot[..., None], z, out=sq), out=out)
 
 
 def tangent_rows(v, z) -> np.ndarray:
@@ -417,8 +450,27 @@ def tangent_rows(v, z) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     out = v * z  # fresh, in the layout the products of v and z take
-    sums = out.shape[:-1] + (1,)
-    return _tangent_into(v, z, out, np.empty(sums), np.empty(sums), out)
+    return _tangent_into(v, z, out, np.empty(out.shape[:-1]), np.empty(out.shape[:-1]), out)
+
+
+def _expmap_into(p, v, radius, sq, nv, cos, coef, out) -> np.ndarray:
+    """:func:`expmap_rows` at ``p`` along ``v`` written into ``out``, which
+    may be ``p`` or ``v``: ``cos(|v| / R) p + (R sin(|v| / R) / |v|) v``,
+    with 1 in place of a zero ``|v|``.  ``sq`` (the rows' shape) is the
+    scratch of the squares and of the second product; ``nv``, ``cos`` and
+    ``coef`` (that shape without its last axis) receive ``|v|`` (1 where
+    it is zero), the cosines and the coefficients of ``v``.  Returns
+    ``out``."""
+    radius = float(radius)
+    _norms_into(v, sq, nv)
+    np.divide(nv, radius, out=coef)
+    np.cos(coef, out=cos)
+    np.sin(coef, out=coef)
+    coef *= radius
+    np.copyto(nv, 1.0, where=nv == 0.0)
+    coef /= nv
+    np.multiply(coef[..., None], v, out=sq)
+    return np.add(np.multiply(cos[..., None], p, out=out), sq, out=out)
 
 
 def expmap_rows(p, v, radius: float) -> np.ndarray:
@@ -428,10 +480,9 @@ def expmap_rows(p, v, radius: float) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    radius = float(radius)
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
-    safe = np.where(nv == 0.0, 1.0, nv)
-    return np.cos(nv / radius) * p + (radius * np.sin(nv / radius) / safe) * v
+    out = np.empty(np.broadcast_shapes(p.shape, v.shape))
+    nv, cos, coef = (np.empty(v.shape[:-1]) for _ in range(3))
+    return _expmap_into(p, v, radius, np.empty_like(v), nv, cos, coef, out)
 
 
 # ---------------------------------------------------------------------------

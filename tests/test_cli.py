@@ -689,15 +689,18 @@ def test_sample_exits_0_2_or_3_on_any_argv(two_conditions, capsys, n, nfe, sampl
     assert abs(math.fsum(report["assignment_histogram"]) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("flag", ["--d", "--time-dim", "--cond-dim"])
+@pytest.mark.parametrize("flag", ["--d", "--time-dim", "--cond-dim", "--centers", "--hidden"])
 def test_train_dimension_past_int64_exits_2(tmp_path, capsys, flag):
+    # one error line that names the option, not numpy's bare "Maximum
+    # allowed dimension exceeded"
     ckpt = tmp_path / "m.slfm"
-    argv = ["train", "--out", str(ckpt), "--seed", "0", "--steps", "5", flag, str(10**30)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("ERROR") and captured.err.count("\n") == 1
-    assert not ckpt.exists()
+    for value in (2**63, 10**30):
+        argv = ["train", "--out", str(ckpt), "--seed", "0", "--steps", "5", f"{flag}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR {flag} must be at most {2**63 - 1}, got {value}\n"
+        assert not ckpt.exists()
 
 
 @pytest.mark.parametrize(
@@ -1044,6 +1047,87 @@ def test_train_exits_0_2_or_3_on_any_argv(tmp_path_factory, capsys, options, see
         return
     assert f"--steps={json.loads(captured.out)['steps']}" in options
     assert ckpt.exists()
+
+
+def _run_quietly(capsys, argv):
+    """``main(argv)`` on one usable CPU with numpy warnings recorded:
+    (exit code, stdout, stderr, warnings)."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(model, "_usable_cpus", lambda: 1)
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, caught
+
+
+def _report_rows(out, fmt):
+    """The rows of a CSV or JSON report, as dicts of floats."""
+    if fmt == "json":
+        return [{k: float(v) for k, v in row.items()} for row in json.loads(out)]
+    _, rows = _csv_rows(out)
+    return [{k: float(v) for k, v in row.items()} for row in rows]
+
+
+_ODD_WORDS = ["", "x", "nan", "-", "1.5", "1e3", "0x10", "--", "-x"]
+_FAR_INTS = [2**63, -(2**63) - 1, 10**16, 10**308, 10**309, 10**400, -(10**400)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ds=st.lists(
+        st.one_of(st.integers(-3, 200).map(str), st.sampled_from(_FAR_INTS).map(str),
+                  st.sampled_from(_ODD_WORDS)),
+        max_size=4,
+    ),
+    fmt=st.sampled_from([None, "csv", "json", "xml"]),
+)
+def test_gaussian_norms_exits_0_or_2_on_any_argv(capsys, ds, fmt):
+    # a finite row per dimension, or an error and no report; never a
+    # traceback or a numpy warning
+    argv = ["gaussian-norms", *ds] + ([] if fmt is None else [f"--format={fmt}"])
+    code, out, err, caught = _run_quietly(capsys, argv)
+    assert caught == []
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    if code:
+        assert out == ""
+        return
+    assert err == ""
+    if "--" in ds:  # the first ends the options; it is no dimension
+        ds.remove("--")
+    rows = _report_rows(out, fmt or "csv")
+    assert [row["d"] for row in rows] == [float(int(d)) for d in ds]
+    assert all(math.isfinite(v) for row in rows for v in row.values())
+
+
+_DEFICIT_REALS = ["0", "-1", "1e-300", "0.1", "1", "3", "3.2", "1e150", "1e308",
+                  "nan", "inf", "-inf", "x"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    h=st.one_of(st.sampled_from(_DEFICIT_REALS), st.floats().map(repr)),
+    omega=st.one_of(st.sampled_from(_DEFICIT_REALS), st.floats(0.0, 4.0).map(repr)),
+    radius=st.one_of(st.none(), st.sampled_from(_DEFICIT_REALS + ["1e154", "1e-154"])),
+    fmt=st.sampled_from([None, "csv", "json"]),
+)
+def test_deficit_exits_0_or_2_on_any_argv(capsys, h, omega, radius, fmt):
+    # one finite row, or an error and no report; never a traceback or a
+    # numpy warning
+    argv = ["deficit", f"--h={h}", f"--omega={omega}"]
+    argv += [] if radius is None else [f"--radius={radius}"]
+    argv += [] if fmt is None else [f"--format={fmt}"]
+    code, out, err, caught = _run_quietly(capsys, argv)
+    assert caught == []
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    if code:
+        assert out == ""
+        return
+    assert err == ""
+    (row,) = _report_rows(out, fmt or "csv")
+    assert all(math.isfinite(v) for v in row.values())
+    assert row["measured"] >= 0.0 and row["analytical"] >= 0.0
 
 
 def test_unknown_command_exits_2(capsys):

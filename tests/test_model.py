@@ -20,6 +20,7 @@ from slfm.errors import (
     ContainerFormatError,
     DimensionMismatch,
     DivergenceDetected,
+    NearZeroNorm,
     RadiusMismatch,
     UnknownCondition,
 )
@@ -1037,6 +1038,67 @@ def test_integrate_one_step_projection_deficit():
     gap = radius * 2.0 * math.asin(half_chord)
     expect = sphere.one_step_deficit(1.0, omega, radius)
     assert gap == pytest.approx(expect, rel=1e-5)
+
+
+def _reference_integrate(vel_fn, z0, nfe, sampler, radius):
+    """The sampler step as a loop of the public row functions, each step
+    into fresh arrays."""
+    z = np.array(z0, dtype=np.float64)
+    h = 1.0 / nfe
+    for k in range(nfe):
+        v = vel_fn(z, k / nfe)
+        if sampler == "euler":
+            z = z + h * v
+        elif sampler == "euler_project":
+            z = sphere.project_rows(z + h * v, radius)
+        else:
+            z = sphere.expmap_rows(z, h * sphere.tangent_rows(v, z), radius)
+    return z
+
+
+@pytest.mark.parametrize("sampler", model.SAMPLERS)
+@pytest.mark.parametrize("d", [2, 4, 7, 8, 16])
+def test_integrate_gives_the_bits_of_the_public_row_functions(sampler, d):
+    # d = 7 and 8 sit either side of the rows summed by whole columns
+    field = model.VelocityField.create(d, hidden=(16,), rng=np.random.default_rng(d))
+    z0 = prior_rows(field, 300, np.random.default_rng(70 + d))
+
+    def vel(z, t):
+        v = model._forward_rows(field, z, t, 0).copy()
+        v.flags.writeable = False  # no step may write into the velocity
+        return v
+
+    for nfe in (1, 6):
+        got = integrate(vel, z0, nfe, sampler, field.radius)
+        assert np.array_equal(got, _reference_integrate(vel, z0, nfe, sampler, field.radius))
+
+    # one chain of shape (d,)
+    def one_vel(z, t):
+        return model.forward(field, z, t, 0)
+
+    one = integrate(one_vel, z0[7], 3, sampler, field.radius)
+    ref = _reference_integrate(one_vel, z0[7], 3, sampler, field.radius)
+    assert one.shape == (d,) and np.array_equal(one, ref)
+
+
+@pytest.mark.parametrize("d", [2, 7, 8, 16])
+def test_integrate_projection_edges_match_the_public_row_functions(d):
+    radius = 1.5
+    rng = np.random.default_rng(77)
+    # rows whose squared norm overflows take the power-of-two branch
+    z0 = rng.standard_normal((5, d)) * 1e200
+
+    def still(z, t):
+        return np.zeros_like(z)
+
+    got = integrate(still, z0, 2, "euler_project", radius)
+    assert np.array_equal(got, _reference_integrate(still, z0, 2, "euler_project", radius))
+    assert_allclose(np.linalg.norm(got, axis=-1), radius, rtol=1e-15)
+    # a step onto the origin collapses the chain in both
+    z0 = sphere.uniform_rows(5, d, radius, rng)
+    for run in (integrate, _reference_integrate):
+        with pytest.raises(NearZeroNorm):
+            run(lambda z, t: -z, z0, 1, "euler_project", radius)
 
 
 def test_integrate_plain_euler_leaves_sphere():

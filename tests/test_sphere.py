@@ -906,6 +906,68 @@ def test_norms_into_gives_the_bits_of_linalg_norm(shape):
     assert np.array_equal(sphere._norms_into(y, y, _dirty(shape[:-1])), np.linalg.norm(x, axis=-1))
 
 
+def _edge_rows(rng, n, d):
+    """``n`` rows of ``d`` values: Gaussians across magnitudes from 1e-300
+    to 1e300, with signed zeros, +-inf, NaN and values near the float range
+    mixed in, and whole rows of -0.0 and of +0.0."""
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 301, (n, d))
+    odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 5e-324, -5e-324])
+    pick = rng.random((n, d)) < 0.2
+    x[pick] = rng.choice(odd, size=int(pick.sum()))
+    x[0], x[1] = -0.0, 0.0
+    return x
+
+
+@pytest.mark.parametrize("d", range(21))
+def test_row_sums_give_the_bits_of_add_reduce(d):
+    # below 8 values the sums are whole-column adds, from 8 on add.reduce;
+    # either way every value, sign of zero and NaN is numpy's own
+    rows = _edge_rows(np.random.default_rng(46 + d), 400, d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.add.reduce(rows, axis=-1)
+        out = _dirty(400)
+        got = sphere._row_sums_into(rows, out)
+        assert got is out and _same_bits(got, want)
+        # one row of shape (d,) into a 0-d array
+        assert _same_bits(sphere._row_sums_into(rows[2], _dirty(())), want[2])
+        # the sums of column-major rows keep numpy's bits, which below 8
+        # values do not depend on the layout
+        by_columns = np.array(rows, order="F")
+        got = sphere._row_sums_into(by_columns, _dirty(400))
+        assert _same_bits(got, np.add.reduce(by_columns, axis=-1))
+        if d < 8:
+            assert _same_bits(got, want)
+
+
+def _expmap_formula(p, v, radius):
+    """expmap_rows as a fresh-temporary formula."""
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    safe = np.where(nv == 0.0, 1.0, nv)
+    return np.cos(nv / radius) * p + (radius * np.sin(nv / radius) / safe) * v
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 16, 40])
+def test_expmap_kernel_gives_the_bits_of_the_formula(d):
+    rng = np.random.default_rng(48)
+    radius = 2.5
+    p = sphere.uniform_rows(50, d, radius, rng)
+    v = sphere.tangent_rows(rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-8, 3, (50, 1)), p)
+    v[3] = 0.0  # a zero step stays at p
+    want = _expmap_formula(p, v, radius)
+    assert _same_bits(sphere.expmap_rows(p, v, radius), want)
+    assert np.array_equal(sphere.expmap_rows(p, v, radius)[3], p[3])
+    # the result may overwrite the base rows or the steps
+    sums = [_dirty(50) for _ in range(3)]
+    for which in ("p", "v"):
+        base, step = p.copy(), v.copy()
+        out = base if which == "p" else step
+        got = sphere._expmap_into(base, step, radius, _dirty((50, d)), *sums, out)
+        assert np.shares_memory(got, out) and _same_bits(got, want)
+    # one row, and one row against a stack
+    assert _same_bits(sphere.expmap_rows(p[5], v[5], radius), want[5])
+    assert _same_bits(sphere.expmap_rows(p, v[5], radius), _expmap_formula(p, v[5], radius))
+
+
 # an overflowing squared norm, then rows the plain formula x / ||x|| covers
 KERNEL_ROWS = np.array([[1e200, 1e200], [3.0, -4.0], [0.1, 7.0], [-2.5, 1e-3]])
 
@@ -1015,7 +1077,7 @@ def test_tangent_kernel_gives_the_bits_of_the_formula(shape):
     z = 1e3 * rng.standard_normal(shape)
     v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
     want = _tangent_formula(v, z)
-    sums = shape[:-1] + (1,)
+    sums = shape[:-1]
     out = _dirty(shape)
     got = sphere._tangent_into(v, z, _dirty(shape), _dirty(sums), _dirty(sums), out)
     assert np.shares_memory(got, out)

@@ -851,7 +851,7 @@ def _scaled_and_reference(tmp_path, items, factor):
     from the float64 products' token rows."""
     scaled, reference = tmp_path / "scaled.slfm", tmp_path / "rows.slfm"
     with container.BlockWriter(scaled, items.shape) as writer:
-        writer.write_scaled(items, factor)
+        writer.view(range(items.shape[0])).write_scaled(items, factor)
     with container.BlockWriter(reference, items.shape) as writer:
         writer.write_rows(container.token_rows(items.astype(np.float64) * factor))
     return scaled.read_bytes(), reference.read_bytes()
@@ -902,18 +902,20 @@ def test_scaled_write_reports_overflow_as_write_rows_does(tmp_path):
     factor = np.array([1.0, 2.0]).reshape(2, 1, 1, 1)
     path = tmp_path / "x.slfm"
     with container.BlockWriter(path, items.shape) as writer:
+        view = writer.view(range(items.shape[0]))
         with pytest.raises(ContainerFormatError) as scaled:
-            writer.write_scaled(items, factor)
+            view.write_scaled(items, factor)
         with pytest.raises(ContainerFormatError) as rows:
-            writer.write_rows(container.token_rows(items.astype(np.float64) * factor))
+            view.write_rows(container.token_rows(items.astype(np.float64) * factor))
         assert str(scaled.value) == str(rows.value) == "payload overflows 32-bit float storage"
         # the failed writes counted no token and wrote no byte
-        writer.write_scaled(items, np.ones_like(factor))
+        view.write_scaled(items, np.ones_like(factor))
     assert path.read_bytes() == container._header(items.shape) + items.tobytes()
 
 
 def test_scaled_write_rejects_items_of_another_shape(tmp_path):
     with container.BlockWriter(tmp_path / "x.slfm", (2, 4, 1, 1)) as writer:
+        view = writer.view(range(2))
         with pytest.raises(ContainerFormatError, match="does not hold items"):
-            writer.write_scaled(np.ones((2, 3, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
-        writer.write_scaled(np.ones((2, 4, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
+            view.write_scaled(np.ones((2, 3, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
+        view.write_scaled(np.ones((2, 4, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
