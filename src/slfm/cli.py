@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -338,6 +339,9 @@ def _add_format(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
 
 
+# built once per process: parsing leaves the parser as it was, so each
+# in-process call of main reuses it instead of building seven subparsers
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="slfm",

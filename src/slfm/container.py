@@ -22,11 +22,9 @@ own through the one descriptor, each with its own buffers:
   in the container's own (k, d, h, w) layout.  ``slfm stats`` and ``swap``
   take each token's norm from those items' channel planes
   (``sphere._plane_norms_into``), so no float64 token rows are formed and
-  nothing is transposed.  :meth:`BlockReader.token_blocks` gives each
-  block's float64 token rows as a new array, for tests and library callers.
-  A truncated payload or a non-finite value in any block raises
-  :class:`ContainerFormatError`.  :func:`read_container` copies the same
-  blocks into its float64 result.
+  nothing is transposed.  A truncated payload or a non-finite value in any
+  block raises :class:`ContainerFormatError`.  :func:`read_container` copies
+  the same blocks into its float64 result.
 - :class:`BlockWriter` writes the header, and :meth:`BlockWriter.view` gives
   a range of items that is written one block at a time, in order, through
   its own f32 block and mask for :func:`write_container`'s finite and
@@ -204,13 +202,6 @@ class BlockReader:
             if not np.isfinite(block, out=finite[:k]).all():
                 raise ContainerFormatError("payload contains non-finite values")
             yield block
-
-    def token_blocks(self, items=None):
-        """Yield the payload of the item range ``items`` (all items by
-        default) as new float64 token-row blocks of shape (k*h*w, d), k
-        whole items at a time: :func:`token_rows` of :meth:`blocks`."""
-        for block in self.blocks(items):
-            yield token_rows(block)
 
 
 class BlockWriter:

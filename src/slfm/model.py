@@ -25,6 +25,7 @@ from .errors import (
     ContainerFormatError,
     DimensionMismatch,
     DivergenceDetected,
+    EmptyInput,
     NearZeroNorm,
     RadiusMismatch,
     UnknownCondition,
@@ -653,6 +654,8 @@ def assignment_histogram(outputs, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=np.float64)
     if outputs.ndim != 2 or centers.ndim != 2 or outputs.shape[1] != centers.shape[1]:
         raise DimensionMismatch("outputs and centers must be row stacks of equal width")
+    if outputs.shape[0] == 0:
+        raise EmptyInput("an assignment histogram needs at least one output row")
     # counted SAMPLE_BLOCK rows at a time, the blocks sample hands on; each
     # row's nearest center is independent of the others
     counts = np.zeros(centers.shape[0], dtype=np.int64)

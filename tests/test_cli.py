@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slfm
-from slfm import container, diagnostics, model, sphere
+from slfm import cli, container, diagnostics, model, sphere
 from slfm.cli import main
 
 
@@ -264,6 +264,33 @@ def test_paths_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    ("spec", "kind"),
+    [
+        ("sphere:d=16,R=4", "linear"),
+        ("sphere:d=16,R=4", "shell"),
+        ("sphere:d=16,R=4", "slerp"),
+        # about 3% of uniform pairs at d = 2 lie within 0.1 of antipodal,
+        # where every geodesic path must still end on its endpoint
+        ("sphere:d=2,R=1", "shell"),
+        ("sphere:d=2,R=1", "slerp"),
+        # r0 != r1: each shell velocity row carries an r1 - r0 term
+        ("gauss-shells:d=16,r0=4,r1=2.5,cv=0.13", "shell"),
+    ],
+)
+def test_paths_synthetic_prints_the_same_bytes_on_any_cpu_count(capsys, monkeypatch, spec, kind):
+    # the grid runs one slice per usable CPU, with numpy warnings as errors
+    argv = ["paths", "--synthetic", spec, "--kind", kind, "--pairs", "3000"]
+    outs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +674,30 @@ def two_conditions(tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("two_conditions") / "c2.slfm"
     model.save_checkpoint(ckpt, field, extra={"dataset": spec})
     return ckpt
+
+
+@pytest.mark.parametrize("sampler", ["expmap", "euler", "euler-project"])
+@pytest.mark.parametrize(("checkpoint", "cond"), [("trained", "0"), ("two_conditions", "1")])
+def test_sample_writes_the_same_bytes_on_any_cpu_count(request, tmp_path, capsys, monkeypatch, checkpoint, cond, sampler):
+    # 40 chains in blocks of 16, 16 and 8, one at a time, in waves of two or
+    # all at once: the same report and --out bytes, which are those
+    # write_container writes for model.sample's outputs
+    ckpt = request.getfixturevalue(checkpoint)
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 16)
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"on{cpus}.slfm"
+        argv = ["sample", str(ckpt), "--seed", "0", "--n", "40", "--nfe", "5", "--sampler", sampler,
+                "--cond", cond, "--out", str(out)]
+        assert main(argv) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs == [runs[0]] * 3
+    field, _ = model.load_checkpoint(ckpt)
+    name = {"expmap": "exp_map", "euler": "euler", "euler-project": "euler_project"}[sampler]
+    outputs = model.sample(field, 40, name, 5, int(cond), np.random.default_rng(0)).outputs
+    container.write_container(tmp_path / "lib.slfm", outputs.reshape(40, field.d, 1, 1))
+    assert runs[0][1] == (tmp_path / "lib.slfm").read_bytes()
 
 
 _FAR_IDS = [-(2**70), -(2**63) - 1, 2**63, 2**64 - 1, 2**70]
@@ -1150,6 +1201,24 @@ def test_verbose_logs_to_stderr_only(tmp_path, capsys):
     assert "tokens" in captured.err
 
 
+def test_in_process_calls_share_the_parser_and_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call still starts afresh
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "lat.slfm"
+    container.write_container(path, np.random.default_rng(7).standard_normal((1, 4, 2, 2)))
+    assert main(["-v", "stats", str(path)]) == 0
+    assert "tokens" in capsys.readouterr().err
+    assert main(["stats", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    # a parse error after a success
+    assert main(["deficit", "--h", "0.1"]) == 2
+    assert "--omega" in capsys.readouterr().err
+    assert main(["gaussian-norms", "4"]) == 0
+    capsys.readouterr()
+    assert main(["gaussian-norms"]) == 0
+    assert capsys.readouterr().out == "d,exact_mean,approx_mean,cv\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["--h", "2", "--omega", "3"], ["--h", "1e150", "--omega", "1.0"]], ids=["past-antipode", "huge-step"]
 )
@@ -1337,7 +1406,9 @@ def test_sample_far_out_radius_reports_histogram(tmp_path, capsys):
     ckpt = tmp_path / "big.slfm"
     assert main(["train", "--seed", "0", "--steps", "0", "--radius", "1.3e154", "--out", str(ckpt)]) == 0
     capsys.readouterr()
-    assert main(["sample", str(ckpt), "--seed", "0", "--n", "16", "--nfe", "4"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sample", str(ckpt), "--seed", "0", "--n", "16", "--nfe", "4"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     hist = json.loads(captured.out)["assignment_histogram"]
@@ -1397,12 +1468,29 @@ def test_sample_rejects_a_sidecar_with_time_dim_past_2046(tmp_path, capsys, monk
     assert captured.err.startswith("ERROR time embedding width must be at most 2046, got 2048")
 
 
-def test_train_huge_spread_exits_0(tmp_path, capsys):
-    # the noise rows' squared norms pass float max; projected, they are
-    # directions like any other, not zero rows below the norm floor
-    out = tmp_path / "s.slfm"
+@pytest.mark.parametrize(
+    "options",
+    [
+        # the noise rows' squared norms pass float max; projected, they are
+        # directions like any other, not zero rows below the norm floor
+        ["--spread", "1e300"],
+        # the linear loss under shifted uniform times
+        ["--loss-kind", "linear", "--time-sampling", "uniform", "--shift", "3"],
+        # one column: the condition table's gradient stays on np.add.at
+        ["--cond-dim", "1"],
+        ["--cond-dim", "0"],
+        # one embedding row a step, on the full-input path
+        ["--batch", "1"],
+        # about 3% of uniform pairs lie within 0.1 of antipodal
+        ["--d", "2"],
+    ],
+    ids=["spread-1e300", "linear-uniform-shift-3", "cond-dim-1", "cond-dim-0", "batch-1", "d-2"],
+)
+def test_train_17_steps_with_warnings_as_errors(tmp_path, capsys, options):
+    # one full chunk of batches and one step more, without a warning of any kind
+    argv = ["train", "--seed", "0", "--steps", "17", "--out", str(tmp_path / "m.slfm")] + options
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["train", "--seed", "0", "--steps", "5", "--spread", "1e300", "--out", str(out)]) == 0
+        assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["steps"] == 5 and math.isfinite(report["final_loss"])
+    assert report["steps"] == 17 and math.isfinite(report["final_loss"])

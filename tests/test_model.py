@@ -20,6 +20,7 @@ from slfm.errors import (
     ContainerFormatError,
     DimensionMismatch,
     DivergenceDetected,
+    EmptyInput,
     NearZeroNorm,
     RadiusMismatch,
     UnknownCondition,
@@ -1271,6 +1272,12 @@ def test_sample_memory_grows_only_by_prior_and_outputs(monkeypatch):
     assert peaks[2048] - peaks[64] <= (2048 - 64) * per_chain + 4096
 
 
+def test_assignment_histogram_of_no_rows_raises_empty_input():
+    # no frequency is defined; dividing the zero counts by zero rows gave NaN
+    with pytest.raises(EmptyInput, match="at least one output row"):
+        assignment_histogram(np.empty((0, 4)), np.eye(4))
+
+
 def test_assignment_histogram_in_small_blocks_is_bit_identical(monkeypatch):
     rng = np.random.default_rng(58)
     centers = sphere.uniform_rows(4, 5, 2.0, rng)
@@ -1583,6 +1590,29 @@ def test_sample_raises_a_worker_error_in_the_caller(monkeypatch):
     with pytest.raises(MemoryError, match="no room for a block"):
         sample(field, 10, "exp_map", 2, 0, np.random.default_rng(74))
     assert threading.active_count() == threads
+
+
+def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
+    # a process pinned to one CPU of eight, as by taskset -c 3, runs one
+    # range at a time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert model._usable_cpus() == 1
+
+
+def _no_affinity(pid):
+    raise OSError(38, "Function not implemented")
+
+
+@pytest.mark.parametrize("count", [5, None])
+@pytest.mark.parametrize("affinity", ["missing", "raises"])
+def test_usable_cpus_without_an_affinity_mask_counts_every_cpu(monkeypatch, affinity, count):
+    if affinity == "missing":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", _no_affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert model._usable_cpus() == (count or 1)
 
 
 def test_run_ranges_returns_in_range_order():

@@ -137,23 +137,29 @@ def test_stats_of_one_item_equals_one_shot_shell_stats(tmp_path, capsys):
         assert _stats_row(capsys, ["stats", str(path)]) == _expected_row(diagnostics.shell_stats(rows))
 
 
-@pytest.mark.parametrize("kind", ["linear", "shell"])
-def test_paths_input_of_one_item_equals_its_tokens_one_to_an_item(tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind", ["linear", "shell", "slerp"])
+def test_paths_input_of_one_item_equals_its_tokens_one_to_an_item(tmp_path, capsys, monkeypatch, kind):
     # the same tokens as (1, 40, 16, 16) and as (256, 40, 1, 1) containers
-    # print the same bytes
+    # print the same bytes, on one CPU and on three; slerp's tokens lie on
+    # one sphere of radius 4
     items, rows = [], []
     for seed in range(4):
         path = tmp_path / f"item{seed}.slfm"
         items.append(str(path))
         rows.append(str(tmp_path / f"rows{seed}.slfm"))
-        tokens = container.token_rows(_latents(path, (1, 40, 16, 16), seed=seed, scale=1.0 + seed))
-        container.write_container(rows[-1], tokens.reshape(256, 40, 1, 1))
-    for pair in range(0, 4, 2):
-        argv = ["paths", "--kind", kind, "--grid", "5", "--input"]
-        assert main(argv + items[pair : pair + 2]) == 0
-        by_item = capsys.readouterr().out
-        assert main(argv + rows[pair : pair + 2]) == 0
-        assert capsys.readouterr().out == by_item
+        arr = _latents(path, (1, 40, 16, 16), seed=seed, scale=1.0 + seed)
+        if kind == "slerp":
+            arr *= 4.0 / np.linalg.norm(arr, axis=1, keepdims=True)
+            container.write_container(path, arr)
+        container.write_container(rows[-1], container.token_rows(arr).reshape(256, 40, 1, 1))
+    for cpus in (1, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        for pair in range(0, 4, 2):
+            argv = ["paths", "--kind", kind, "--grid", "5", "--input"]
+            assert main(argv + items[pair : pair + 2]) == 0
+            by_item = capsys.readouterr().out
+            assert main(argv + rows[pair : pair + 2]) == 0
+            assert capsys.readouterr().out == by_item
 
 
 def test_read_container_crosses_blocks(tmp_path, small_blocks):
@@ -162,13 +168,15 @@ def test_read_container_crosses_blocks(tmp_path, small_blocks):
     assert np.array_equal(container.read_container(path), arr)
 
 
-def test_token_blocks_cover_every_token_once(tmp_path, small_blocks):
+def test_blocks_yield_every_item_once(tmp_path, small_blocks):
+    # 8 items to a block, counted from the first item of the range
     path = tmp_path / "lat.slfm"
     arr = _latents(path, (37, 8, 3, 5), seed=5)
     with container.BlockReader(path) as reader:
-        blocks = [rows.copy() for rows in reader.token_blocks()]
-    assert [b.shape[0] for b in blocks] == [8 * 15] * 4 + [5 * 15]
-    assert np.array_equal(np.concatenate(blocks), container.token_rows(arr))
+        for items, sizes in ((range(37), [8] * 4 + [5]), (range(3, 20), [8, 8, 1])):
+            blocks = [block.copy() for block in reader.blocks(items)]
+            assert [b.shape[0] for b in blocks] == sizes
+            assert np.array_equal(np.concatenate(blocks), arr[items.start : items.stop])
 
 
 def _bad_value_in_last_item(path, shape, value=np.nan):
@@ -214,7 +222,7 @@ def test_reader_rejects_payload_cut_while_streaming(tmp_path, small_blocks):
     with container.BlockReader(path) as reader:
         os.truncate(path, HEADER_BYTES + 3 * 4096)
         with pytest.raises(ContainerFormatError, match="ended early"):
-            for _ in reader.token_blocks():
+            for _ in reader.blocks():
                 pass
 
 
@@ -375,8 +383,8 @@ def test_block_slices_split_whole_blocks_in_file_order(small_blocks):
 
 def _outputs(tmp_path, capsys, anchor, substitute):
     """Exit code, stdout and stderr of stats and stats --project, and exit
-    code and written bytes of swap, fresh and with an output that names
-    an input."""
+    code and written bytes of swap, fresh, with an output that names an
+    input, and of the anchor with itself."""
     out = {}
     for name, argv in {
         "stats": ["stats", str(anchor)],
@@ -389,6 +397,8 @@ def _outputs(tmp_path, capsys, anchor, substitute):
     named.write_bytes(anchor.read_bytes())
     hybrids = [named, tmp_path / "rad2.slfm"]
     out["named"] = (_swap(named, substitute, *hybrids), *[p.read_bytes() for p in hybrids])
+    hybrids = [tmp_path / "self_dir.slfm", tmp_path / "self_rad.slfm"]
+    out["self"] = (_swap(anchor, anchor, *hybrids), *[p.read_bytes() for p in hybrids])
     capsys.readouterr()
     return out
 
@@ -405,6 +415,8 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch, c
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         runs[cpus] = _outputs(tmp_path, capsys, anchor, substitute)
     assert runs[1]["swap"][0] == 0 and runs[1]["named"] == runs[1]["swap"]
+    # swapped with itself, a container comes back byte for byte
+    assert runs[1]["self"] == (0, anchor.read_bytes(), anchor.read_bytes())
     for cpus in CPU_COUNTS:
         assert runs[cpus] == runs[1]
 
@@ -474,7 +486,7 @@ def test_payload_cut_while_a_range_streams_ends_early(tmp_path, monkeypatch, sma
         with container.BlockReader(path) as reader:
             os.truncate(path, HEADER_BYTES + 3 * 4096)
             with pytest.raises(ContainerFormatError, match="ended early") as caught:
-                _run_slices(lambda items: [None for _ in reader.token_blocks(items)], reader.shape)
+                _run_slices(lambda items: [None for _ in reader.blocks(items)], reader.shape)
             errors.append(str(caught.value))
         _latents(path, (37, 8, 3, 5), seed=25)
     assert errors == [errors[0]] * len(CPU_COUNTS)
