@@ -23,23 +23,20 @@ own through the one descriptor, each with its own buffers:
   take each token's norm from those items' channel planes
   (``sphere._plane_norms_into``), so no float64 token rows are formed and
   nothing is transposed.  A truncated payload or a non-finite value in any
-  block raises :class:`ContainerFormatError`.  :func:`read_container` copies
-  the same blocks into its float64 result.
+  block raises :class:`ContainerFormatError`.
 - :class:`BlockWriter` writes the header, and :meth:`BlockWriter.view` gives
   a range of items that is written one block at a time, in order, through
-  its own f32 block and mask for :func:`write_container`'s finite and
-  f32-overflow checks; the writer's own ``write_rows`` writes through a view
-  of all its items.  Every block goes through a view's ``write_scaled``,
-  which takes items and a float64 factor per token and writes their
-  products with a single multiply into the f32 block: numpy's float64 loop
-  rounds each product once to f32, the bytes :func:`write_container` writes
-  for the float64 products, with no float64 block in between.  ``slfm
-  swap`` hands it f32 items as a reader yields them and the swap ratios;
-  ``write_rows`` hands it float64 token rows, transposed into items, and a
-  factor of 1.0, so each value is rounded once to f32 as a cast would round
-  it.  A view refuses items past its range, and on exit each view must
-  have written its whole range and the tokens its views wrote must add up
-  to those the header declares.
+  its own f32 block and mask for the finite and f32-overflow checks; the
+  writer's own ``write_rows`` writes through a view of all its items.
+  Every block goes through a view's ``write_scaled``, which takes items and
+  a float64 factor per token and writes their products with a single
+  multiply into the f32 block: numpy's float64 loop rounds each product
+  once to f32, as a cast of the float64 product would, with no float64
+  block in between.  ``slfm swap`` hands it f32 items as a reader yields
+  them and the swap ratios; ``write_rows`` hands it float64 token rows,
+  transposed into items, and a factor of 1.0.  A view refuses items past
+  its range, and on exit each view must have written its whole range and
+  the tokens its views wrote must add up to those the header declares.
   As each block lands, its write-back to disk starts
   (``POSIX_FADV_DONTNEED`` on the block's byte range, a hint that does not
   wait), so the disk writes the output while later blocks compute.
@@ -47,6 +44,11 @@ own through the one descriptor, each with its own buffers:
   moves them over their targets only once every write succeeded; its
   ``fsync`` of each temporary still makes every byte durable before the
   rename, and so waits only for the blocks still in flight.
+
+The one-shot functions are loops over these classes: :func:`read_container`
+copies a reader's blocks into its float64 result, and :func:`write_container`
+writes an array a block at a time through one writer view with a factor of
+1.0.
 """
 
 from __future__ import annotations
@@ -68,31 +70,24 @@ _HEADER = struct.Struct("<4sHIIII")
 BLOCK_BYTES = 1 << 20
 
 
-def _f32_payload(arr) -> np.ndarray:
-    """``arr`` cast to little-endian f32; raises on non-finite values or
-    values that overflow 32-bit storage.  Every value is finite before the
-    cast if it is finite after it, so ``arr`` itself is scanned only to
-    tell the two faults apart."""
-    with np.errstate(over="ignore"):
-        out = arr.astype("<f4")
-    if not np.isfinite(out).all():
-        if not np.isfinite(arr).all():
-            raise ContainerFormatError("payload contains non-finite values")
-        raise ContainerFormatError("payload overflows 32-bit float storage")
-    return out
-
-
 def write_container(path, array) -> None:
     """Write a (n_items, d, h, w) float array; raises on non-finite values
-    or values that overflow 32-bit storage."""
+    or values that overflow 32-bit storage.
+
+    The array is written as a loop over one :class:`BlockWriter` view, a
+    block of whole items at a time, so memory stays bounded whatever its
+    size.  Two things follow: ``path`` must be seekable (a pipe raises
+    ``OSError``), and a fault in a later block leaves ``path`` holding less
+    payload than its header declares, which every reader rejects.  Write
+    under :func:`replacing` to leave the target untouched on a fault."""
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 4:
         raise ContainerFormatError(f"expected a 4-d (n, d, h, w) array, got shape {arr.shape}")
-    header = _header(arr.shape)
-    payload = _f32_payload(arr)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes(order="C"))
+    n, step = arr.shape[0], _items_per_block(arr.shape)
+    with BlockWriter(path, arr.shape) as writer:
+        view = writer.view(range(n))
+        for first in range(0, n, step):
+            view.write_scaled(arr[first : first + step], 1.0)
 
 
 def _header(shape) -> bytes:
@@ -296,9 +291,10 @@ class _WriterView:
         """Append f32(``items`` * ``factor``): ``items`` are k whole items,
         shape (k, d, h, w), and ``factor`` holds one float64 per token,
         shape (k, 1, h, w), or one for all.  Each product is formed in
-        float64 and rounded once to f32, the bytes :func:`write_container`
-        writes for the float64 products, with the same checks; only when a
-        check fails is the float64 product formed, to name the fault."""
+        float64 and rounded once to f32, as a cast of the float64 product
+        would round it; only when the f32 block holds a non-finite value is
+        the float64 product formed, to name the fault: a non-finite
+        product, or one that overflows 32-bit storage."""
         items = np.asarray(items)
         if items.ndim != 4 or items.shape[1:] != self.shape[1:]:
             raise ContainerFormatError(
@@ -315,8 +311,9 @@ class _WriterView:
         with np.errstate(over="ignore"):
             np.multiply(items, factor, out=payload, casting="same_kind")
             if not np.isfinite(payload, out=mask).all():
-                # raises, naming the fault of the float64 products
-                _f32_payload(np.multiply(items, factor, dtype=np.float64))
+                if not np.isfinite(np.multiply(items, factor, dtype=np.float64)).all():
+                    raise ContainerFormatError("payload contains non-finite values")
+                raise ContainerFormatError("payload overflows 32-bit float storage")
         offset = _offset(self.shape, self._next)
         _pwrite_all(self._fd, payload.reshape(-1).view(np.uint8), offset)
         _start_writeback(self._fd, offset, payload.nbytes)

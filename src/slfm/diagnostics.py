@@ -281,7 +281,8 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     if t_grid.ndim != 1 or t_grid.shape[0] == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
-    if np.any(t_grid < 0.0) or np.any(t_grid > 1.0) or np.any(np.diff(t_grid) < 0.0):
+    # written so that NaN, which fails every comparison, fails the test
+    if not (np.all(t_grid >= 0.0) and np.all(t_grid <= 1.0) and np.all(np.diff(t_grid) >= 0.0)):
         raise ValueError("t_grid must be ordered within [0, 1]")
 
     # the peak bound has proved every coordinate finite

@@ -85,9 +85,9 @@ TIME_DIM_MAX = 2046
 
 
 def timestep_shift(u, s: float):
-    """Rational shift t = s*u / (1 + (s-1)*u); monotone on [0,1] for s > 0."""
+    """Rational shift t = s*u / (1 + (s-1)*u); monotone on [0,1] for finite s > 0."""
     s = float(s)
-    if s <= 0.0:
+    if not 0.0 < s < math.inf:
         raise ValueError("shift must be positive")
     u = np.asarray(u, dtype=np.float64)
     out = s * u / (1.0 + (s - 1.0) * u)

@@ -194,7 +194,7 @@ def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
     vectors of norms ``r0``/``r1`` with direction cosine ``cos01``."""
     r0 = float(r0)
     r1 = float(r1)
-    if r0 < 0.0 or r1 < 0.0:
+    if not (r0 >= 0.0 and r1 >= 0.0):
         raise ValueError("radii must be nonnegative")
     cos01 = float(cos01)
     if not -1.0 <= cos01 <= 1.0:

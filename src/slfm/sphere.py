@@ -614,16 +614,17 @@ def exp_map(p: SphereToken, v: TangentVector) -> SphereToken:
     return SphereToken(expmap_rows(p.values, v.vector, p.radius), p.radius)
 
 
-def _deficit_domain(h: float, omega: float):
-    """``(h, omega)`` as floats, or ``ValueError`` outside the deficit's
-    domain: a finite step ``h > 0`` and an angle in ``(0, pi)``."""
+def _deficit_domain(h: float, omega: float, radius: float):
+    """``(h, omega, radius)`` as floats, or ``ValueError`` outside the
+    deficit's domain: a finite step ``h > 0``, an angle in ``(0, pi)`` and a
+    radius that :func:`token_radius` accepts."""
     h = float(h)
     omega = float(omega)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step h must be finite and positive, got {h!r}")
     if not 0.0 < omega < math.pi:
         raise ValueError(f"omega must lie strictly between 0 and pi, got {omega!r}")
-    return h, omega
+    return h, omega, token_radius(radius)
 
 
 def one_step_deficit(h: float, omega: float, radius: float = 1.0) -> float:
@@ -633,12 +634,12 @@ def one_step_deficit(h: float, omega: float, radius: float = 1.0) -> float:
     Uses the odd series below ``x = 1e-3`` where the direct difference
     would cancel catastrophically.
     """
-    h, omega = _deficit_domain(h, omega)
+    h, omega, radius = _deficit_domain(h, omega, radius)
     x = h * omega
     if x < 1e-3:
         x2 = x * x
-        return float(radius) * x * x2 * (1.0 / 3.0 - x2 / 5.0 + x2 * x2 / 7.0)
-    return float(radius) * (x - math.atan(x))
+        return radius * x * x2 * (1.0 / 3.0 - x2 / 5.0 + x2 * x2 / 7.0)
+    return radius * (x - math.atan(x))
 
 
 def one_step_gap_measured(h: float, omega: float, radius: float = 1.0) -> float:
@@ -651,8 +652,7 @@ def one_step_gap_measured(h: float, omega: float, radius: float = 1.0) -> float:
     is at most pi R, so a step whose deficit R (h w - arctan(h w)) reaches
     pi R raises ``ValueError``, as does a landing point that overflows.
     """
-    h, omega = _deficit_domain(h, omega)
-    radius = float(radius)
+    h, omega, radius = _deficit_domain(h, omega, radius)
     p = np.array([radius, 0.0, 0.0])
     step = np.array([0.0, h * (radius * omega), 0.0])  # h v, with ||v|| = R w
     with np.errstate(over="ignore", invalid="ignore"):

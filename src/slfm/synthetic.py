@@ -26,7 +26,7 @@ def sphere_pairs(n: int, d: int, radius: float, rng: np.random.Generator):
 
 
 def _shell_rows(n: int, d: int, r: float, cv: float, rng: np.random.Generator) -> np.ndarray:
-    if r < NORM_FLOOR:
+    if not r >= NORM_FLOOR:
         raise NearZeroNorm(f"shell radius {r!r} below floor")
     dirs = uniform_rows(n, d, 1.0, rng)
     if cv == 0.0:
@@ -46,7 +46,7 @@ def gauss_shell_pairs(
     """Pairs with uniform directions and radii ~ Normal(r_k, cv * r_k)."""
     if n < 1:
         raise ValueError("need at least one pair")
-    if cv < 0.0:
+    if not cv >= 0.0:
         raise ValueError("cv must be nonnegative")
     return _shell_rows(n, d, r0, cv, rng), _shell_rows(n, d, r1, cv, rng)
 

@@ -445,6 +445,20 @@ def test_one_point_profile_starts_no_thread(monkeypatch):
         path_profile(z0, z1, PathKind.SHELL, np.array([0.25, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[0.0, math.nan, 1.0], [math.nan], [-0.5, 1.0], [0.0, 1.5], [0.5, 0.25]],
+    ids=["nan-inside", "nan-alone", "below-0", "above-1", "descending"],
+)
+def test_profile_rejects_a_grid_outside_0_1_or_out_of_order(grid):
+    # NaN fails every comparison, so it must fail the range test too, not
+    # give a NaN norm and a radial share of exactly 0 at its point
+    z0, z1 = synthetic.sphere_pairs(8, 4, 2.0, np.random.default_rng(0))
+    for kind in PathKind:
+        with pytest.raises(ValueError, match=r"t_grid must be ordered within \[0, 1\]"):
+            path_profile(z0, z1, kind, np.array(grid))
+
+
 def test_profile_rejects_mismatched_batches():
     with pytest.raises(DimensionMismatch):
         path_profile(np.zeros((4, 3)), np.zeros((5, 3)), PathKind.LINEAR)

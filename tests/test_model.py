@@ -103,6 +103,13 @@ def test_timestep_shift_monotone():
         assert np.all((t >= 0.0) & (t <= 1.0))
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf], ids=["nan", "inf"])
+def test_timestep_shift_rejects_a_non_finite_shift(s):
+    # either gave NaN times rather than an error
+    with pytest.raises(ValueError, match="shift must be positive"):
+        timestep_shift(np.linspace(0.0, 1.0, 5), s)
+
+
 def test_timestep_shift_rejects_nonpositive():
     with pytest.raises(ValueError):
         timestep_shift(0.5, 0.0)

@@ -320,6 +320,12 @@ def test_chord_against_direct_vectors():
         assert formula == pytest.approx(direct, rel=1e-9)
 
 
+@pytest.mark.parametrize("radii", [(math.nan, 1.0), (1.0, math.nan)], ids=["r0", "r1"])
+def test_chord_rejects_a_nan_radius(radii):
+    with pytest.raises(ValueError, match="radii must be nonnegative"):
+        chord_norm_sq(*radii, 0.5, 0.5)
+
+
 def test_chord_rejects_bad_inputs():
     with pytest.raises(ValueError):
         chord_norm_sq(-1.0, 1.0, 0.0, 0.5)

@@ -777,6 +777,17 @@ def test_deficit_rejects_non_finite_step(fn, h):
 
 
 @pytest.mark.parametrize(
+    "radius", [-2.0, 0.0, math.nan, math.inf, 1e200], ids=["-2", "0", "nan", "inf", "1e200"]
+)
+@pytest.mark.parametrize("fn", [one_step_deficit, one_step_gap_measured])
+def test_deficit_rejects_a_radius_token_radius_rejects(fn, radius):
+    # the one radius rule of ``deficit --radius``: R > 0 with a normal,
+    # finite square; -2 gave a negative deficit and NaN a NaN one
+    with pytest.raises(ValueError, match="radius must be positive"):
+        fn(0.1, 1.0, radius)
+
+
+@pytest.mark.parametrize(
     ("h", "omega", "radius"),
     [(1e308, 1.0, 1.0), (1e308, 3.0, 1.0), (1e200, 1.0, 1.0), (1e300, 1.0, 1e10)],
 )

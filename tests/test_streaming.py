@@ -6,6 +6,7 @@ Every test that crosses block boundaries shrinks ``container.BLOCK_BYTES`` to
 a few KiB instead of writing a large container.
 """
 
+import errno
 import math
 import os
 import threading
@@ -931,3 +932,86 @@ def test_scaled_write_rejects_items_of_another_shape(tmp_path):
         with pytest.raises(ContainerFormatError, match="does not hold items"):
             view.write_scaled(np.ones((2, 3, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
         view.write_scaled(np.ones((2, 4, 1, 1), dtype=np.float32), np.ones((2, 1, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# write_container: one writer view, a block at a time
+
+
+def _whole_array_cast(arr) -> bytes:
+    """The container bytes of one whole-array cast of ``arr`` to f32."""
+    return container._header(arr.shape) + arr.astype("<f4").tobytes()
+
+
+def _wide_range(rng, shape):
+    """Values from f32 subnormals to 1e35, each rounded to f32 on write."""
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-100.0, 80.0, shape))
+
+
+# (37, 8, 3, 5): four blocks of 8 items and a last of 5 in 4 KiB blocks;
+# (5, 64, 4, 4): 4 KiB items in 1000-byte blocks; d = 0 and h = 0: items
+# without payload; the transposed stride-2 slice is not contiguous
+@pytest.mark.parametrize(
+    ("case", "block_bytes"),
+    [("blocks", 4096), ("item-over-block", 1000), ("d0", 4096), ("h0", 4096), ("strided", 4096)],
+)
+def test_write_container_writes_the_bytes_of_a_whole_array_cast(tmp_path, monkeypatch, case, block_bytes):
+    monkeypatch.setattr(container, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(60)
+    arr = {
+        "blocks": lambda: _wide_range(rng, (37, 8, 3, 5)),
+        "item-over-block": lambda: _wide_range(rng, (5, 64, 4, 4)),
+        "d0": lambda: np.zeros((5, 0, 3, 3)),
+        "h0": lambda: np.zeros((4, 3, 0, 2)),
+        "strided": lambda: _wide_range(rng, (75, 8, 5, 3)).transpose(0, 1, 3, 2)[::2],
+    }[case]()
+    assert case != "strided" or not arr.flags.c_contiguous
+    path = tmp_path / "x.slfm"
+    container.write_container(path, arr)
+    assert path.read_bytes() == _whole_array_cast(arr)
+
+
+def test_write_container_keeps_memory_bounded(tmp_path):
+    # 2**22 float64 values (32 MiB): the whole-array cast and its bytes
+    # copy held 32 MiB; one writer view holds one f32 block and its mask
+    arr = np.random.default_rng(61).standard_normal((64, 16, 64, 64))
+    path = tmp_path / "big.slfm"
+    container.write_container(path, arr[:1])  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        container.write_container(path, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * container.BLOCK_BYTES
+    assert os.path.getsize(path) == HEADER_BYTES + 4 * arr.size
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [(np.nan, "payload contains non-finite values"), (1e39, "payload overflows 32-bit float storage")],
+    ids=["nan", "f32-overflow"],
+)
+def test_write_container_fault_in_a_later_block_leaves_a_rejected_remnant(tmp_path, small_blocks, value, message):
+    arr = np.ones((37, 8, 3, 5))
+    arr[-1, -1, -1, -1] = value
+    path = tmp_path / "x.slfm"
+    with pytest.raises(ContainerFormatError) as err:
+        container.write_container(path, arr)
+    assert str(err.value) == message
+    # the four blocks of 8 items before the faulty last one were written
+    assert os.path.getsize(path) == HEADER_BYTES + 4 * 32 * 8 * 3 * 5
+    with pytest.raises(ContainerFormatError, match="payload length"):
+        container.read_container(path)
+
+
+def test_write_container_needs_a_seekable_path(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not wait
+    try:
+        with pytest.raises(OSError) as err:
+            container.write_container(fifo, np.ones((2, 3, 1, 1)))
+        assert err.value.errno == errno.ESPIPE
+    finally:
+        os.close(reader)

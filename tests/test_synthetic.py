@@ -1,9 +1,12 @@
 """Synthetic endpoint-pair generators and their spec-string parser."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from slfm import synthetic
 from slfm.errors import NearZeroNorm
 from slfm.synthetic import (
     gauss_shell_pairs,
@@ -57,6 +60,20 @@ def test_gauss_shell_rejections():
         gauss_shell_pairs(4, 4, 1.0, 1.0, -0.1, rng)
     with pytest.raises(NearZeroNorm):
         gauss_shell_pairs(4, 4, 0.0, 1.0, 0.1, rng)
+
+
+def test_gauss_shell_pairs_rejects_a_nan_cv():
+    with pytest.raises(ValueError, match="cv must be nonnegative"):
+        gauss_shell_pairs(4, 4, 1.0, 1.0, math.nan, np.random.default_rng(4))
+
+
+def test_shell_rows_reject_a_nan_radius():
+    # a NaN shell radius gave NaN rows; it fails the floor test as 0 does
+    with pytest.raises(NearZeroNorm, match="below floor"):
+        synthetic._shell_rows(4, 4, math.nan, 0.1, np.random.default_rng(4))
+    for r0, r1 in [(math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(NearZeroNorm, match="below floor"):
+            gauss_shell_pairs(4, 4, r0, r1, 0.1, np.random.default_rng(4))
 
 
 # ---------------------------------------------------------------------------
