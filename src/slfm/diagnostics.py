@@ -13,13 +13,18 @@ same exact sum, and ``math.fsum`` rounds their sum.
 :func:`path_profile` computes the per-pair geometry (endpoint norms, unit
 rows, angles, tangent units) once per profile and evaluates every grid point
 from it into buffers it reuses, one contiguous slice of the grid per usable
-CPU.  A shell or slerp grid point is ten passes over the ``(n, d)`` rows:
-two row-scaled products and an add each for the position and the velocity
-(``paths._path_at``), the norms' squares and sum, and the velocity's two
-products with itself and the position.  A linear velocity is the chord at
-every t, so its energy is taken once per profile.  Each value is still the
-exact sum of the per-row values, bit-identical to evaluating
-:func:`~slfm.paths.path_rows` at that grid point, whatever the CPU count.
+CPU.  Each slice holds three ``(n, d)`` buffers (two for a linear path,
+whose velocity is the chord) and a workspace of seven n-vectors, which
+takes a point's per-pair coefficients and then its per-row values and the
+exact sums' chunks, so no grid point allocates an ``(n, d)`` buffer or a
+float n-vector.  A shell or slerp grid point is ten passes over the
+``(n, d)`` rows: two row-scaled products and an add each for the position
+and the velocity (``paths._path_at``), the norms' squares and sum, and the
+velocity's two products with itself and the position.  A linear velocity
+is the chord at every t, so its energy is taken once per profile.  Each
+value is still the exact sum of the per-row values, bit-identical to
+evaluating :func:`~slfm.paths.path_rows` at that grid point, whatever the
+CPU count.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from . import model
 from .errors import DegenerateShell, DimensionMismatch, EmptyInput, NearZeroNorm
 from .paths import PathKind, _energy_rows, _path_at, _path_setup, _radial_energy_rows
-from .sphere import NORM_FLOOR, _as_vectors, _norms_into
+from .sphere import NORM_FLOOR, _as_vectors, _geodesic_workspace, _norms_by_blocks, _norms_into
 
 # Population std below DEGENERATE_RTOL * mean is rounding noise from a
 # constant-radius set, not a measured spread; it is snapped to exactly 0 so
@@ -140,15 +145,16 @@ def _chunks(values: np.ndarray, about: float | None, out: np.ndarray):
         yield p
 
 
-def _fsum(values: np.ndarray, about: float | None = None) -> float:
+def _fsum(values: np.ndarray, about: float | None = None, buffers=None) -> float:
     """Exact sum of ``values``, or of their squared deviations from
     ``about`` when it is given, rounded once: the bits of ``math.fsum``
     over every value, so order and chunking move no bit.
 
-    Each chunk of ``_FSUM_CHUNK`` values goes into one of two buffers
-    allocated once per call, and error-free extraction (Rump, Ogita &
-    Oishi, *Accurate floating-point summation part I*, SIAM J. Sci. Comput.
-    31(1), 2008) reduces it there, in numpy.  With ``sigma = 2^(M + e)``,
+    Each chunk of ``_FSUM_CHUNK`` values goes into one of two buffers,
+    the rows of ``buffers`` (at least ``min(len(values), _FSUM_CHUNK)``
+    wide) or of an array allocated once per call, and error-free
+    extraction (Rump, Ogita & Oishi, *Accurate floating-point summation
+    part I*, SIAM J. Sci. Comput. 31(1), 2008) reduces it there, in numpy.  With ``sigma = 2^(M + e)``,
     where ``2^M >= k + 2`` for the chunk's ``k`` values ``p`` and
     ``max|p| < 2^e``, ``q = (p + sigma) - sigma`` and ``p - q`` are exact,
     and the ``q`` are multiples of ``2^-53 sigma`` whose partial sums stay
@@ -161,7 +167,8 @@ def _fsum(values: np.ndarray, about: float | None = None) -> float:
     fsum's own result depends on the order it meets the values in, send
     every value to ``math.fsum`` as it is, a chunk at a time; so fsum's
     nan, inf, ``ValueError`` and ``OverflowError`` outcomes stay."""
-    buffers = np.empty((2, min(values.shape[0], _FSUM_CHUNK)))
+    if buffers is None:
+        buffers = np.empty((2, min(values.shape[0], _FSUM_CHUNK)))
     parts = []
     bound = 0.0  # the first sigma of every chunk, above the sum of |values|
     for p in _chunks(values, about, buffers[0]):
@@ -183,12 +190,12 @@ def _fsum(values: np.ndarray, about: float | None = None) -> float:
     return math.fsum(parts)
 
 
-def _fsum_mean(values: np.ndarray) -> float:
-    return _fsum(values) / values.shape[0]
+def _fsum_mean(values: np.ndarray, buffers=None) -> float:
+    return _fsum(values, None, buffers) / values.shape[0]
 
 
-def _fsum_std(values: np.ndarray, mean: float) -> float:
-    return math.sqrt(_fsum(values, mean) / values.shape[0])
+def _fsum_std(values: np.ndarray, mean: float, buffers=None) -> float:
+    return math.sqrt(_fsum(values, mean, buffers) / values.shape[0])
 
 
 def shell_stats(tokens) -> ShellStats:
@@ -230,14 +237,21 @@ def off_shell_sigma(z_t, shell0: ShellStats, shell1: ShellStats) -> float:
     return float(_offshell_rows(r, shell0, shell1, absolute=False))
 
 
-def _offshell_rows(norms: np.ndarray, shell0: ShellStats, shell1: ShellStats, absolute: bool):
+def _offshell_rows(norms, shell0: ShellStats, shell1: ShellStats, absolute: bool, out=None):
     """Row-wise distance of ``norms`` from the nearest endpoint shell mean,
-    absolute or in that shell's standard deviations."""
-    d0 = np.abs(norms - shell0.mean_radius)
-    d1 = np.abs(norms - shell1.mean_radius)
-    if absolute:
-        return np.minimum(d0, d1)
-    return np.minimum(d0 / shell0.std_radius, d1 / shell1.std_radius)
+    absolute or in that shell's standard deviations, formed in the two
+    rows of ``out``, of ``norms``' shape each, or of a new such array;
+    returns the first."""
+    if out is None:
+        out = np.empty((2,) + np.shape(norms))
+    # indexed, not unpacked: rows of a 0-d shape stay arrays
+    d0, d1 = out[0, ...], out[1, ...]
+    np.abs(np.subtract(norms, shell0.mean_radius, out=d0), out=d0)
+    np.abs(np.subtract(norms, shell1.mean_radius, out=d1), out=d1)
+    if not absolute:
+        d0 /= shell0.std_radius
+        d1 /= shell1.std_radius
+    return np.minimum(d0, d1, out=d0)
 
 
 def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
@@ -253,14 +267,17 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     coefficients that carry the radius, and a linear velocity is the
     chord, whose energy is taken once here rather than at every point.
     The grid runs as contiguous slices through ``model._run_ranges``, one
-    per usable CPU, each with its own three ``(n, d)`` buffers.  Every
-    point's arithmetic is the same as alone, so the curves do not depend on
-    the CPU count, and an error is the one the first failing grid point
+    per usable CPU, each with its own three ``(n, d)`` buffers (two for a
+    linear path) and seven n-vectors of workspace.  Every point's
+    arithmetic is the same as alone, so the curves do not depend on the
+    CPU count, and an error is the one the first failing grid point
     raises.
     """
 
-    z0s = _token_rows(z0s)
-    z1s = _token_rows(z1s)
+    # in C order, which the bits of every row sum below assume, so that the
+    # same pairs give the same curves whatever their memory layout
+    z0s = np.ascontiguousarray(_token_rows(z0s))
+    z1s = np.ascontiguousarray(_token_rows(z1s))
     if z0s.shape != z1s.shape:
         raise DimensionMismatch(f"endpoint shapes differ: {z0s.shape} vs {z1s.shape}")
     if z0s.shape[0] == 0:
@@ -269,7 +286,9 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     # chord's 4 d peak^2, a shell velocity's (1 + pi^2) d peak^2), and the
     # std sums n of them
     n, d = z0s.shape
-    peak = max(float(np.max(np.abs(z0s))), float(np.max(np.abs(z1s))))
+    # the largest |x| from max and min reductions, with no |x| copy;
+    # np.max keeps a NaN, which fails the test below
+    peak = float(np.max([z0s.max(), -z0s.min(), z1s.max(), -z1s.min()]))
     limit = math.sqrt(sys.float_info.max / (16 * n * d))
     if not peak <= limit:
         raise ValueError(
@@ -286,8 +305,8 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
         raise ValueError("t_grid must be ordered within [0, 1]")
 
     # the peak bound has proved every coordinate finite
-    shell0 = _shell_stats_of_norms(np.linalg.norm(z0s, axis=-1))
-    shell1 = _shell_stats_of_norms(np.linalg.norm(z1s, axis=-1))
+    shell0 = _shell_stats_of_norms(_norms_by_blocks(z0s))
+    shell1 = _shell_stats_of_norms(_norms_by_blocks(z1s))
     absolute = shell0.std_radius == 0.0 or shell1.std_radius == 0.0
 
     pairs = _path_setup(z0s, z1s, kind)
@@ -296,15 +315,21 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     mean_norm, std_norm, mean_off, mean_share = (np.empty_like(t_grid) for _ in range(4))
 
     def profile_slice(points):
-        z_t, u_t, scratch = (np.empty(z0s.shape) for _ in range(3))
-        norms = np.empty(n)
+        # a LINEAR u_t is the chord; once a point's rows are formed, the
+        # workspace of their coefficients holds its per-row values
+        z_t, scratch = np.empty(z0s.shape), np.empty(z0s.shape)
+        u_t = None if kind is PathKind.LINEAR else np.empty(z0s.shape)
+        work = _geodesic_workspace((n,))
+        norms, sums = work[0], work[5:, : min(n, _FSUM_CHUNK)]
         for i in points:
-            z, u = _path_at(pairs, float(t_grid[i]), (z_t, u_t, scratch))
+            z, u = _path_at(pairs, float(t_grid[i]), (z_t, u_t, scratch, work))
             _norms_into(z, scratch, norms)
-            mean_norm[i] = _fsum_mean(norms)
-            std_norm[i] = _fsum_std(norms, mean_norm[i])
-            mean_off[i] = _fsum_mean(_offshell_rows(norms, shell0, shell1, absolute))
-            mean_share[i] = _fsum_mean(_radial_energy_rows(u, z, norms, energy)[2])
+            mean_norm[i] = _fsum_mean(norms, sums)
+            std_norm[i] = _fsum_std(norms, mean_norm[i], sums)
+            off = _offshell_rows(norms, shell0, shell1, absolute, work[1:3])
+            mean_off[i] = _fsum_mean(off, sums)
+            share = _radial_energy_rows(u, z, norms, energy, work[1:4])[2]
+            mean_share[i] = _fsum_mean(share, sums)
 
     # the grid points share nothing but the set-up
     slices = np.array_split(np.arange(t_grid.shape[0]), min(t_grid.shape[0], model._usable_cpus()))

@@ -85,11 +85,15 @@ TIME_DIM_MAX = 2046
 
 
 def timestep_shift(u, s: float):
-    """Rational shift t = s*u / (1 + (s-1)*u); monotone on [0,1] for finite s > 0."""
+    """Rational shift t = s*u / (1 + (s-1)*u); monotone on [0,1] for finite s > 0.
+    ``u`` outside [0, 1], NaN included, raises ``ValueError``."""
     s = float(s)
     if not 0.0 < s < math.inf:
         raise ValueError("shift must be positive")
     u = np.asarray(u, dtype=np.float64)
+    # written so that NaN, which fails every comparison, fails the test
+    if not (np.all(u >= 0.0) and np.all(u <= 1.0)):
+        raise ValueError("u must lie in [0, 1]")
     out = s * u / (1.0 + (s - 1.0) * u)
     return float(out) if out.ndim == 0 else out
 

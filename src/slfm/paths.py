@@ -9,6 +9,7 @@ stack of token pairs at once.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,6 +120,7 @@ class _PathPairs(NamedTuple):
     chord: np.ndarray | None = None    # LINEAR: z1 - z0
     r0: np.ndarray | None = None       # SHELL: the endpoint norms
     r1: np.ndarray | None = None
+    rate: np.ndarray | None = None     # SHELL: the radius's rate r1 - r0
     radius: float | None = None        # SLERP: the common radius
     geodesic: sphere._Geodesic | None = None  # SHELL, SLERP: the unit rows
 
@@ -144,7 +146,7 @@ def _path_setup(z0, z1, kind: PathKind, radius: float | None = None) -> _PathPai
     geodesic = sphere._geodesic_setup(u0, u1)
 
     if kind is PathKind.SHELL:
-        return _PathPairs(kind, z0, z1, r0=r0, r1=r1, geodesic=geodesic)
+        return _PathPairs(kind, z0, z1, r0=r0, r1=r1, rate=r1 - r0, geodesic=geodesic)
 
     if kind is PathKind.SLERP:
         if radius is None:
@@ -163,17 +165,20 @@ def _path_setup(z0, z1, kind: PathKind, radius: float | None = None) -> _PathPai
 
 def _path_at(pairs: _PathPairs, t, out=None):
     """``(z_t, u_t)`` of the pairs at ``t``.  With ``out = (z_t, u_t,
-    scratch)``, arrays of the pairs' shape, the result is written into
-    those; a LINEAR ``u_t`` is the pairs' own chord either way.
+    scratch, coef)``, where the first three are arrays of the pairs' shape
+    and ``coef`` is :func:`sphere._geodesic_workspace` of their leading
+    shape, the result is written into those; a LINEAR ``u_t`` is the
+    pairs' own chord either way, and a LINEAR path leaves ``coef`` alone.
 
     SHELL and SLERP rows are not the unit geodesic rescaled: the radius
     goes into the per-pair coefficients of :func:`sphere._geodesic_at`,
     so each of ``z_t`` and ``u_t`` is two row-scaled products and one add.
     A SLERP path has the constant radius R; a SHELL path the radius
-    ``r_t = (1 - t) r0 + t r1`` and its rate ``r1 - r0``, which makes
+    ``r_t = (1 - t) r0 + t r1``, formed in the workspace's first position
+    coefficient row, and its rate ``r1 - r0``, which makes
     ``u_t = (r1 - r0) dir_t + r_t d(dir_t)/dt``."""
     t = np.asarray(t, dtype=np.float64)
-    z_t, _, scratch = (None, None, None) if out is None else out
+    z_t, vel, scratch, coef = out or (None, None, None, None)
 
     if pairs.kind is PathKind.LINEAR:
         tt = t[..., None] if t.ndim else t
@@ -184,22 +189,31 @@ def _path_at(pairs: _PathPairs, t, out=None):
         return z_t, np.broadcast_to(pairs.chord, z_t.shape).copy()
 
     if pairs.kind is PathKind.SHELL:
-        r_t = (1.0 - t) * pairs.r0 + t * pairs.r1
-        return sphere._geodesic_at(pairs.geodesic, t, r_t, pairs.r1 - pairs.r0, out)
+        if coef is None:
+            coef = sphere._geodesic_workspace(np.broadcast_shapes(t.shape, pairs.r0.shape))
+        r_t, t_r1 = coef[3, ...], coef[4, ...]
+        np.multiply(1.0 - t, pairs.r0, out=r_t)
+        r_t += np.multiply(t, pairs.r1, out=t_r1)
+        return sphere._geodesic_at(pairs.geodesic, t, r_t, pairs.rate, (z_t, vel, scratch, coef))
     return sphere._geodesic_at(pairs.geodesic, t, pairs.radius, out=out)
 
 
 def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
     """Closed-form squared norm of the straight-line interpolation between
-    vectors of norms ``r0``/``r1`` with direction cosine ``cos01``."""
+    vectors of finite norms ``r0``/``r1`` with direction cosine ``cos01``,
+    at ``t`` in [0, 1]; other values, NaN included, raise ``ValueError``."""
     r0 = float(r0)
     r1 = float(r1)
     if not (r0 >= 0.0 and r1 >= 0.0):
         raise ValueError("radii must be nonnegative")
+    if not (math.isfinite(r0) and math.isfinite(r1)):
+        raise ValueError(f"radii must be finite, got {r0!r} and {r1!r}")
     cos01 = float(cos01)
     if not -1.0 <= cos01 <= 1.0:
         raise ValueError("cos01 must lie in [-1, 1]")
     t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t = {t!r} outside [0, 1]")
     return (
         (1.0 - t) ** 2 * r0 * r0
         + t ** 2 * r1 * r1
@@ -207,26 +221,35 @@ def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
     )
 
 
-def _energy_rows(u: np.ndarray) -> np.ndarray:
-    """Row-wise energy ``||u||^2`` of the velocities ``u``."""
-    return np.einsum("...i,...i->...", u, u)
+def _energy_rows(u: np.ndarray, out=None) -> np.ndarray:
+    """Row-wise energy ``||u||^2`` of the velocities ``u``, into ``out``
+    when given."""
+    return np.einsum("...i,...i->...", u, u, out=out)
 
 
-def _radial_energy_rows(u: np.ndarray, z: np.ndarray, zn: np.ndarray, total=None):
+def _radial_energy_rows(u: np.ndarray, z: np.ndarray, zn, total=None, out=None):
     """Row-wise ``(radial, total, share)`` of the velocities ``u`` at ``z``,
     given the norms ``zn`` of ``z``: the radial energy ``<u, z>^2 / ||z||^2``,
     the total energy ``||u||^2`` (:func:`_energy_rows`, unless ``total``
     gives it) and their ratio, at most 1 and 0 on zero-velocity rows.
-    Raises :class:`NearZeroNorm` where ``zn`` is below the floor."""
+    They are written into the three rows of ``out``, of ``zn``'s shape
+    each, or of a new such array (``total``, when given, is returned as it
+    is).  Raises :class:`NearZeroNorm` where ``zn`` is below the floor."""
     if np.any(zn < NORM_FLOOR):
         raise NearZeroNorm("reference point norm below floor")
-    along = np.einsum("...i,...i->...", u, z) / zn
-    radial = along * along
+    if out is None:
+        out = np.empty((3,) + np.shape(zn))
+    # indexed, not unpacked: rows of a 0-d shape stay arrays
+    radial, energy, share = out[0, ...], out[1, ...], out[2, ...]
+    np.einsum("...i,...i->...", u, z, out=radial)
+    radial /= zn
+    radial *= radial
     if total is None:
-        total = _energy_rows(u)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        share = np.where(total > 0.0, radial / np.where(total > 0.0, total, 1.0), 0.0)
-    return radial, total, np.minimum(share, 1.0)
+        total = _energy_rows(u, energy)
+    share.fill(0.0)
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as it was
+        np.divide(radial, total, out=share, where=total > 0.0)
+    return radial, total, np.minimum(share, 1.0, out=share)
 
 
 def radial_split(u, z) -> RadialSplit:

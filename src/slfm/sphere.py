@@ -20,14 +20,16 @@ runs in float64.
 The samplers, the training step and the streamed commands run rows through
 private kernels that write into buffers their caller owns, with the bits
 of the public functions that wrap them: ``_norms_into`` (the norms of
-``np.linalg.norm``), ``_project_into`` (:func:`project_rows`),
+``np.linalg.norm``, also taken a block of rows at a time through one small
+scratch by ``_norms_by_blocks``), ``_project_into`` (:func:`project_rows`),
 ``_tangent_into`` (:func:`tangent_rows`), ``_expmap_into``
-(:func:`expmap_rows`), ``_circle_into`` (the rows of
-:func:`geodesic_rows`) and ``_plane_norms_into`` (token norms straight
-from f32 container planes).  Under them, ``_row_sums_into`` takes the row
-sums: one whole column at a time for rows narrower than 8, where numpy's
-own sum is an in-order loop that whole-column adds repeat bit for bit, and
-through ``add.reduce`` otherwise.
+(:func:`expmap_rows`), ``_circle_into`` and ``_geodesic_at`` (the rows of
+:func:`geodesic_rows`, with their per-pair coefficients in a workspace)
+and ``_plane_norms_into`` (token norms straight from f32 container
+planes).  Under them, ``_row_sums_into`` takes the row sums: one whole
+column at a time for rows narrower than 8, where numpy's own sum is an
+in-order loop that whole-column adds repeat bit for bit, and through
+``add.reduce`` otherwise.
 """
 
 from __future__ import annotations
@@ -172,6 +174,24 @@ def _norms_into(x, sq, out) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+# Values per block of the squares of :func:`_norms_by_blocks` (64 KiB).
+_NORM_BLOCK = 1 << 13
+
+
+def _norms_by_blocks(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=-1)`` for C-ordered ``(n, d)`` rows, bit
+    for bit, as a new array: :func:`_norms_into` over blocks of at most
+    ``_NORM_BLOCK`` values, which take their squares in one block-sized
+    scratch, so no full-size copy is made."""
+    n, d = rows.shape
+    step = max(1, _NORM_BLOCK // d)
+    out, sq = np.empty(n), np.empty((min(n, step), d))
+    for first in range(0, n, step):
+        block = rows[first : first + step]
+        _norms_into(block, sq[: block.shape[0]], out[first : first + step])
+    return out
+
+
 def _plane_slab(shape) -> np.ndarray:
     """The float64 scratch of :func:`_plane_norms_into` for f32 items of
     ``shape`` (k, d, h, w), or for fewer of them: ``min(d, 16)`` token
@@ -296,17 +316,18 @@ def uniform_rows(n: int, d: int, radius: float, rng: np.random.Generator) -> np.
 
 
 def _onto_sphere(eps: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Rows ``eps`` of standard normal draws, scaled in place onto the
-    sphere of ``radius``: uniform draws there.  A row whose norm falls below
-    ``NORM_FLOOR`` (measure zero) is first drawn again from ``rng``, after
-    every row of ``eps`` was drawn.  Returns ``eps``."""
+    """C-ordered ``(n, d)`` rows ``eps`` of standard normal draws, scaled in
+    place onto the sphere of ``radius``: uniform draws there.  A row whose
+    norm falls below ``NORM_FLOOR`` (measure zero) is first drawn again from
+    ``rng``, after every row of ``eps`` was drawn.  The norms are taken in
+    blocks (:func:`_norms_by_blocks`).  Returns ``eps``."""
     if eps.shape[-1] < 2:
         raise ValueError("uniform sphere sampling needs d >= 2")
-    norms = np.linalg.norm(eps, axis=-1)
+    norms = _norms_by_blocks(eps)
     while np.any(norms < NORM_FLOOR):  # measure-zero; resample those rows
         bad = norms < NORM_FLOOR
         eps[bad] = rng.standard_normal((int(bad.sum()), eps.shape[-1]))
-        norms = np.linalg.norm(eps, axis=-1)
+        norms = _norms_by_blocks(eps)
     return np.multiply(eps, (float(radius) / norms)[..., None], out=eps)
 
 
@@ -371,6 +392,12 @@ def _circle_into(g: _Geodesic, a, b, out=None, scratch=None) -> np.ndarray:
     return np.add(out, np.multiply(b[..., None], g.nhat, out=scratch), out=out)
 
 
+def _geodesic_workspace(shape) -> np.ndarray:
+    """The per-pair coefficient rows of :func:`_geodesic_at` for pairs of
+    leading shape ``shape``: seven rows of that shape."""
+    return np.empty((7,) + tuple(shape))
+
+
 def _geodesic_at(g: _Geodesic, t, radius=1.0, rate=None, out=None):
     """Position and velocity at ``t`` of ``radius`` times the unit geodesic
     of the pairs ``g``, where ``t`` broadcasts against the pairs' leading
@@ -381,19 +408,39 @@ def _geodesic_at(g: _Geodesic, t, radius=1.0, rate=None, out=None):
     coefficients ``r (cos wt, sin wt)``, and the velocity
     ``r w (-sin wt, cos wt)``, plus ``rate (cos wt, sin wt)`` when the
     radius changes, all formed on per-pair values before they meet a row.
-    With ``out = (pos, vel, scratch)``, arrays of the pairs' shape, the
-    rows are written into ``pos`` and ``vel``; otherwise into new arrays
-    of the broadcast shape."""
-    pos, vel, scratch = (None, None, None) if out is None else out
-    wt = np.asarray(t, dtype=np.float64) * g.omega
-    cos_wt, sin_wt = np.cos(wt), np.sin(wt)
-    speed = radius * g.omega
-    a, b = -speed * sin_wt, speed * cos_wt
+    Those values go into the rows of a workspace
+    (:func:`_geodesic_workspace`): ``wt``, its cosine and sine, the two
+    position coefficients and the two velocity coefficients.  ``radius``
+    may be the first position coefficient row itself, which is formed
+    over it last.
+
+    With ``out = (pos, vel, scratch, coef)`` the rows are written into
+    ``pos`` and ``vel``, arrays of the pairs' shape (``scratch`` holds the
+    second product of each), and the coefficients into ``coef``, the
+    workspace of the pairs' leading shape.  A ``None`` there, or
+    ``out=None``, stands for new arrays of the broadcast shape."""
+    pos, vel, scratch, coef = out or (None, None, None, None)
+    t = np.asarray(t, dtype=np.float64)
+    if coef is None:
+        coef = _geodesic_workspace(
+            np.broadcast_shapes(t.shape, g.omega.shape, np.shape(radius), np.shape(rate))
+        )
+    # indexed, not unpacked: rows of a 0-d leading shape stay arrays
+    wt, cos_wt, sin_wt, pa, pb, va, vb = (coef[i, ...] for i in range(7))
+    np.multiply(t, g.omega, out=wt)
+    np.cos(wt, out=cos_wt)
+    np.sin(wt, out=sin_wt)
+    speed = np.multiply(radius, g.omega, out=va)
+    np.multiply(speed, cos_wt, out=vb)
+    np.negative(speed, out=va)
+    va *= sin_wt
     if rate is not None:
-        a += rate * cos_wt
-        b += rate * sin_wt
-    pos = _circle_into(g, radius * cos_wt, radius * sin_wt, pos, scratch)
-    return pos, _circle_into(g, a, b, vel, scratch)
+        va += np.multiply(rate, cos_wt, out=wt)
+        vb += np.multiply(rate, sin_wt, out=wt)
+    np.multiply(radius, sin_wt, out=pb)
+    np.multiply(radius, cos_wt, out=pa)
+    pos = _circle_into(g, pa, pb, pos, scratch)
+    return pos, _circle_into(g, va, vb, vel, scratch)
 
 
 def geodesic_rows(u0, u1, t):

@@ -12,6 +12,8 @@ radii (a degenerate shell).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NearZeroNorm
@@ -28,16 +30,24 @@ def sphere_pairs(n: int, d: int, radius: float, rng: np.random.Generator):
 def _shell_rows(n: int, d: int, r: float, cv: float, rng: np.random.Generator) -> np.ndarray:
     if not r >= NORM_FLOOR:
         raise NearZeroNorm(f"shell radius {r!r} below floor")
+    # NaN for an infinite radius at cv = 0, so that fails too
+    if not math.isfinite(cv * r):
+        raise ValueError(f"shell radius {r!r} and its std cv * r = {cv * r!r} must be finite")
+    # the unit rows are scaled in place: r x and x r are the same bits
     dirs = uniform_rows(n, d, 1.0, rng)
     if cv == 0.0:
-        return r * dirs
+        dirs *= r
+        return dirs
     radii = rng.normal(r, cv * r, size=n)
     # Gaussian tails can cross zero for large cv; redraw those radii.
     bad = radii < NORM_FLOOR
     while np.any(bad):
         radii[bad] = rng.normal(r, cv * r, size=int(bad.sum()))
         bad = radii < NORM_FLOOR
-    return radii[:, None] * dirs
+    if np.isinf(radii).any():
+        raise ValueError(f"a radius drawn around {r!r} with std {cv * r!r} overflows")
+    dirs *= radii[:, None]
+    return dirs
 
 
 def gauss_shell_pairs(
@@ -48,6 +58,8 @@ def gauss_shell_pairs(
         raise ValueError("need at least one pair")
     if not cv >= 0.0:
         raise ValueError("cv must be nonnegative")
+    if not math.isfinite(cv):
+        raise ValueError(f"cv must be finite, got {cv!r}")
     return _shell_rows(n, d, r0, cv, rng), _shell_rows(n, d, r1, cv, rng)
 
 

@@ -498,6 +498,62 @@ def test_profile_at_its_peak_bound_is_finite_without_a_warning(monkeypatch, kind
         assert np.all(np.isfinite(getattr(profile, name)))
 
 
+@pytest.mark.parametrize("kind", list(PathKind))
+@pytest.mark.parametrize(
+    "side, value", [(0, math.nan), (1, math.nan), (1, math.inf)], ids=["z0-nan", "z1-nan", "z1-inf"]
+)
+def test_profile_names_a_non_finite_endpoint_in_its_peak_message(kind, side, value):
+    # a NaN in z1s got past the peak check: linear curves came out NaN with
+    # no error, and shell and slerp raised from their set-up instead
+    rng = np.random.default_rng(19)
+    ends = [rng.standard_normal((8, 4)), rng.standard_normal((8, 4))]
+    ends[side][3, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="endpoint coordinates must be finite and at most"):
+            path_profile(ends[0], ends[1], kind)
+
+
+# The traced peak of a 1-CPU profile of 4096 pairs x 8 over 5 points, in
+# (n, d) arrays, when its slices allocated their coefficients at every
+# point and its set-up took whole-array norms: the endpoints' rows
+# (4096 x 8 standard normals, z1 doubled and shifted by 0.5, on radius 3
+# for slerp)
+_PROFILE_PEAK_BEFORE = {PathKind.LINEAR: 4.89, PathKind.SHELL: 7.02, PathKind.SLERP: 6.52}
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_profile_peak_memory_does_not_grow_with_its_workspaces(monkeypatch, kind):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(21)
+    n, d = 4096, 8
+    z0, z1 = rng.standard_normal((n, d)), 2.0 * rng.standard_normal((n, d)) + 0.5
+    if kind is PathKind.SLERP:
+        z0, z1 = 3.0 * unit_rows(z0), 3.0 * unit_rows(z1)
+    grid = np.linspace(0.0, 1.0, 5)
+    path_profile(z0, z1, kind, grid)  # warm: first-call allocations are not the profile's
+    tracemalloc.start()
+    try:
+        path_profile(z0, z1, kind, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PROFILE_PEAK_BEFORE[kind] * 8 * n * d
+
+
+def test_profile_does_not_depend_on_the_rows_memory_layout():
+    # C-ordered and Fortran-ordered copies of the same pairs sum their
+    # rows in different orders unless the profile puts them in C order
+    z0, z1 = _mixed_regime_path_pairs(PathKind.SHELL, np.random.default_rng(20))
+    z0, z1 = np.hstack([z0] * 4), np.hstack([z1] * 4)  # 64 columns: pairwise row sums
+    for kind in PathKind:
+        a, b = (2.5 * unit_rows(z0), 2.5 * unit_rows(z1)) if kind is PathKind.SLERP else (z0, z1)
+        grid = np.linspace(0.0, 1.0, 7)
+        c_order = _profile_columns(path_profile(a, b, kind, grid))
+        f_order = _profile_columns(path_profile(np.asfortranarray(a), np.asfortranarray(b), kind, grid))
+        assert c_order == f_order
+
+
 def _sphere_spec_at(fraction, n, d, seed):
     """A ``sphere:`` spec whose ``paths --pairs n --seed seed`` endpoints
     peak at about ``fraction`` of :func:`path_profile`'s bound."""

@@ -117,6 +117,17 @@ def test_timestep_shift_rejects_nonpositive():
         timestep_shift(0.5, -2.0)
 
 
+@pytest.mark.parametrize(
+    "u",
+    [math.nan, 1.5, -0.5, np.array([0.0, 0.5, math.nan]), np.array([0.25, 1.0 + 1e-12])],
+    ids=["nan", "above-1", "below-0", "nan-in-array", "above-1-in-array"],
+)
+def test_timestep_shift_rejects_a_time_outside_0_1(u):
+    # NaN gave NaN and 1.5 gave 1.2, rather than an error
+    with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+        timestep_shift(u, 2.0)
+
+
 def test_time_embedding_values():
     emb = time_embedding(0.25, 4)
     assert emb.shape == (1, 4)

@@ -2,6 +2,7 @@
 identity, and the radial/tangential split."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from slfm import sphere
+from slfm import paths, sphere
 from slfm.errors import DimensionMismatch, NearZeroNorm, RadiusMismatch
 from slfm.paths import (
     PathKind,
@@ -333,6 +334,23 @@ def test_chord_rejects_bad_inputs():
         chord_norm_sq(1.0, 1.0, 1.5, 0.5)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, 1.0, 0.5, math.nan), "outside"),
+        ((1.0, 1.0, 0.5, -0.25), "outside"),
+        ((1.0, 1.0, 0.5, 1.5), "outside"),
+        ((math.inf, 1.0, 0.5, 0.5), "radii must be finite"),
+        ((1.0, math.inf, 0.5, 0.5), "radii must be finite"),
+    ],
+    ids=["t-nan", "t-below-0", "t-above-1", "r0-inf", "r1-inf"],
+)
+def test_chord_rejects_a_time_outside_0_1_and_an_infinite_radius(args, message):
+    # these gave NaN or inf rather than an error
+    with pytest.raises(ValueError, match=message):
+        chord_norm_sq(*args)
+
+
 # ---------------------------------------------------------------------------
 # radial split
 
@@ -502,3 +520,27 @@ def test_property_shell_norm_linear(d, t, seed):
         return
     p = shell_path(z0, z1, t)
     assert np.linalg.norm(p.z_t) == pytest.approx((1 - t) * r0 + t * r1, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", list(PathKind))
+def test_a_path_step_into_caller_buffers_allocates_less_than_a_coefficient_vector(kind):
+    # every per-pair coefficient goes into the caller's workspace: one step
+    # of a profile's grid allocates no n-vector.  numpy's row-scaled
+    # products take an iterator buffer of 8192 values whatever n is, so n
+    # is twice that
+    rng = np.random.default_rng(22)
+    n, d = 16384, 4
+    z0, z1 = rng.standard_normal((n, d)), 2.0 * rng.standard_normal((n, d))
+    if kind is PathKind.SLERP:
+        z0, z1 = 3.0 * sphere.unit_rows(z0), 3.0 * sphere.unit_rows(z1)
+    pairs = paths._path_setup(z0, z1, kind)
+    out = (np.empty((n, d)), np.empty((n, d)), np.empty((n, d)), sphere._geodesic_workspace((n,)))
+    paths._path_at(pairs, 0.3, out)  # warm: first-call allocations are not the step's
+    tracemalloc.start()
+    try:
+        z_t, u_t = paths._path_at(pairs, 0.7, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z_t is out[0] and (u_t is pairs.chord if kind is PathKind.LINEAR else u_t is out[1])
+    assert peak < 8 * n

@@ -67,6 +67,23 @@ def test_gauss_shell_pairs_rejects_a_nan_cv():
         gauss_shell_pairs(4, 4, 1.0, 1.0, math.nan, np.random.default_rng(4))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((4, 4, 1.0, 1.0, math.inf), "cv must be finite"),
+        ((2, 4, 1.0, 1e300, 1e10), "must be finite"),
+        ((4, 4, math.inf, 1.0, 0.0), "must be finite"),
+        ((4, 4, 1.0, math.inf, 0.1), "must be finite"),
+        ((64, 4, 1.0, 1e308, 0.5), "overflows"),
+    ],
+    ids=["cv-inf", "cv-times-r-overflows", "r-inf-cv-0", "r-inf", "draw-overflows"],
+)
+def test_gauss_shell_pairs_reject_a_radius_or_std_past_the_float_range(args, message):
+    # each gave rows with infinite coordinates
+    with pytest.raises(ValueError, match=message):
+        gauss_shell_pairs(*args, np.random.default_rng(4))
+
+
 def test_shell_rows_reject_a_nan_radius():
     # a NaN shell radius gave NaN rows; it fails the floor test as 0 does
     with pytest.raises(NearZeroNorm, match="below floor"):
