@@ -9,14 +9,21 @@ the gradient path is fully auditable against finite differences.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import math
+import mmap
 import os
+import pickle
 import re
+import signal
 import sys
 import threading
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .paths import PathKind, _path_at, _path_setup, path_rows
 from .sphere import (
     ON_SPHERE_RTOL,
     _expmap_into,
+    _geodesic_workspace,
     _onto_sphere,
     _project_into,
     _row_sums_into,
@@ -72,7 +80,9 @@ SPHERE_SAMPLER_RTOL = 1e-5
 # Steps per chunk of train's batch preparation.  The parameter-free part of
 # a step (its draws, their transforms, the path and the time embedding)
 # runs once per chunk over TRAIN_CHUNK batches, in buffers allocated once
-# per call, so Python and numpy dispatch is paid once for 16 steps.
+# per call, so Python and numpy dispatch is paid once for 16 steps; with two
+# usable CPUs, a forked helper fills the next chunk while the steps of the
+# current one run (see _filled_chunks).
 TRAIN_CHUNK = 16
 
 # The widest time embedding: sin/cos(pi * 2**j * t) for j below width / 2,
@@ -721,27 +731,61 @@ def smoothed_endpoints(trace, window: int = SMOOTH_WINDOW):
     return float(trace[:w].mean()), float(trace[-w:].mean())
 
 
+class _ChunkRows(NamedTuple):
+    """What the loss steps of one chunk read: path rows ``z_t``, targets
+    ``u_t``, time embedding rows ``emb`` and condition ids ``cond``."""
+
+    z_t: np.ndarray
+    u_t: np.ndarray
+    emb: np.ndarray
+    cond: np.ndarray
+
+
 class _TrainBatches:
     """The parameter-free part of up to ``steps`` train steps of one batch
     each, allocated once per :func:`train` call and refilled every chunk:
     each step's draws (mixture uniforms, noise rows, prior rows, time
-    draws) and what its loss step reads of them (path rows, targets, time
-    embedding rows, condition ids)."""
+    draws), a scratch block and a coefficient workspace for the path, and
+    what its loss step reads of them, the :class:`_ChunkRows` of a chunk.
 
-    def __init__(self, field: VelocityField, dataset: SyntheticDataset, config: TrainConfig, steps: int):
+    Those rows live in ``slots`` slots of one flat float64 buffer of
+    ``slots * slot_size(...)`` values: ``buffer`` when given (train's
+    helper fills the slots of an ``mmap`` it shares with its parent), a new
+    array otherwise.  Nothing else is read outside :meth:`fill`."""
+
+    def __init__(self, field: VelocityField, dataset: SyntheticDataset, config: TrainConfig,
+                 steps: int, slots: int = 1, buffer=None):
         self.field, self.dataset, self.config = field, dataset, config
         self.n, rows = config.batch_size, steps * config.batch_size
         self.mix, self.times = np.empty((2, rows))
-        self.noise, self.prior, self.z_t, self.u_t = np.empty((4, rows, field.d))
-        self.emb = np.empty((rows, field.time_dim))
-        self.cond = np.empty(rows, dtype=np.int64)
+        self.noise, self.prior, self.scratch = np.empty((3, rows, field.d))
+        self.coef = _geodesic_workspace((rows,))
+        size = self.slot_size(field, rows)
+        if buffer is None:
+            buffer = np.empty(slots * size)
+        path_end, emb_end = 2 * rows * field.d, rows * (2 * field.d + field.time_dim)
+        self.slots = [
+            _ChunkRows(
+                *part[:path_end].reshape(2, rows, field.d),
+                part[path_end:emb_end].reshape(rows, field.time_dim),
+                part[emb_end:].view(np.int64),
+            )
+            for part in buffer.reshape(slots, size)
+        ]
 
-    def fill(self, steps: int, rng: np.random.Generator) -> None:
+    @staticmethod
+    def slot_size(field: VelocityField, rows: int) -> int:
+        """Float64 values in one slot of ``rows`` rows; an int64 id takes one."""
+        return rows * (2 * field.d + field.time_dim + 1)
+
+    def fill(self, steps: int, rng: np.random.Generator, slot: int = 0) -> None:
         """Draw ``steps`` steps' random numbers from ``rng``, step by step
         in the order of :meth:`SyntheticDataset.sample`, :func:`prior_rows`
         and :func:`sample_time`, then prepare all of their batches at once
-        through those functions' own transforms; raises as they do."""
+        through those functions' own transforms, into slot ``slot``; raises
+        as they do."""
         field, n, m = self.field, self.n, steps * self.n
+        out = _ChunkRows(*(rows[:m] for rows in self.slots[slot]))
         for first in range(0, m, n):
             rows = slice(first, first + n)
             rng.random(out=self.mix[rows])
@@ -754,15 +798,184 @@ class _TrainBatches:
             _onto_sphere(z0, field.radius, rng)
         t = _times_of(self.times[:m], self.config)
         pairs = _path_setup(z0, z1, PathKind(field.kind), field.radius)
-        self.z_t[:m], self.u_t[:m] = _path_at(pairs, t)
-        _time_embedding_into(t, self.emb[:m])
-        self.cond[:m] = cond
+        _, u_t = _path_at(pairs, t, (out.z_t, out.u_t, self.scratch[:m], self.coef[:, :m]))
+        if u_t is not out.u_t:  # a linear path's velocity is its own chord
+            out.u_t[...] = u_t
+        _time_embedding_into(t, out.emb)
+        out.cond[...] = cond
 
-    def batch(self, step: int):
-        """Step ``step`` of the chunk as :func:`_loss_step` takes it:
-        views ``(z_t, u_t, emb, cond)`` of its rows."""
+    def batch(self, step: int, slot: int = 0):
+        """Step ``step`` of the chunk in slot ``slot`` as :func:`_loss_step`
+        takes it: views ``(z_t, u_t, emb, cond)`` of its rows."""
         rows = slice(step * self.n, (step + 1) * self.n)
-        return self.z_t[rows], self.u_t[rows], self.emb[rows], self.cond[rows]
+        return tuple(part[rows] for part in self.slots[slot])
+
+
+def _helper_usable(chunks: int) -> bool:
+    """Whether :func:`train` fills its ``chunks`` chunks in a forked helper:
+    only where the platform can fork, a second CPU can run the helper, the
+    process runs no other thread, and there is a chunk to fill ahead.  No
+    other thread means none that could hold a lock the child would inherit,
+    and none that competes with the helper for the second CPU: numpy's BLAS
+    starts a pool of its own unless it is told to run one thread
+    (``OPENBLAS_NUM_THREADS=1``), and beside such a pool, on two CPUs, a
+    250-step command ran slower with the helper than without it."""
+    return (
+        hasattr(os, "fork")
+        and chunks > 1
+        and _thread_count() == 1
+        and _usable_cpus() >= 2
+    )
+
+
+@contextlib.contextmanager
+def _filled_chunks(field: VelocityField, dataset: SyntheticDataset, config: TrainConfig, rng):
+    """Yields an iterator over the chunks of a ``config.steps``-step run:
+    ``(first, steps, batch)`` per chunk, its first step, its step count and
+    a ``batch(step)`` of :class:`_TrainBatches` whose rows are filled from
+    ``rng`` by the time the chunk is handed on.  A fill's error is raised
+    in place of its chunk.
+
+    Where :func:`_helper_usable` allows, chunk 0 is filled in process, and
+    then one forked helper owns ``rng`` and fills chunk k + 1 while the
+    caller steps through chunk k (see :func:`_fill_ahead`).  The helper
+    writes chunk k into slot k % 2 of a shared anonymous ``mmap`` and
+    answers each chunk on a pipe with a pickled ``(error, state)``: the
+    fill's exception or None, and ``rng.bit_generator.state`` after it.  On
+    the way out the caller installs the state of the last chunk it
+    received, so ``rng`` ends where a fill in process would leave it; a
+    helper that died raises :class:`ChildProcessError`, or
+    ``BrokenPipeError`` from the next token.  The helper runs
+    on the caller's usable CPUs but the one the caller runs on, and it is
+    always killed and reaped, whichever way the caller leaves.  Elsewhere,
+    or where no pipe or process can be made, each chunk is filled in
+    process when it is asked for."""
+    chunks = [
+        (first, min(TRAIN_CHUNK, config.steps - first))
+        for first in range(0, config.steps, TRAIN_CHUNK)
+    ]
+    rows = min(TRAIN_CHUNK, config.steps)
+    if not _helper_usable(len(chunks)):
+        yield _filled_in_process(_TrainBatches(field, dataset, config, rows), chunks, rng)
+        return
+
+    size = _TrainBatches.slot_size(field, rows * config.batch_size)
+    shared = mmap.mmap(-1, 2 * size * np.dtype(np.float64).itemsize)
+    batches = _TrainBatches(field, dataset, config, rows, 2, np.frombuffer(shared))
+    # chunk 0 is filled before the fork, so the helper starts at chunk 1
+    first = list(_filled_in_process(batches, chunks[:1], rng))
+    try:
+        pid, replies, free = _start_helper(batches, [steps for _, steps in chunks], rng)
+    except OSError:  # no pipe or process to spare
+        pid = None
+    if pid is None:
+        yield itertools.chain(first, _filled_in_process(batches, chunks[1:], rng))
+        return
+    state = None  # rng's state after the last chunk received
+    try:
+        with replies, free:
+
+            def received():
+                nonlocal state
+                yield from first
+                for k, (start, steps) in enumerate(chunks[1:], 1):
+                    try:
+                        error, state = pickle.load(replies)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise ChildProcessError(
+                            f"train's fill helper exited before chunk {k} was filled"
+                        ) from None
+                    if error is not None:
+                        raise error
+                    if k < len(chunks) - 1:
+                        free.write(b"\0")  # chunk k - 1's slot, for chunk k + 1
+                    yield start, steps, functools.partial(batches.batch, slot=k % 2)
+
+            yield received()
+    finally:
+        if state is not None:
+            rng.bit_generator.state = state
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):  # reaped already
+            os.waitpid(pid, 0)
+
+
+def _filled_in_process(batches: _TrainBatches, chunks, rng):
+    """Each ``(first, steps)`` of ``chunks`` with a ``batch(step)`` of its
+    rows, filled in slot 0 from ``rng`` when it is asked for."""
+    for first, steps in chunks:
+        batches.fill(steps, rng)
+        yield first, steps, batches.batch
+
+
+def _start_helper(batches: _TrainBatches, chunks, rng):
+    """Forks the helper of :func:`_filled_chunks`, which runs
+    :func:`_fill_ahead` and leaves through ``os._exit``; returns its pid and
+    this process's ends of the reply pipe and the token pipe, as files.
+    Raises ``OSError``, with no pipe left open, where no pipe or process
+    can be made."""
+    others = _other_cpus()
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    replies_r, replies_w, free_r, free_w = fds
+    if pid == 0:
+        try:
+            os.close(replies_r)
+            os.close(free_w)
+            if others:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, others)
+            _fill_ahead(batches, chunks, rng, replies_w, free_r)
+        finally:
+            os._exit(0)
+    os.close(replies_w)
+    os.close(free_r)
+    return pid, open(replies_r, "rb"), open(free_w, "wb", buffering=0)
+
+
+def _fill_ahead(batches: _TrainBatches, chunks, rng, replies: int, free: int) -> None:
+    """The helper of :func:`_filled_chunks`: fills chunk k from 1 on
+    (``chunks`` are the step counts) into slot k % 2, from chunk 2 on once
+    a token on the pipe ``free`` says that chunk k - 2 is done with, and
+    answers each chunk on the pipe ``replies``.  It stops after a fill's
+    error, or at the end of ``free``, which means the caller has gone.  An
+    interrupt is the caller's to handle, so the helper ignores
+    ``SIGINT``."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with open(replies, "wb") as out, open(free, "rb", buffering=0) as tokens:
+        for k, steps in enumerate(chunks[1:], 1):
+            if k >= 2 and not tokens.read(1):
+                return
+            error = None
+            try:
+                batches.fill(steps, rng, k % 2)
+            except Exception as exc:  # raised by the caller, in place of the chunk
+                error = exc
+            out.write(_reply(error, rng.bit_generator.state))
+            out.flush()
+            if error is not None:
+                return
+
+
+def _reply(error, state) -> bytes:
+    """The pickled ``(error, state)`` of a chunk; an error that does not
+    survive a pickle round trip goes as a :class:`ChildProcessError`
+    naming it."""
+    try:
+        message = pickle.dumps((error, state))
+        pickle.loads(message)
+    except Exception:
+        named = ChildProcessError(f"train's fill raised {type(error).__name__}: {error}")
+        message = pickle.dumps((named, state))
+    return message
 
 
 def train(
@@ -778,17 +991,22 @@ def train(
     (:meth:`SyntheticDataset.sample`, :func:`prior_rows`,
     :func:`sample_time`), and their transforms, path rows and time
     embedding then run once over all of its rows (see
-    :class:`_TrainBatches`).  Each step runs :func:`loss_and_grad`'s
-    arithmetic, not its checks, through buffers allocated once per call,
-    clips the flat gradient through one flat square and steps :class:`Adam`
-    over ``field.flat`` as one vector.  So the trace, the parameters and
-    the generator's final state equal those of the loop of public pieces,
-    bit for bit, but in two cases of probability zero or bad input: a prior
-    row below the norm floor is drawn again after its chunk's draws, and an
-    error from preparing a chunk is raised before the chunk's earlier steps
-    run.  Overflow in a diverging step is not warned about; its non-finite
-    loss, or parameters after the last step that are non-finite in 32-bit
-    storage, raise :class:`DivergenceDetected`."""
+    :class:`_TrainBatches`).  With two usable CPUs and more than one chunk,
+    a forked helper process prepares the next chunk while the steps of the
+    current one run, and ``rng`` ends where it would otherwise (see
+    :func:`_filled_chunks`); the results do not depend on which way it ran.
+    Each step runs :func:`loss_and_grad`'s arithmetic, not its checks,
+    through buffers allocated once per call, clips the flat gradient
+    through one flat square and steps :class:`Adam` over ``field.flat`` as
+    one vector.  So the trace, the parameters and the generator's final
+    state equal those of the loop of public pieces, bit for bit, but in two
+    cases of probability zero or bad input: a prior row below the norm
+    floor is drawn again after its chunk's draws, and an error from
+    preparing a chunk is raised before the chunk's earlier steps run.
+    Overflow in a diverging step is not warned about; its non-finite loss,
+    or parameters after the last step that are non-finite in 32-bit
+    storage, raise :class:`DivergenceDetected`.  A helper that dies raises
+    an ``OSError``."""
     if config.loss_kind != field.kind:
         raise ValueError(
             f"config loss kind {config.loss_kind!r} does not match field kind {field.kind!r}"
@@ -796,24 +1014,24 @@ def train(
     if dataset.d != field.d:
         raise DimensionMismatch("dataset and field dimensions differ")
     _check_conditions(field, dataset.labels)  # the only ids a batch draws
-    work = _StepBuffers(field, config.batch_size)
-    batches = _TrainBatches(field, dataset, config, min(TRAIN_CHUNK, config.steps))
-    squares = np.empty_like(work.grad)
-    square_views = _param_views(squares, field.widths, field.cond_table.shape)
-    opt = Adam([field.flat], config.learning_rate, config.weight_decay)
-    trace = np.empty(config.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, config.steps, TRAIN_CHUNK):
-            steps = min(TRAIN_CHUNK, config.steps - first)
-            batches.fill(steps, rng)
-            for i in range(steps):
-                loss, grad = _loss_step(field, batches.batch(i), config.loss_kind, work)
-                if not math.isfinite(loss):
-                    raise DivergenceDetected(f"non-finite loss at step {first + i}")
-                np.multiply(grad, grad, out=squares)
-                _clip_by_squares([grad], square_views, config.grad_clip)
-                opt.step([grad])
-                trace[first + i] = loss
+        with _filled_chunks(field, dataset, config, rng) as chunks:
+            # allocated after the helper's fork, so that the pages the steps
+            # write are this process's own: no copy-on-write faults
+            work = _StepBuffers(field, config.batch_size)
+            squares = np.empty_like(work.grad)
+            square_views = _param_views(squares, field.widths, field.cond_table.shape)
+            opt = Adam([field.flat], config.learning_rate, config.weight_decay)
+            trace = np.empty(config.steps)
+            for first, steps, batch in chunks:
+                for i in range(steps):
+                    loss, grad = _loss_step(field, batch(i), config.loss_kind, work)
+                    if not math.isfinite(loss):
+                        raise DivergenceDetected(f"non-finite loss at step {first + i}")
+                    np.multiply(grad, grad, out=squares)
+                    _clip_by_squares([grad], square_views, config.grad_clip)
+                    opt.step([grad])
+                    trace[first + i] = loss
         # a checkpoint stores the parameters in 32-bit, so parameters past
         # that range have diverged as surely as non-finite ones
         if not np.all(np.isfinite(field.flat.astype(np.float32))):
@@ -884,6 +1102,29 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def _thread_count() -> int:
+    """Threads of this process, native ones such as a BLAS pool's included,
+    or 0 where the platform does not tell."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def _other_cpus():
+    """The CPUs this process may run on but the one it runs on now, or None
+    where the platform does not tell.  A child forked now starts on this
+    process's CPU, and the scheduler may leave it there a long while even
+    with another CPU idle; one that is given these CPUs runs beside it."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the processor is field 39, the 37th after the command's ")"
+            current = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {current}
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None
 
 
 def _run_ranges(fn, ranges) -> list:

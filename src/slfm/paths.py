@@ -200,14 +200,17 @@ def _path_at(pairs: _PathPairs, t, out=None):
 
 def chord_norm_sq(r0: float, r1: float, cos01: float, t: float) -> float:
     """Closed-form squared norm of the straight-line interpolation between
-    vectors of finite norms ``r0``/``r1`` with direction cosine ``cos01``,
-    at ``t`` in [0, 1]; other values, NaN included, raise ``ValueError``."""
+    vectors of norms ``r0``/``r1`` whose squares are finite, with direction
+    cosine ``cos01``, at ``t`` in [0, 1]; other values, NaN included, raise
+    ``ValueError``."""
     r0 = float(r0)
     r1 = float(r1)
     if not (r0 >= 0.0 and r1 >= 0.0):
         raise ValueError("radii must be nonnegative")
-    if not (math.isfinite(r0) and math.isfinite(r1)):
-        raise ValueError(f"radii must be finite, got {r0!r} and {r1!r}")
+    # a finite radius may still square past the float range, and a Python
+    # float product overflows to inf without a warning
+    if not (math.isfinite(r0 * r0) and math.isfinite(r1 * r1)):
+        raise ValueError(f"radii must be finite with finite squares, got {r0!r} and {r1!r}")
     cos01 = float(cos01)
     if not -1.0 <= cos01 <= 1.0:
         raise ValueError("cos01 must lie in [-1, 1]")

@@ -1,11 +1,36 @@
-"""Shared pytest wiring: the acceptance verdict summary.
+"""Shared pytest wiring: the acceptance verdict summary, and the
+``helpers`` fixture of the train tests.
 
 ``test_acceptance.py`` records one (number, status, description) triple per
 criterion; printing happens here, after capture ends, so the verdict lines
 show up on a plain ``pytest`` run.
 """
 
+import os
+
+import pytest
+
+from slfm import model
+
 acceptance_verdicts = []
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The pids of the fill helpers that train forks while the test runs.
+    The process counts as running one thread, whatever pool numpy's BLAS
+    started, so that train may fork one."""
+    monkeypatch.setattr(model, "_thread_count", lambda: 1)
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

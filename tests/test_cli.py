@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import slfm
 from slfm import cli, container, diagnostics, model, sphere
 from slfm.cli import main
+from test_model import _deadline, _no_child_left
 
 
 def _csv_rows(text):
@@ -463,6 +465,52 @@ def test_train_divergence_reports_one_error_line(tmp_path, capsys, kind, flag, s
     assert err.startswith("ERROR non-finite") and err.count("\n") == 1
     assert "Warning" not in err
     assert not (tmp_path / "m.slfm").exists()
+
+
+@pytest.mark.parametrize("kind", ["slerp", "linear"])
+def test_train_writes_the_same_bytes_with_and_without_its_helper(tmp_path, capsys, monkeypatch, helpers, kind):
+    outputs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        ckpt = tmp_path / f"m{cpus}.slfm"
+        argv = ["train", "--out", str(ckpt), "--seed", "3", "--steps", "40", "--loss-kind", kind]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("checkpoint")
+        outputs.append((ckpt.read_bytes(), Path(f"{ckpt}.json").read_bytes(), report))
+    assert len(helpers) == 1
+    assert outputs[0] == outputs[1]
+    _no_child_left()
+
+
+def test_train_divergence_with_its_helper_leaves_no_child(tmp_path, capsys, monkeypatch, helpers):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    argv = ["train", "--out", str(tmp_path / "m.slfm"), "--seed", "0", "--lr", "1e308"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("ERROR non-finite")
+    assert len(helpers) == 1
+    _no_child_left()
+
+
+def test_train_whose_helper_is_killed_exits_2(tmp_path, capsys, monkeypatch, helpers):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    loss_step, calls = model._loss_step, []
+
+    def killing(*args):
+        calls.append(len(calls))
+        if len(calls) == 20:
+            os.kill(helpers[-1], signal.SIGKILL)
+        return loss_step(*args)
+
+    monkeypatch.setattr(model, "_loss_step", killing)
+    ckpt = tmp_path / "m.slfm"
+    with _deadline(60):
+        assert main(["train", "--out", str(ckpt), "--seed", "0", "--steps", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("ERROR ")
+    assert captured.err.count("\n") == 1
+    assert not ckpt.exists()
+    _no_child_left()
 
 
 def test_train_empty_hidden_layer_exits_2(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Velocity-field network, losses, optimizer, training loop, samplers, and
 checkpoints."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import signal
 import sys
 import threading
 import tracemalloc
@@ -987,8 +989,232 @@ def test_train_batches_embed_their_times_as_time_embedding(dim):
     batches.fill(3, np.random.default_rng(87))
     t = model._times_of(batches.times, cfg)
     phase = t[:, None] * (np.pi * 2.0 ** np.arange(dim // 2))
-    assert np.array_equal(batches.emb, time_embedding(t, dim))
-    assert np.array_equal(batches.emb, np.concatenate([np.sin(phase), np.cos(phase)], axis=1))
+    emb = batches.slots[0].emb
+    assert np.array_equal(emb, time_embedding(t, dim))
+    assert np.array_equal(emb, np.concatenate([np.sin(phase), np.cos(phase)], axis=1))
+
+
+def _no_child_left():
+    # every helper has been reaped: this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this thread once ``seconds`` have passed, so a
+    train that waits for a dead helper fails the test instead of hanging."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _train_on(monkeypatch, cpus, steps, config=None, seed=92, rng=None):
+    """train on ``cpus`` usable CPUs from a fixed start: (trace,
+    parameters, the generator's final state)."""
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    config = {"loss_kind": "slerp"} if config is None else config
+    field = _tiny_field(np.random.default_rng(90), d=4, kind=config["loss_kind"])
+    dataset = _labelled_dataset(4, np.random.default_rng(91))
+    rng = np.random.default_rng(seed) if rng is None else rng
+    trace = train(field, dataset, TrainConfig(steps=steps, batch_size=32, **config), rng)
+    return trace, field.flat, rng.bit_generator.state
+
+
+_HELPER_CONFIGS = {
+    "slerp-logit-normal": {"loss_kind": "slerp", "time_sampling": "logit-normal"},
+    "linear-uniform": {"loss_kind": "linear", "time_sampling": "uniform"},
+    "slerp-uniform-shift": {"loss_kind": "slerp", "time_sampling": "uniform", "shift": 2.5},
+    "linear-logit-normal-moved": {
+        "loss_kind": "linear", "time_sampling": "logit-normal",
+        "time_mean": -0.4, "time_std": 1.7, "shift": 3.0,
+    },
+}
+
+
+@pytest.mark.parametrize("steps", [17, 33, 250])
+@pytest.mark.parametrize("config", list(_HELPER_CONFIGS.values()), ids=list(_HELPER_CONFIGS))
+def test_train_gives_the_same_bits_with_and_without_its_helper(monkeypatch, helpers, steps, config):
+    # two CPUs fork the fill helper, one fills every chunk in process
+    with_helper = _train_on(monkeypatch, 2, steps, config)
+    assert len(helpers) == 1
+    in_process = _train_on(monkeypatch, 1, steps, config)
+    assert len(helpers) == 1
+    assert with_helper[0].tobytes() == in_process[0].tobytes()
+    assert with_helper[1].tobytes() == in_process[1].tobytes()
+    assert with_helper[2] == in_process[2]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 16])
+def test_train_of_one_chunk_starts_no_helper(monkeypatch, helpers, steps):
+    _train_on(monkeypatch, 2, steps)
+    assert helpers == []
+
+
+@pytest.mark.parametrize("threads", [2, 0], ids=["another-thread", "count-unknown"])
+def test_train_starts_no_helper_beside_another_thread(monkeypatch, helpers, threads):
+    # a child forked beside a running thread could inherit a lock it holds,
+    # and a BLAS pool's threads compete with the helper for the second CPU
+    alone = _train_on(monkeypatch, 2, 40)
+    assert len(helpers) == 1
+    monkeypatch.setattr(model, "_thread_count", lambda: threads)
+    beside = _train_on(monkeypatch, 2, 40)
+    assert len(helpers) == 1
+    assert beside[0].tobytes() == alone[0].tobytes() and beside[2] == alone[2]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no thread count")
+def test_the_thread_count_sees_a_running_thread():
+    before = model._thread_count()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        during = model._thread_count()
+    finally:
+        release.set()
+        thread.join()
+    assert before >= 1 and during == before + 1
+
+
+def test_train_on_an_affinity_mask_of_one_cpu_starts_no_helper(monkeypatch, helpers):
+    # the real _usable_cpus, reading a mask of one CPU, as taskset -c 3 gives
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    field = _tiny_field(np.random.default_rng(90), d=4)
+    dataset = _labelled_dataset(4, np.random.default_rng(91))
+    train(field, dataset, TrainConfig(steps=40, batch_size=32), np.random.default_rng(92))
+    assert helpers == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity masks")
+def test_the_helper_runs_off_the_callers_cpu(monkeypatch, helpers):
+    mask, calls, masks, loss_step = os.sched_getaffinity(0), [], [], model._loss_step
+
+    def looking(*args):
+        calls.append(None)
+        if len(calls) == model.TRAIN_CHUNK + 1:  # chunk 1 came from the helper
+            masks.append(os.sched_getaffinity(helpers[-1]))
+        return loss_step(*args)
+
+    monkeypatch.setattr(model, "_loss_step", looking)
+    _train_on(monkeypatch, 2, 100)
+    # one CPU fewer than the caller's mask, or the whole mask on one CPU
+    assert masks[0] <= mask and len(masks[0]) == max(len(mask) - 1, 1)
+
+
+def test_train_fills_in_process_when_it_cannot_fork(monkeypatch, helpers):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    in_process = _train_on(monkeypatch, 1, 40)
+    monkeypatch.setattr(os, "fork", no_fork)
+    refused = _train_on(monkeypatch, 2, 40)
+    assert refused[0].tobytes() == in_process[0].tobytes()
+    assert refused[1].tobytes() == in_process[1].tobytes()
+    assert refused[2] == in_process[2]
+
+
+def _failing_tokens(monkeypatch, error, call=3):
+    """SyntheticDataset._tokens raising ``error`` on its ``call``-th call,
+    that is in chunk ``call - 1``; returns the list of _loss_step calls."""
+    tokens, loss_step, calls, steps = model.SyntheticDataset._tokens, model._loss_step, [], []
+
+    def failing(self, u, noise):
+        calls.append(len(u))
+        if len(calls) == call:
+            raise error
+        return tokens(self, u, noise)
+
+    def counted(*args):
+        steps.append(len(steps))
+        return loss_step(*args)
+
+    monkeypatch.setattr(model.SyntheticDataset, "_tokens", failing)
+    monkeypatch.setattr(model, "_loss_step", counted)
+    return steps
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_a_fill_error_is_raised_before_its_chunk(monkeypatch, helpers, cpus):
+    # chunk 2 fails: chunks 0 and 1 have run, and the error is the fill's own
+    steps = _failing_tokens(monkeypatch, UnknownCondition("no id for chunk 2"))
+    rng = np.random.default_rng(93)
+    with pytest.raises(UnknownCondition, match="^no id for chunk 2$"):
+        _train_on(monkeypatch, cpus, 100, rng=rng)
+    assert len(steps) == 2 * model.TRAIN_CHUNK
+    assert len(helpers) == (cpus == 2)
+    _no_child_left()
+    # the generator stops where the failed fill left it, on either path
+    monkeypatch.undo()
+    _failing_tokens(monkeypatch, UnknownCondition("no id for chunk 2"))
+    other = np.random.default_rng(93)
+    with pytest.raises(UnknownCondition):
+        _train_on(monkeypatch, 3 - cpus, 100, rng=other)
+    assert rng.bit_generator.state == other.bit_generator.state
+
+
+def test_a_fill_error_that_does_not_pickle_names_itself(monkeypatch, helpers):
+    class LocalError(Exception):  # a class in a function does not pickle
+        pass
+
+    steps = _failing_tokens(monkeypatch, LocalError("not for the pipe"))
+    with pytest.raises(ChildProcessError, match="LocalError: not for the pipe"):
+        _train_on(monkeypatch, 2, 100)
+    assert len(steps) == 2 * model.TRAIN_CHUNK
+    assert len(helpers) == 1
+    _no_child_left()
+
+
+def test_an_interrupted_train_reaps_its_helper(monkeypatch, helpers):
+    loss_step, rngs = model._loss_step, []
+
+    def interrupted(*args):
+        interrupted.calls += 1
+        if interrupted.calls == 20:
+            raise KeyboardInterrupt
+        return loss_step(*args)
+
+    for cpus in (2, 1):
+        interrupted.calls = 0
+        monkeypatch.setattr(model, "_loss_step", interrupted)
+        rngs.append(np.random.default_rng(94))
+        with pytest.raises(KeyboardInterrupt):
+            _train_on(monkeypatch, cpus, 100, rng=rngs[-1])
+        _no_child_left()
+    assert len(helpers) == 1
+    # both stop at the state after chunk 1, the one step 19 ran in
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_a_helper_killed_mid_run_raises_an_os_error(monkeypatch, helpers):
+    loss_step, calls = model._loss_step, []
+
+    def killing(*args):
+        calls.append(len(calls))
+        if len(calls) == 20:
+            os.kill(helpers[-1], signal.SIGKILL)
+        return loss_step(*args)
+
+    monkeypatch.setattr(model, "_loss_step", killing)
+    with _deadline(60), pytest.raises(OSError):
+        _train_on(monkeypatch, 2, 200)
+    assert len(helpers) == 1 and 20 <= len(calls) < 200
+    _no_child_left()
+
+
+def test_train_reaps_its_helper_after_a_run(monkeypatch, helpers):
+    _train_on(monkeypatch, 2, 40)
+    assert len(helpers) == 1
+    _no_child_left()
 
 
 def test_smoothed_endpoints():

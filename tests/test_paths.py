@@ -342,13 +342,22 @@ def test_chord_rejects_bad_inputs():
         ((1.0, 1.0, 0.5, 1.5), "outside"),
         ((math.inf, 1.0, 0.5, 0.5), "radii must be finite"),
         ((1.0, math.inf, 0.5, 0.5), "radii must be finite"),
+        ((1e200, 1e200, 0.5, 0.5), "finite squares"),
+        ((1.0, 1.4e154, 0.5, 0.5), "finite squares"),
     ],
-    ids=["t-nan", "t-below-0", "t-above-1", "r0-inf", "r1-inf"],
+    ids=["t-nan", "t-below-0", "t-above-1", "r0-inf", "r1-inf", "both-square-overflows",
+         "r1-square-overflows"],
 )
 def test_chord_rejects_a_time_outside_0_1_and_an_infinite_radius(args, message):
     # these gave NaN or inf rather than an error
     with pytest.raises(ValueError, match=message):
         chord_norm_sq(*args)
+
+
+def test_chord_takes_the_largest_radius_whose_square_is_finite():
+    # 1.3e154 squares to 1.69e308, below the float maximum: the formula's
+    # terms sum to at most the larger square, so the result is finite
+    assert math.isfinite(chord_norm_sq(1.3e154, 1.3e154, 1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
