@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import math
 import mmap
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .paths import PathKind, _path_at, _path_setup, path_rows
 from .sphere import (
+    NORM_FLOOR,
     ON_SPHERE_RTOL,
     _expmap_into,
     _geodesic_workspace,
@@ -748,35 +748,29 @@ class _TrainBatches:
     draws), a scratch block and a coefficient workspace for the path, and
     what its loss step reads of them, the :class:`_ChunkRows` of a chunk.
 
-    Those rows live in ``slots`` slots of one flat float64 buffer of
-    ``slots * slot_size(...)`` values: ``buffer`` when given (train's
-    helper fills the slots of an ``mmap`` it shares with its parent), a new
-    array otherwise.  Nothing else is read outside :meth:`fill`."""
+    Those rows live in two slots of one flat float64 buffer, so that one
+    chunk can be filled while the steps of the other run: an anonymous
+    ``mmap`` when ``shared`` (train's helper fills the slots of the ``mmap``
+    it shares with its parent), a new array otherwise.  Nothing else is
+    read outside :meth:`fill`."""
 
     def __init__(self, field: VelocityField, dataset: SyntheticDataset, config: TrainConfig,
-                 steps: int, slots: int = 1, buffer=None):
+                 steps: int, shared: bool = False):
         self.field, self.dataset, self.config = field, dataset, config
         self.n, rows = config.batch_size, steps * config.batch_size
         self.mix, self.times = np.empty((2, rows))
         self.noise, self.prior, self.scratch = np.empty((3, rows, field.d))
         self.coef = _geodesic_workspace((rows,))
-        size = self.slot_size(field, rows)
-        if buffer is None:
-            buffer = np.empty(slots * size)
-        path_end, emb_end = 2 * rows * field.d, rows * (2 * field.d + field.time_dim)
-        self.slots = [
-            _ChunkRows(
-                *part[:path_end].reshape(2, rows, field.d),
-                part[path_end:emb_end].reshape(rows, field.time_dim),
-                part[emb_end:].view(np.int64),
-            )
-            for part in buffer.reshape(slots, size)
-        ]
-
-    @staticmethod
-    def slot_size(field: VelocityField, rows: int) -> int:
-        """Float64 values in one slot of ``rows`` rows; an int64 id takes one."""
-        return rows * (2 * field.d + field.time_dim + 1)
+        # float64 values per row of each part, in _ChunkRows order; an int64
+        # id takes one
+        widths = [field.d, field.d, field.time_dim, 1]
+        size = 2 * rows * sum(widths)
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * size)) if shared else np.empty(size)
+        self.slots = []
+        for slot in buffer.reshape(2, size // 2):
+            parts = np.split(slot, rows * np.cumsum(widths[:-1]))
+            z_t, u_t, emb = (part.reshape(rows, width) for part, width in zip(parts, widths[:3]))
+            self.slots.append(_ChunkRows(z_t, u_t, emb, parts[-1].view(np.int64)))
 
     def fill(self, steps: int, rng: np.random.Generator, slot: int = 0) -> None:
         """Draw ``steps`` steps' random numbers from ``rng``, step by step
@@ -832,81 +826,71 @@ def _helper_usable(chunks: int) -> bool:
 def _filled_chunks(field: VelocityField, dataset: SyntheticDataset, config: TrainConfig, rng):
     """Yields an iterator over the chunks of a ``config.steps``-step run:
     ``(first, steps, batch)`` per chunk, its first step, its step count and
-    a ``batch(step)`` of :class:`_TrainBatches` whose rows are filled from
-    ``rng`` by the time the chunk is handed on.  A fill's error is raised
-    in place of its chunk.
+    a ``batch(step)`` of :class:`_TrainBatches` whose rows chunk k holds in
+    slot k % 2, filled from ``rng`` by the time the chunk is handed on.
 
     Where :func:`_helper_usable` allows, chunk 0 is filled in process, and
-    then one forked helper owns ``rng`` and fills chunk k + 1 while the
-    caller steps through chunk k (see :func:`_fill_ahead`).  The helper
-    writes chunk k into slot k % 2 of a shared anonymous ``mmap`` and
-    answers each chunk on a pipe with a pickled ``(error, state)``: the
-    fill's exception or None, and ``rng.bit_generator.state`` after it.  On
-    the way out the caller installs the state of the last chunk it
-    received, so ``rng`` ends where a fill in process would leave it; a
-    helper that died raises :class:`ChildProcessError`, or
-    ``BrokenPipeError`` from the next token.  The helper runs
-    on the caller's usable CPUs but the one the caller runs on, and it is
-    always killed and reaped, whichever way the caller leaves.  Elsewhere,
-    or where no pipe or process can be made, each chunk is filled in
-    process when it is asked for."""
+    then a forked helper fills the later chunks ahead of the caller from a
+    copy of ``rng`` (see :func:`_fill_ahead`) and sends
+    ``rng.bit_generator.state`` after each one on a pipe.  Chunk k is taken
+    from the helper once its state has arrived, and that state is installed
+    into ``rng`` as the chunk is handed on.  Otherwise, where no
+    pipe or process could be made, or once the helper's stream has ended
+    (it exited, was killed, or sent what does not unpickle), the helper is
+    killed and reaped, and chunk k and every later one are filled in
+    process from the last state received.  So the helper only speeds a run
+    up: the chunks and ``rng``'s final state are the same either way, and
+    a fill's error is raised by the fill in process, in place of its chunk.
+    The helper runs on the caller's usable CPUs but the one the caller runs
+    on, and it is always killed and reaped, whichever way the caller
+    leaves."""
     chunks = [
         (first, min(TRAIN_CHUNK, config.steps - first))
         for first in range(0, config.steps, TRAIN_CHUNK)
     ]
-    rows = min(TRAIN_CHUNK, config.steps)
-    if not _helper_usable(len(chunks)):
-        yield _filled_in_process(_TrainBatches(field, dataset, config, rows), chunks, rng)
-        return
+    shared = _helper_usable(len(chunks))
+    batches = _TrainBatches(field, dataset, config, min(TRAIN_CHUNK, config.steps), shared)
+    helper = None  # (pid, replies, free) while the helper's stream lasts
+    if shared:
+        # chunk 0 is filled before the fork, so that the helper's start-up
+        # runs beside chunk 0's steps; the helper starts at chunk 1
+        batches.fill(chunks[0][1], rng)
+        with contextlib.suppress(OSError):  # no pipe or process to spare
+            helper = _start_helper(batches, [steps for _, steps in chunks], rng)
 
-    size = _TrainBatches.slot_size(field, rows * config.batch_size)
-    shared = mmap.mmap(-1, 2 * size * np.dtype(np.float64).itemsize)
-    batches = _TrainBatches(field, dataset, config, rows, 2, np.frombuffer(shared))
-    # chunk 0 is filled before the fork, so the helper starts at chunk 1
-    first = list(_filled_in_process(batches, chunks[:1], rng))
-    try:
-        pid, replies, free = _start_helper(batches, [steps for _, steps in chunks], rng)
-    except OSError:  # no pipe or process to spare
-        pid = None
-    if pid is None:
-        yield itertools.chain(first, _filled_in_process(batches, chunks[1:], rng))
-        return
-    state = None  # rng's state after the last chunk received
-    try:
-        with replies, free:
+    def stop():
+        nonlocal helper
+        if helper is not None:
+            pid, replies, free = helper
+            helper = None
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):  # reaped already
+                os.waitpid(pid, 0)
+            replies.close()
+            free.close()
 
-            def received():
-                nonlocal state
-                yield from first
-                for k, (start, steps) in enumerate(chunks[1:], 1):
-                    try:
-                        error, state = pickle.load(replies)
-                    except (EOFError, pickle.UnpicklingError):
-                        raise ChildProcessError(
-                            f"train's fill helper exited before chunk {k} was filled"
-                        ) from None
-                    if error is not None:
-                        raise error
+    def handed_on():
+        for k, (first, steps) in enumerate(chunks):
+            if k and helper is not None:
+                _, replies, free = helper
+                try:
+                    state = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError, OSError):
+                    stop()
+                else:
+                    rng.bit_generator.state = state
                     if k < len(chunks) - 1:
-                        free.write(b"\0")  # chunk k - 1's slot, for chunk k + 1
-                    yield start, steps, functools.partial(batches.batch, slot=k % 2)
+                        with contextlib.suppress(OSError):  # the next read sees EOF
+                            free.write(b"\0")  # chunk k - 1's slot, for chunk k + 1
+            if helper is None and (k or not shared):
+                batches.fill(steps, rng, k % 2)
+            yield first, steps, functools.partial(batches.batch, slot=k % 2)
 
-            yield received()
+    try:
+        yield handed_on()
     finally:
-        if state is not None:
-            rng.bit_generator.state = state
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        with contextlib.suppress(ChildProcessError):  # reaped already
-            os.waitpid(pid, 0)
-
-
-def _filled_in_process(batches: _TrainBatches, chunks, rng):
-    """Each ``(first, steps)`` of ``chunks`` with a ``batch(step)`` of its
-    rows, filled in slot 0 from ``rng`` when it is asked for."""
-    for first, steps in chunks:
-        batches.fill(steps, rng)
-        yield first, steps, batches.batch
+        stop()
 
 
 def _start_helper(batches: _TrainBatches, chunks, rng):
@@ -945,37 +929,19 @@ def _fill_ahead(batches: _TrainBatches, chunks, rng, replies: int, free: int) ->
     """The helper of :func:`_filled_chunks`: fills chunk k from 1 on
     (``chunks`` are the step counts) into slot k % 2, from chunk 2 on once
     a token on the pipe ``free`` says that chunk k - 2 is done with, and
-    answers each chunk on the pipe ``replies``.  It stops after a fill's
-    error, or at the end of ``free``, which means the caller has gone.  An
-    interrupt is the caller's to handle, so the helper ignores
-    ``SIGINT``."""
+    sends the pickled ``rng.bit_generator.state`` after each chunk on the
+    pipe ``replies``.  It stops at the end of ``free``, which means the
+    caller has gone, and at a fill's error, which the caller meets again
+    when it fills that chunk itself.  An interrupt is the caller's to
+    handle, so the helper ignores ``SIGINT``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with open(replies, "wb") as out, open(free, "rb", buffering=0) as tokens:
         for k, steps in enumerate(chunks[1:], 1):
             if k >= 2 and not tokens.read(1):
                 return
-            error = None
-            try:
-                batches.fill(steps, rng, k % 2)
-            except Exception as exc:  # raised by the caller, in place of the chunk
-                error = exc
-            out.write(_reply(error, rng.bit_generator.state))
+            batches.fill(steps, rng, k % 2)
+            pickle.dump(rng.bit_generator.state, out)
             out.flush()
-            if error is not None:
-                return
-
-
-def _reply(error, state) -> bytes:
-    """The pickled ``(error, state)`` of a chunk; an error that does not
-    survive a pickle round trip goes as a :class:`ChildProcessError`
-    naming it."""
-    try:
-        message = pickle.dumps((error, state))
-        pickle.loads(message)
-    except Exception:
-        named = ChildProcessError(f"train's fill raised {type(error).__name__}: {error}")
-        message = pickle.dumps((named, state))
-    return message
 
 
 def train(
@@ -992,9 +958,10 @@ def train(
     :func:`sample_time`), and their transforms, path rows and time
     embedding then run once over all of its rows (see
     :class:`_TrainBatches`).  With two usable CPUs and more than one chunk,
-    a forked helper process prepares the next chunk while the steps of the
-    current one run, and ``rng`` ends where it would otherwise (see
-    :func:`_filled_chunks`); the results do not depend on which way it ran.
+    a forked helper process prepares the chunks ahead of the steps; a
+    helper that dies only costs time, as the chunks it did not prepare are
+    prepared in process (see :func:`_filled_chunks`).  The results do not
+    depend on which way a chunk was prepared.
     Each step runs :func:`loss_and_grad`'s arithmetic, not its checks,
     through buffers allocated once per call, clips the flat gradient
     through one flat square and steps :class:`Adam` over ``field.flat`` as
@@ -1005,8 +972,9 @@ def train(
     preparing a chunk is raised before the chunk's earlier steps run.
     Overflow in a diverging step is not warned about; its non-finite loss,
     or parameters after the last step that are non-finite in 32-bit
-    storage, raise :class:`DivergenceDetected`.  A helper that dies raises
-    an ``OSError``."""
+    storage, raise :class:`DivergenceDetected`.  A slerp field whose radius
+    is below the norm floor, on which no prior row has a direction, raises
+    :class:`NearZeroNorm` before the first draw."""
     if config.loss_kind != field.kind:
         raise ValueError(
             f"config loss kind {config.loss_kind!r} does not match field kind {field.kind!r}"
@@ -1014,6 +982,8 @@ def train(
     if dataset.d != field.d:
         raise DimensionMismatch("dataset and field dimensions differ")
     _check_conditions(field, dataset.labels)  # the only ids a batch draws
+    if field.kind == "slerp" and not field.radius >= NORM_FLOOR:
+        raise NearZeroNorm(f"slerp field radius {field.radius!r} below floor")
     with np.errstate(over="ignore", invalid="ignore"):
         with _filled_chunks(field, dataset, config, rng) as chunks:
             # allocated after the helper's fork, so that the pages the steps

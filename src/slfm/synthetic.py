@@ -24,6 +24,8 @@ def sphere_pairs(n: int, d: int, radius: float, rng: np.random.Generator):
     """n independent endpoint pairs, both uniform on the sphere of ``radius``."""
     if n < 1:
         raise ValueError("need at least one pair")
+    if not radius >= NORM_FLOOR:
+        raise NearZeroNorm(f"sphere radius {radius!r} below floor")
     return uniform_rows(n, d, radius, rng), uniform_rows(n, d, radius, rng)
 
 

@@ -483,6 +483,29 @@ def test_train_writes_the_same_bytes_with_and_without_its_helper(tmp_path, capsy
     _no_child_left()
 
 
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="fewer than two usable CPUs"
+)
+def test_train_writes_the_same_files_pinned_to_one_cpu_and_to_two(tmp_path):
+    # the helper's real gate, unpatched: a fresh interpreter whose BLAS runs
+    # one thread reads its own thread count and affinity mask, and forks a
+    # helper only on two CPUs
+    cpus = sorted(os.sched_getaffinity(0))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(slfm.__file__).parents[1]))
+    files = []
+    for mask in (cpus[:1], cpus[:2]):
+        ckpt = tmp_path / f"m{len(mask)}.slfm"
+        done = subprocess.run(
+            [sys.executable, "-m", "slfm.cli", "train", "--out", str(ckpt), "--seed", "5",
+             "--steps", "40"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: os.sched_setaffinity(0, mask),
+        )
+        assert done.returncode == 0, done.stderr
+        files.append((ckpt.read_bytes(), Path(f"{ckpt}.json").read_bytes()))
+    assert files[0] == files[1]
+
+
 def test_train_divergence_with_its_helper_leaves_no_child(tmp_path, capsys, monkeypatch, helpers):
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     argv = ["train", "--out", str(tmp_path / "m.slfm"), "--seed", "0", "--lr", "1e308"]
@@ -492,25 +515,31 @@ def test_train_divergence_with_its_helper_leaves_no_child(tmp_path, capsys, monk
     _no_child_left()
 
 
-def test_train_whose_helper_is_killed_exits_2(tmp_path, capsys, monkeypatch, helpers):
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-    loss_step, calls = model._loss_step, []
+def test_train_whose_helper_is_killed_exits_0_with_the_same_files(tmp_path, capsys, monkeypatch, helpers):
+    # the chunks that the dead helper did not fill are filled in process
+    loss_step, calls, outputs = model._loss_step, [], []
 
     def killing(*args):
         calls.append(len(calls))
-        if len(calls) == 20:
+        if len(calls) == 20 and helpers:
             os.kill(helpers[-1], signal.SIGKILL)
         return loss_step(*args)
 
     monkeypatch.setattr(model, "_loss_step", killing)
-    ckpt = tmp_path / "m.slfm"
-    with _deadline(60):
-        assert main(["train", "--out", str(ckpt), "--seed", "0", "--steps", "200"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("ERROR ")
-    assert captured.err.count("\n") == 1
-    assert not ckpt.exists()
-    _no_child_left()
+    for cpus in (2, 1):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        ckpt = tmp_path / f"m{cpus}.slfm"
+        with _deadline(60):
+            assert main(["train", "--out", str(ckpt), "--seed", "0", "--steps", "200"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        report.pop("checkpoint")
+        outputs.append((ckpt.read_bytes(), Path(f"{ckpt}.json").read_bytes(), report))
+        assert len(helpers) == (cpus == 2)
+        _no_child_left()
+        helpers.clear()  # so the run on one CPU kills nothing
+    assert len(calls) == 400 and outputs[0] == outputs[1]
 
 
 def test_train_empty_hidden_layer_exits_2(tmp_path, capsys):
@@ -672,6 +701,37 @@ def test_sample_survives_any_training_set_edit(
     rc, out, err, caught = _sample_edited(
         trained, tmp_path_factory.mktemp("edit"), apply, ("--n", "8", "--nfe", "1")
     )
+    assert caught == []
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == "" and err.startswith("ERROR ") and err.count("\n") == 1
+    else:
+        assert rc == 0 and err == ""
+
+
+_SIDECAR_KEYS = [
+    "format", "format_version", "widths", "time_dim", "n_cond", "cond_dim", "kind", "radius",
+    "param_count", "payload_sha256", "config", "extra",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(_SIDECAR_KEYS), delete=st.booleans(), value=_JSON_VALUES)
+def test_sample_survives_any_sidecar_edit(trained, tmp_path_factory, key, delete, value):
+    # one top-level key of the sidecar replaced by any JSON value, or
+    # deleted: the checkpoint is used (exit 0) or refused in one ERROR line
+    # (exit 2), never with a traceback or a numpy warning
+    def apply(meta):
+        if delete:
+            meta.pop(key)
+        else:
+            meta[key] = value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_usable_cpus", lambda: 1)
+        rc, out, err, caught = _sample_edited(
+            trained, tmp_path_factory.mktemp("sidecar"), apply, ("--n", "4", "--nfe", "2")
+        )
     assert caught == []
     assert "Traceback" not in err
     if rc == 2:
@@ -914,6 +974,7 @@ def test_negative_reals_in_exponent_form_are_option_values(tmp_path, value):
 
 
 # Radii outside the one radius rule (R > 0, R * R a normal, finite float),
+# or below the norm floor where rows on the sphere of that radius are drawn,
 # each at a place a radius comes in from argv, with the text of the value
 _BAD_RADIUS_ARGV = {
     "stats-project-square-overflows": (["stats", "{tmp}/lat.slfm", "--project", "1e300"], "1e300"),
@@ -928,6 +989,12 @@ _BAD_RADIUS_ARGV = {
     ),
     "paths-R-square-underflows": (
         ["paths", "--synthetic", "sphere:d=4,R=1e-200", "--kind", "linear"], "1e-200"
+    ),
+    "train-slerp-radius-below-floor": (
+        ["train", "--out", "{tmp}/x.slfm", "--seed", "0", "--radius", "1e-10"], "1e-10"
+    ),
+    "paths-R-below-floor": (
+        ["paths", "--synthetic", "sphere:d=4,R=1e-10", "--kind", "slerp"], "1e-10"
     ),
 }
 
