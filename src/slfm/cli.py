@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import container, diagnostics, model, sphere, synthetic
-from .errors import ContainerFormatError, DimensionMismatch, DivergenceDetected
+from .errors import ContainerFormatError, DimensionMismatch, DivergenceDetected, RadiusMismatch
 from .paths import PathKind
 
 log = logging.getLogger("slfm")
@@ -84,33 +84,40 @@ def cmd_gaussian_norms(args) -> int:
     return 0
 
 
-def _run_slices(fn, shape) -> None:
-    """``fn(items)`` for each contiguous range of whole blocks of a
-    container of ``shape``, one range per usable CPU, through
-    :func:`model._run_ranges`: the first error in file order is raised."""
-    model._run_ranges(fn, container.block_slices(shape, model._usable_cpus()))
+def _run_blocks(make_run, shape) -> None:
+    """``run(items)`` for the item range of each block of a container of
+    ``shape``, each block a unit of :func:`model._run_ranges`, where each
+    taker of blocks makes its own ``run = make_run()``: the first error in
+    file order is raised."""
+    n, per_block = shape[0], container.block_shape(shape)[0]
+
+    def taker():
+        run = make_run()
+        return lambda i: run(range(i * per_block, min((i + 1) * per_block, n)))
+
+    model._run_ranges(taker, -(-n // per_block) if n else 0)
 
 
 def cmd_stats(args) -> int:
-    # one norm per token is all that outlives a block; each range of blocks
-    # fills its own part of the norms straight from the f32 channel planes,
-    # through one slab sized from the range's first block
+    # one norm per token is all that outlives a block; each block fills its
+    # own part of the norms, in a shared array, straight from the f32
+    # channel planes, through its taker's block buffer and slab
     with container.BlockReader(args.input) as reader:
         log.info("read %d tokens of dimension %d", reader.n_tokens, reader.shape[1])
         n, _, h, w = reader.shape
-        norms = np.empty((n, h, w))
+        norms = model._shared_array((n, h, w))
 
-        def stats_slice(items):
-            slab = None
-            first = items.start
-            for block in reader.blocks(items):
-                if slab is None:
-                    slab = sphere._plane_slab(block.shape)
-                k = block.shape[0]
-                sphere._plane_norms_into(block, norms[first : first + k], slab, args.project)
-                first += k
+        def stats_taker():
+            buffer = container.BlockBuffer()
+            slab = sphere._plane_slab(container.block_shape(reader.shape))
 
-        _run_slices(stats_slice, reader.shape)
+            def stats_block(items):
+                block = reader.read(items, buffer)
+                sphere._plane_norms_into(block, norms[items.start : items.stop], slab, args.project)
+
+            return stats_block
+
+        _run_blocks(stats_taker, reader.shape)
     row = dataclasses.asdict(diagnostics._shell_stats_of_norms(norms.reshape(-1)))
     emit_report([row], list(row), args.format)
     return 0
@@ -164,23 +171,28 @@ def cmd_swap(args) -> int:
                 container.BlockWriter(dir_temp, anchor.shape) as out_dir,
                 container.BlockWriter(rad_temp, anchor.shape) as out_rad,
             ):
-                # each range of blocks writes its own part of both hybrids:
-                # each block's hybrids are its f32 items times one ratio per
-                # token, whose norms come straight from the channel planes
-                def swap_slice(items):
-                    dir_view, rad_view = out_dir.view(items), out_rad.view(items)
-                    norms = slab = None
-                    for a, s in zip(anchor.blocks(items), substitute.blocks(items)):
-                        if slab is None:
-                            slab, norms = sphere._plane_slab(a.shape), np.empty((3, a.shape[0], 1) + a.shape[2:])
-                        ra, rs, to_direction = norms[:, : a.shape[0]]
+                # each block writes its own part of both hybrids: its f32
+                # items times one ratio per token, whose norms come straight
+                # from the channel planes, through its taker's buffers
+                def swap_taker():
+                    buffers = [container.BlockBuffer() for _ in range(4)]
+                    largest = container.block_shape(anchor.shape)
+                    slab = sphere._plane_slab(largest)
+                    norms = np.empty((3, largest[0], 1) + largest[2:])
+
+                    def swap_block(items):
+                        a = anchor.read(items, buffers[0])
+                        s = substitute.read(items, buffers[1])
+                        ra, rs, to_direction = norms[:, : len(items)]
                         sphere._plane_norms_into(a, ra[:, 0], slab)
                         sphere._plane_norms_into(s, rs[:, 0], slab)
                         to_direction, to_radius = diagnostics._swap_ratios(ra, rs, to_direction)
-                        dir_view.write_scaled(a, to_direction)
-                        rad_view.write_scaled(s, to_radius)
+                        out_dir.write_at(items.start, a, to_direction, buffers[2])
+                        out_rad.write_at(items.start, s, to_radius, buffers[3])
 
-                _run_slices(swap_slice, anchor.shape)
+                    return swap_block
+
+                _run_blocks(swap_taker, anchor.shape)
     log.info("wrote hybrids to %s and %s", args.out_direction, args.out_radius)
     return 0
 
@@ -249,10 +261,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _training_set(meta: dict, d: int, checkpoint: str):
+def _training_set(meta: dict, field: model.VelocityField, checkpoint: str):
     """The training set that ``cmd_train`` records under ``extra.dataset``,
     rebuilt through :class:`model.SyntheticDataset` and so checked by the
-    rules that training applied; None when the sidecar records none."""
+    rules that training applied; None when the sidecar records none.  Its
+    dimension and radius must be the field's: ``cmd_train`` writes both
+    radii from one float, so they are compared exactly."""
     extra = meta.get("extra", {})
     if type(extra) is not dict:
         raise ContainerFormatError(f"{checkpoint}: sidecar 'extra' is not a JSON object")
@@ -263,8 +277,10 @@ def _training_set(meta: dict, d: int, checkpoint: str):
         if type(spec) is not dict:
             raise TypeError("not a JSON object")
         dataset = model.SyntheticDataset(**spec)
-        if dataset.d != d:
-            raise DimensionMismatch(f"dimension {dataset.d!r} is not the field's {d}")
+        if dataset.d != field.d:
+            raise DimensionMismatch(f"dimension {dataset.d!r} is not the field's {field.d}")
+        if dataset.radius != field.radius:
+            raise RadiusMismatch(f"radius {dataset.radius!r} is not the field's {field.radius!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContainerFormatError(
             f"{checkpoint}: sidecar 'extra.dataset' is not a valid training set: {exc}"
@@ -274,7 +290,7 @@ def _training_set(meta: dict, d: int, checkpoint: str):
 
 def cmd_sample(args) -> int:
     field, meta = model.load_checkpoint(args.checkpoint)
-    dataset = _training_set(meta, field.d, args.checkpoint)
+    dataset = _training_set(meta, field, args.checkpoint)
     rng = np.random.default_rng(args.seed)
     sampler = {"euler": "euler", "euler-project": "euler_project", "expmap": "exp_map"}[
         args.sampler

@@ -8,42 +8,47 @@ Payloads are stored in 32-bit but promoted to 64-bit on read; writing a
 read-back array reproduces the file byte for byte.
 
 Containers are streamed in blocks of whole items, about ``BLOCK_BYTES`` of
-payload each (one item per block when an item is larger), so memory stays
-bounded whatever the container's size.  Each file is opened once, and every
-block is read or written at its own offset with positional I/O, so contiguous
-ranges of whole blocks (:func:`block_slices`) can run on threads of their
-own through the one descriptor, each with its own buffers:
+payload each (one item per block when an item is larger; block i holds the
+items from ``i * k`` on, where (k, d, h, w) is :func:`block_shape`), so
+memory stays bounded whatever the container's size.  Each file is opened
+once, and every block is read or written at its own offset with positional
+I/O, through buffers of its caller's (:class:`BlockBuffer`), so blocks can
+be read and written at once, in threads or in forked processes, through the
+one descriptor:
 
 - :class:`BlockReader` checks the header, and the payload length against the
-  file size, before it reads any payload.  :meth:`BlockReader.blocks` streams
-  a range of items (all by default) through its own f32 block and the mask
-  that block is checked for finite values into (a promotion to float64 is
-  exact, so it makes no value non-finite), and yields the checked f32 items
-  in the container's own (k, d, h, w) layout.  ``slfm stats`` and ``swap``
-  take each token's norm from those items' channel planes
-  (``sphere._plane_norms_into``), so no float64 token rows are formed and
-  nothing is transposed.  A truncated payload or a non-finite value in any
-  block raises :class:`ContainerFormatError`.
-- :class:`BlockWriter` writes the header, and :meth:`BlockWriter.view` gives
-  a range of items that is written one block at a time, in order, through
-  its own f32 block and mask for the finite and f32-overflow checks; the
-  writer's own ``write_rows`` writes through a view of all its items.
-  Every block goes through a view's ``write_scaled``, which takes items and
-  a float64 factor per token and writes their products with a single
-  multiply into the f32 block: numpy's float64 loop rounds each product
-  once to f32, as a cast of the float64 product would, with no float64
-  block in between.  ``slfm swap`` hands it f32 items as a reader yields
-  them and the swap ratios; ``write_rows`` hands it float64 token rows,
-  transposed into items, and a factor of 1.0.  A view refuses items past
-  its range, and on exit each view must have written its whole range and
-  the tokens its views wrote must add up to those the header declares.
-  As each block lands, its write-back to disk starts
-  (``POSIX_FADV_DONTNEED`` on the block's byte range, a hint that does not
-  wait), so the disk writes the output while later blocks compute.
-  Streamed outputs are written to temporaries under :func:`replacing`, which
-  moves them over their targets only once every write succeeded; its
-  ``fsync`` of each temporary still makes every byte durable before the
-  rename, and so waits only for the blocks still in flight.
+  file size, before it reads any payload.  :meth:`BlockReader.read` reads
+  the items of one block, or fewer, into a buffer's f32 block and checks
+  them for finite values into its mask (a promotion to float64 is exact, so
+  it makes no value non-finite); it returns the checked f32 items in the
+  container's own (k, d, h, w) layout.  :meth:`BlockReader.blocks` streams
+  a range of items (all by default) that way, through one buffer.
+  ``slfm stats`` and ``swap`` take each token's norm from those items'
+  channel planes (``sphere._plane_norms_into``), so no float64 token rows
+  are formed and nothing is transposed.  A truncated payload or a
+  non-finite value in any block raises :class:`ContainerFormatError`.
+- :class:`BlockWriter` writes the header.  :meth:`BlockWriter.write_at`
+  writes items at a given item, through a buffer's f32 block and mask for
+  the finite and f32-overflow checks: it takes items and a float64 factor
+  per token and writes their products with a single multiply into the f32
+  block, so numpy's float64 loop rounds each product once to f32, as a cast
+  of the float64 product would, with no float64 block in between.
+  ``slfm swap`` hands it each block's f32 items as a reader read them and
+  the swap ratios.  :meth:`BlockWriter.view` gives a range of items that is
+  written in order through ``write_at`` and a buffer of its own; the
+  writer's own ``write_rows`` writes through a view of all its items, and
+  hands ``write_at`` float64 token rows, transposed into items, and a factor
+  of 1.0.  A view refuses items past its range, and on exit each view must
+  have written its whole range and the tokens its views wrote must add up
+  to those the header declares; nothing checks that writes at given items
+  cover the container, which their caller sees to.  As each block lands,
+  its write-back to disk starts (``POSIX_FADV_DONTNEED`` on the block's
+  byte range, a hint that does not wait), so the disk writes the output
+  while later blocks compute.  Streamed outputs are written to temporaries
+  under :func:`replacing`, which moves them over their targets only once
+  every write succeeded; its ``fsync`` of each temporary still makes every
+  byte durable before the rename, and so waits only for the blocks still
+  in flight.
 
 The one-shot functions are loops over these classes: :func:`read_container`
 copies a reader's blocks into its float64 result, and :func:`write_container`
@@ -127,16 +132,29 @@ def _items_per_block(shape) -> int:
     return max(1, BLOCK_BYTES // item_bytes)
 
 
-def block_slices(shape, parts) -> list:
-    """The items of a container of ``shape`` as at most ``parts`` contiguous
-    ranges of whole blocks, in file order, their block counts differing by
-    at most one.  A container without items is one empty range."""
-    n = shape[0]
-    per_block = _items_per_block(shape)
-    blocks = -(-n // per_block)
-    parts = max(1, min(blocks, parts))
-    bounds = [min(n, i * blocks // parts * per_block) for i in range(parts + 1)]
-    return [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
+def block_shape(shape) -> tuple:
+    """The shape (k, d, h, w) of the first block of a container of
+    ``shape``, the largest: block i holds items ``i * k`` up to ``(i + 1) *
+    k``, or up to the last item."""
+    n, d, h, w = shape
+    return min(n, _items_per_block(shape)), d, h, w
+
+
+class BlockBuffer:
+    """An f32 block and the mask its values are checked for finiteness into,
+    grown to the largest shape asked of it and reused after that."""
+
+    def __init__(self):
+        self._data = np.empty(0, dtype="<f4")
+        self._mask = np.empty(0, dtype=bool)
+
+    def of(self, shape):
+        """The block and the mask, as views of ``shape``."""
+        size = math.prod(shape)
+        if self._data.size < size:
+            self._data = np.empty(size, dtype="<f4")
+            self._mask = np.empty(size, dtype=bool)
+        return self._data[:size].reshape(shape), self._mask[:size].reshape(shape)
 
 
 def _offset(shape, item) -> int:
@@ -170,40 +188,42 @@ class BlockReader:
         n, _, h, w = self.shape
         return n * h * w
 
+    def read(self, items, buffer: BlockBuffer) -> np.ndarray:
+        """The payload of the item range ``items``, at most one block, as
+        checked f32 items of shape (k, d, h, w): a view of ``buffer`` that
+        the next read into it overwrites.  The items are read at their own
+        offset and checked for finite values into the buffer's mask, so
+        reads into buffers of their own may run at once, in threads or in
+        forked processes."""
+        block, finite = buffer.of((len(items),) + self.shape[1:])
+        buf = block.reshape(-1).view(np.uint8)
+        offset, got = _offset(self.shape, items.start), 0
+        while got < buf.size:
+            read = os.preadv(self._fh.fileno(), [buf[got:]], offset + got)
+            if read == 0:
+                raise ContainerFormatError(
+                    f"payload ended early: read {got} of {buf.size} bytes of a block"
+                )
+            got += read
+        if not np.isfinite(block, out=finite).all():
+            raise ContainerFormatError("payload contains non-finite values")
+        return block
+
     def blocks(self, items=None):
         """Yield the payload of the item range ``items`` (all items by
-        default) k whole items at a time, as checked f32 items of shape
-        (k, d, h, w): views of one block that the next block overwrites.
-        Each block is read at its own offset and checked for finite values
-        into a mask of its own; each call has its own block and mask, so
-        calls over disjoint ranges may run on threads of their own."""
-        n = self.shape[0]
-        items = range(n) if items is None else items
-        per_block = _items_per_block(self.shape)
-        raw = np.empty((min(len(items), per_block),) + self.shape[1:], dtype="<f4")
-        finite = np.empty(raw.shape, dtype=bool)
+        default) k whole items at a time, through :meth:`read` into one
+        buffer of the call's own."""
+        items = range(self.shape[0]) if items is None else items
+        per_block, buffer = _items_per_block(self.shape), BlockBuffer()
         for first in range(items.start, items.stop, per_block):
-            k = min(per_block, items.stop - first)
-            block = raw[:k]
-            buf = block.reshape(-1).view(np.uint8)
-            offset, got = _offset(self.shape, first), 0
-            while got < buf.size:
-                read = os.preadv(self._fh.fileno(), [buf[got:]], offset + got)
-                if read == 0:
-                    raise ContainerFormatError(
-                        f"payload ended early: read {got} of {buf.size} bytes of a block"
-                    )
-                got += read
-            if not np.isfinite(block, out=finite[:k]).all():
-                raise ContainerFormatError("payload contains non-finite values")
-            yield block
+            yield self.read(range(first, min(first + per_block, items.stop)), buffer)
 
 
 class BlockWriter:
     """A container of ``shape`` written to ``path`` one block of whole items
-    at a time, through views of item ranges (:meth:`view`) or in order from
-    the first item (:meth:`write_rows`).  Use it as a context manager,
-    which closes the file."""
+    at a time: at any item (:meth:`write_at`), through views of item ranges
+    (:meth:`view`), or in order from the first item (:meth:`write_rows`).
+    Use it as a context manager, which closes the file."""
 
     def __init__(self, path, shape):
         self.shape = tuple(int(s) for s in shape)
@@ -221,8 +241,11 @@ class BlockWriter:
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
+        """Closes the file; then, if any view was made and the block raised
+        nothing, checks that every view wrote its whole range and that the
+        views wrote as many tokens as the header declares."""
         self._fh.close()
-        if exc_type is not None:
+        if exc_type is not None or not self._views:
             return
         n, _, h, w = self.shape
         for view in self._views:
@@ -238,9 +261,45 @@ class BlockWriter:
                 f"wrote {tokens} of the {n * h * w} tokens the header declares"
             )
 
+    def write_at(self, first, items, factor, buffer: BlockBuffer, stop=None) -> None:
+        """Write f32(``items`` * ``factor``) as the items from ``first`` on,
+        at their own offset, through ``buffer``: ``items`` are k whole
+        items, shape (k, d, h, w), and ``factor`` holds one float64 per
+        token, shape (k, 1, h, w), or one for all.  Items past ``stop`` (the
+        last item by default) are refused.  Each product is formed in
+        float64 and rounded once to f32, as a cast of the float64 product
+        would round it; only when the f32 block holds a non-finite value is
+        the float64 product formed, to name the fault: a non-finite
+        product, or one that overflows 32-bit storage.  Writes through
+        buffers of their own may run at once, in threads or in forked
+        processes; nothing checks that such writes cover the container,
+        which is their caller's to see to."""
+        items = np.asarray(items)
+        if items.ndim != 4 or items.shape[1:] != self.shape[1:]:
+            raise ContainerFormatError(
+                f"block of shape {items.shape} does not hold items of {self.shape[1:]}"
+            )
+        stop = self.shape[0] if stop is None else stop
+        if first + items.shape[0] > stop:
+            raise ContainerFormatError(
+                f"block of {items.shape[0]} items from item {first} runs past item {stop}"
+            )
+        # an ndarray, not a Python float, so the float64 loop runs (NEP 50)
+        factor = np.asarray(factor, dtype=np.float64)
+        payload, mask = buffer.of(items.shape)
+        with np.errstate(over="ignore"):
+            np.multiply(items, factor, out=payload, casting="same_kind")
+            if not np.isfinite(payload, out=mask).all():
+                if not np.isfinite(np.multiply(items, factor, dtype=np.float64)).all():
+                    raise ContainerFormatError("payload contains non-finite values")
+                raise ContainerFormatError("payload overflows 32-bit float storage")
+        offset = _offset(self.shape, first)
+        _pwrite_all(self._fh.fileno(), payload.reshape(-1).view(np.uint8), offset)
+        _start_writeback(self._fh.fileno(), offset, payload.nbytes)
+
     def view(self, items) -> _WriterView:
         """A view that writes the item range ``items`` in order, from its
-        first item, with buffers of its own; views of disjoint ranges may
+        first item, with a buffer of its own; views of disjoint ranges may
         write on threads of their own.  Each view must write its whole
         range, and no item past it."""
         view = _WriterView(self, items)
@@ -259,24 +318,15 @@ class BlockWriter:
 
 class _WriterView:
     """The item range ``items`` of a :class:`BlockWriter`'s container,
-    written in order, each block at its own offset, through one reused f32
-    block and mask; ``tokens`` counts the tokens written."""
+    written in order through :meth:`BlockWriter.write_at` and one buffer of
+    its own; ``tokens`` counts the tokens written."""
 
     def __init__(self, writer, items):
         self.shape = writer.shape
-        self._fd = writer._fh.fileno()
+        self._writer = writer
         self._next, self._stop = items.start, items.stop
-        self._buf = np.empty(0, dtype="<f4")
-        self._finite = np.empty(0, dtype=bool)
+        self._buffer = BlockBuffer()
         self.tokens = 0
-
-    def _block(self, shape):
-        """The reused f32 block and mask, as views of ``shape``."""
-        size = math.prod(shape)
-        if self._buf.size < size:
-            self._buf = np.empty(size, dtype="<f4")
-            self._finite = np.empty(size, dtype=bool)
-        return self._buf[:size].reshape(shape), self._finite[:size].reshape(shape)
 
     def write_rows(self, rows) -> None:
         """Append whole items given as token rows of shape (k*h*w, d),
@@ -288,38 +338,14 @@ class _WriterView:
         self.write_scaled(rows_to_tensor(rows, (k, d, h, w)), 1.0)
 
     def write_scaled(self, items, factor) -> None:
-        """Append f32(``items`` * ``factor``): ``items`` are k whole items,
-        shape (k, d, h, w), and ``factor`` holds one float64 per token,
-        shape (k, 1, h, w), or one for all.  Each product is formed in
-        float64 and rounded once to f32, as a cast of the float64 product
-        would round it; only when the f32 block holds a non-finite value is
-        the float64 product formed, to name the fault: a non-finite
-        product, or one that overflows 32-bit storage."""
-        items = np.asarray(items)
-        if items.ndim != 4 or items.shape[1:] != self.shape[1:]:
-            raise ContainerFormatError(
-                f"block of shape {items.shape} does not hold items of {self.shape[1:]}"
-            )
-        if self._next + items.shape[0] > self._stop:
-            raise ContainerFormatError(
-                f"block of {items.shape[0]} items from item {self._next}"
-                f" runs past item {self._stop}"
-            )
-        # an ndarray, not a Python float, so the float64 loop runs (NEP 50)
-        factor = np.asarray(factor, dtype=np.float64)
-        payload, mask = self._block(items.shape)
-        with np.errstate(over="ignore"):
-            np.multiply(items, factor, out=payload, casting="same_kind")
-            if not np.isfinite(payload, out=mask).all():
-                if not np.isfinite(np.multiply(items, factor, dtype=np.float64)).all():
-                    raise ContainerFormatError("payload contains non-finite values")
-                raise ContainerFormatError("payload overflows 32-bit float storage")
-        offset = _offset(self.shape, self._next)
-        _pwrite_all(self._fd, payload.reshape(-1).view(np.uint8), offset)
-        _start_writeback(self._fd, offset, payload.nbytes)
+        """Append f32(``items`` * ``factor``), as :meth:`BlockWriter.write_at`
+        writes it at the view's next item; items past the view's range are
+        refused."""
+        self._writer.write_at(self._next, items, factor, self._buffer, self._stop)
         _, _, h, w = self.shape
-        self._next += items.shape[0]
-        self.tokens += items.shape[0] * h * w
+        k = np.shape(items)[0]
+        self._next += k
+        self.tokens += k * h * w
 
 
 def _pwrite_all(fd, data, offset) -> None:

@@ -12,12 +12,12 @@ same exact sum, and ``math.fsum`` rounds their sum.
 
 :func:`path_profile` computes the per-pair geometry (endpoint norms, unit
 rows, angles, tangent units) once per profile and evaluates every grid point
-from it into buffers it reuses, one contiguous slice of the grid per usable
-CPU.  Each slice holds three ``(n, d)`` buffers (two for a linear path,
-whose velocity is the chord) and a workspace of seven n-vectors, which
-takes a point's per-pair coefficients and then its per-row values and the
-exact sums' chunks, so no grid point allocates an ``(n, d)`` buffer or a
-float n-vector.  A shell or slerp grid point is ten passes over the
+from it into buffers it reuses, one grid point at a time on each usable
+CPU (see ``model._run_ranges``).  Each CPU's taker of points holds three
+``(n, d)`` buffers (two for a linear path, whose velocity is the chord) and
+a workspace of seven n-vectors, which takes a point's per-pair coefficients
+and then its per-row values and the exact sums' chunks, so no grid point
+allocates an ``(n, d)`` buffer or a float n-vector.  A shell or slerp grid point is ten passes over the
 ``(n, d)`` rows: two row-scaled products and an add each for the position
 and the velocity (``paths._path_at``), the norms' squares and sum, and the
 velocity's two products with itself and the position.  A linear velocity
@@ -266,11 +266,12 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     slerp rows come from each pair's two unit rows and per-pair
     coefficients that carry the radius, and a linear velocity is the
     chord, whose energy is taken once here rather than at every point.
-    The grid runs as contiguous slices through ``model._run_ranges``, one
-    per usable CPU, each with its own three ``(n, d)`` buffers (two for a
-    linear path) and seven n-vectors of workspace.  Every point's
-    arithmetic is the same as alone, so the curves do not depend on the
-    CPU count, and an error is the one the first failing grid point
+    Each grid point is a unit of ``model._run_ranges``, which writes its
+    four values into columns in one shared mapping; each taker of points
+    holds its own three ``(n, d)`` buffers (two for a linear path) and
+    seven n-vectors of workspace.  Every point's arithmetic is the same as
+    alone, so the curves do not depend on the CPU count or on which taker
+    ran which point, and an error is the one the first failing grid point
     raises.
     """
 
@@ -312,16 +313,19 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
     pairs = _path_setup(z0s, z1s, kind)
     # a LINEAR velocity is the chord at every t, so its energy is too
     energy = _energy_rows(pairs.chord) if kind is PathKind.LINEAR else None
-    mean_norm, std_norm, mean_off, mean_share = (np.empty_like(t_grid) for _ in range(4))
+    # the grid points share nothing but the set-up: one unit each, whose
+    # four values go to the shared columns
+    mean_norm, std_norm, mean_off, mean_share = model._shared_array((4,) + t_grid.shape)
 
-    def profile_slice(points):
+    def profile_taker():
         # a LINEAR u_t is the chord; once a point's rows are formed, the
         # workspace of their coefficients holds its per-row values
         z_t, scratch = np.empty(z0s.shape), np.empty(z0s.shape)
         u_t = None if kind is PathKind.LINEAR else np.empty(z0s.shape)
         work = _geodesic_workspace((n,))
         norms, sums = work[0], work[5:, : min(n, _FSUM_CHUNK)]
-        for i in points:
+
+        def point(i):
             z, u = _path_at(pairs, float(t_grid[i]), (z_t, u_t, scratch, work))
             _norms_into(z, scratch, norms)
             mean_norm[i] = _fsum_mean(norms, sums)
@@ -331,9 +335,9 @@ def path_profile(z0s, z1s, kind: PathKind, t_grid=None) -> PathProfile:
             share = _radial_energy_rows(u, z, norms, energy, work[1:4])[2]
             mean_share[i] = _fsum_mean(share, sums)
 
-    # the grid points share nothing but the set-up
-    slices = np.array_split(np.arange(t_grid.shape[0]), min(t_grid.shape[0], model._usable_cpus()))
-    model._run_ranges(profile_slice, slices)
+        return point
+
+    model._run_ranges(profile_taker, t_grid.shape[0])
     return PathProfile(t_grid, mean_norm, std_norm, mean_off, mean_share, kind, absolute)
 
 

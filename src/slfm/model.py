@@ -18,6 +18,7 @@ import mmap
 import os
 import pickle
 import re
+import select
 import signal
 import sys
 import threading
@@ -765,7 +766,7 @@ class _TrainBatches:
         # id takes one
         widths = [field.d, field.d, field.time_dim, 1]
         size = 2 * rows * sum(widths)
-        buffer = np.frombuffer(mmap.mmap(-1, 8 * size)) if shared else np.empty(size)
+        buffer = _shared_array((size,)) if shared else np.empty(size)
         self.slots = []
         for slot in buffer.reshape(2, size // 2):
             parts = np.split(slot, rows * np.cumsum(widths[:-1]))
@@ -805,23 +806,6 @@ class _TrainBatches:
         return tuple(part[rows] for part in self.slots[slot])
 
 
-def _helper_usable(chunks: int) -> bool:
-    """Whether :func:`train` fills its ``chunks`` chunks in a forked helper:
-    only where the platform can fork, a second CPU can run the helper, the
-    process runs no other thread, and there is a chunk to fill ahead.  No
-    other thread means none that could hold a lock the child would inherit,
-    and none that competes with the helper for the second CPU: numpy's BLAS
-    starts a pool of its own unless it is told to run one thread
-    (``OPENBLAS_NUM_THREADS=1``), and beside such a pool, on two CPUs, a
-    250-step command ran slower with the helper than without it."""
-    return (
-        hasattr(os, "fork")
-        and chunks > 1
-        and _thread_count() == 1
-        and _usable_cpus() >= 2
-    )
-
-
 @contextlib.contextmanager
 def _filled_chunks(field: VelocityField, dataset: SyntheticDataset, config: TrainConfig, rng):
     """Yields an iterator over the chunks of a ``config.steps``-step run:
@@ -829,7 +813,7 @@ def _filled_chunks(field: VelocityField, dataset: SyntheticDataset, config: Trai
     a ``batch(step)`` of :class:`_TrainBatches` whose rows chunk k holds in
     slot k % 2, filled from ``rng`` by the time the chunk is handed on.
 
-    Where :func:`_helper_usable` allows, chunk 0 is filled in process, and
+    Where :func:`_forkable` allows, chunk 0 is filled in process, and
     then a forked helper fills the later chunks ahead of the caller from a
     copy of ``rng`` (see :func:`_fill_ahead`) and sends
     ``rng.bit_generator.state`` after each one on a pipe.  Chunk k is taken
@@ -848,7 +832,7 @@ def _filled_chunks(field: VelocityField, dataset: SyntheticDataset, config: Trai
         (first, min(TRAIN_CHUNK, config.steps - first))
         for first in range(0, config.steps, TRAIN_CHUNK)
     ]
-    shared = _helper_usable(len(chunks))
+    shared = _forkable(len(chunks))
     batches = _TrainBatches(field, dataset, config, min(TRAIN_CHUNK, config.steps), shared)
     helper = None  # (pid, replies, free) while the helper's stream lasts
     if shared:
@@ -1083,6 +1067,24 @@ def _thread_count() -> int:
         return 0
 
 
+def _forkable(units: int) -> bool:
+    """Whether ``units`` units of work may go to forked children: the chunks
+    of :func:`train`'s fill helper, or the units of :func:`_run_ranges`.
+    Only where the platform can fork, there is more than one unit, the
+    process runs no other thread, and a second CPU can run a child.  No
+    other thread means none that could hold a lock the child would inherit,
+    and none that competes with the child for the second CPU: numpy's BLAS
+    starts a pool of its own unless it is told to run one thread
+    (``OPENBLAS_NUM_THREADS=1``), and beside such a pool, on two CPUs, a
+    250-step train command ran slower with the helper than without it."""
+    return (
+        hasattr(os, "fork")
+        and units > 1
+        and _thread_count() == 1
+        and _usable_cpus() >= 2
+    )
+
+
 def _other_cpus():
     """The CPUs this process may run on but the one it runs on now, or None
     where the platform does not tell.  A child forked now starts on this
@@ -1097,37 +1099,159 @@ def _other_cpus():
         return None
 
 
-def _run_ranges(fn, ranges) -> list:
-    """``fn(r)`` for every range ``r`` at once, each under the caller's numpy
-    error state: the first on this thread, each other on a thread of its
-    own.  Joins every thread, then raises the first range's error, in range
-    order, as a loop over the ranges would; else returns what each call
-    returned, in range order."""
-    errstate = np.geterr()
-    returned, raised = [None] * len(ranges), [None] * len(ranges)
+def _shared_array(shape, dtype=np.float64) -> np.ndarray:
+    """A zero-filled array in an anonymous shared mapping: what a child
+    forked after it was made writes into it, the parent reads."""
+    count = math.prod(shape)
+    memory = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(memory, dtype=dtype, count=count).reshape(shape)
 
-    def call(i):
+
+def _run_ranges(make_run, count: int) -> None:
+    """Runs the units ``0 .. count - 1`` of a work whose units write their
+    results into arrays of :func:`_shared_array`, or into files at offsets
+    of their own: unit i is ``run(i)``, where each taker of units makes its
+    own ``run = make_run()``, with its own buffers, for its first unit.
+
+    On one usable CPU, or for one unit, the caller runs every unit in order
+    and starts nothing.  Otherwise the caller and one taker per other usable
+    CPU (one per other unit at most) take unit indices from one pipe, each
+    as soon as it is done with its last unit, so a taker on a slower CPU
+    takes fewer.  Where :func:`_forkable` allows, each taker is a forked
+    process, pinned to a CPU of its own other than the caller's, that leaves
+    through ``os._exit``; else it is a thread.  That is the one difference
+    between the two.  Each taker runs its units under the caller's numpy
+    error state, and takes no more once one of them raised.
+
+    A taker only speeds the run up.  Once the pipe is empty the caller waits
+    for every taker; once a unit of its own raised, it empties the pipe and
+    kills every forked taker with ``SIGKILL`` (a thread ends with its unit).
+    However it leaves, an interrupt included, it reaps or joins every taker
+    before it reads a unit's results.  Then it runs in process, in unit
+    order, every unit that no taker reported done, and raises its own
+    unit's error when it comes to that unit.  So the first error in unit
+    order is always the caller's own, with its own type and message, and a
+    taker that dies costs only time.  Every unit's arithmetic is the same
+    whichever taker runs it, so the results do not depend on the CPU count
+    or on which taker ran which unit."""
+    width = min(count, _usable_cpus())
+    run, failed = _lazily(make_run), None  # (unit, error) of the caller's
+
+    def own(i):
+        nonlocal failed
         try:
-            # errstate is per thread: each range enters the caller's
-            with np.errstate(**errstate):
-                returned[i] = fn(ranges[i])
-        except BaseException as exc:  # raised below, in range order
-            raised[i] = exc
+            run(i)
+        except Exception as exc:
+            failed = (i, exc)
+            raise
 
-    started = []
+    if width <= 1:
+        for i in range(count):
+            own(i)
+        return
+    done = _shared_array((count,), np.uint8)
+    # one 4-byte message a run of units, every message in one write that
+    # the pipe holds: one unit a message up to PIPE_BUF / 4 units
+    messages = min(count, select.PIPE_BUF // 4)
+
+    def runs(k):
+        return range(k * count // messages, (k + 1) * count // messages)
+
+    units, posted = os.pipe()
+    takers = []  # a stop(kill) for each taker started
     try:
-        for i in range(1, len(ranges)):
-            thread = threading.Thread(target=call, args=(i,))
-            thread.start()
-            started.append(thread)
-        call(0)
+        try:
+            os.write(posted, b"".join(k.to_bytes(4, "little") for k in range(messages)))
+        finally:
+            os.close(posted)  # so that an empty pipe reads as its end
+        fork = _forkable(count)
+        others = sorted(_other_cpus() or ()) if fork else []
+        with contextlib.suppress(OSError, RuntimeError):  # no process or thread to spare
+            for j in range(width - 1):
+                cpu = others[j % len(others)] if others else None
+                takers.append(_start_taker(fork, cpu, units, runs, done, make_run))
+        with contextlib.suppress(Exception):  # raised again below, in unit order
+            _take(units, runs, done, own)
+        _drain(units)  # empty unless a unit of the caller's raised
+        while takers:  # popped once stopped, so that an interrupt stops the rest
+            takers[-1](failed is not None)
+            takers.pop()
     finally:
-        for thread in started:
-            thread.join()
-    for exc in raised:
-        if exc is not None:
-            raise exc
-    return returned
+        _drain(units)
+        while takers:
+            takers.pop()(True)
+        os.close(units)
+    for i in range(count):
+        if not done[i]:
+            if failed is not None and failed[0] == i:
+                raise failed[1]
+            own(i)
+
+
+def _lazily(make_run):
+    """``run(i)`` through one ``make_run()``, made on the first call."""
+    made = []
+
+    def run(i):
+        if not made:
+            made.append(make_run())
+        made[0](i)
+
+    return run
+
+
+def _take(units: int, runs, done, run) -> None:
+    """Takes messages from the pipe ``units`` until it is empty, and runs
+    each unit of the run of units ``runs(k)`` that a message k names,
+    marking it in ``done`` once it returned."""
+    while message := os.read(units, 4):
+        for i in runs(int.from_bytes(message, "little")):
+            run(i)
+            done[i] = 1
+
+
+def _drain(units: int) -> None:
+    """Empties the pipe ``units``, so that no taker takes another unit."""
+    while os.read(units, 1 << 16):
+        pass
+
+
+def _start_taker(fork: bool, cpu, units: int, runs, done, make_run):
+    """Starts a taker of :func:`_run_ranges`: a process forked onto ``cpu``
+    (any CPU where it is None) when ``fork``, else a thread.  It takes units
+    under the caller's numpy error state until the pipe is empty or a unit
+    raises.  Returns ``stop(kill)``, which reaps the process, killing it
+    first when ``kill``, or joins the thread."""
+    errstate = np.geterr()
+
+    def take():
+        # an error is left for the caller, which runs the unit again
+        with contextlib.suppress(Exception), np.errstate(**errstate):
+            _take(units, runs, done, _lazily(make_run))
+
+    if not fork:
+        thread = threading.Thread(target=take)
+        thread.start()
+        return lambda kill: thread.join()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's to handle
+            if cpu is not None:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, {cpu})
+            take()
+        finally:
+            os._exit(0)
+
+    def stop(kill):
+        if kill:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):  # reaped already
+            os.waitpid(pid, 0)
+
+    return stop
 
 
 def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: int, rng):
@@ -1136,32 +1260,36 @@ def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: i
     :func:`_forward_rows` run through buffers allocated once per block.
     Checks ``n``, the sampler, ``nfe`` and ``cond`` before it returns, then
     yields ``(rows, dev)`` for each block in row order, where ``dev`` is the
-    block's largest |norm - R|; the rows are the block's own.
+    block's largest |norm - R|; the rows are a view that the next wave of
+    blocks overwrites.
 
     The blocks share nothing, so they run in waves of as many blocks as
-    this process has usable CPUs, through :func:`_run_ranges`; every
-    block's arithmetic is the same as alone, so the outputs do not depend
-    on the CPU count.  Each wave draws its blocks' prior rows in row order
-    before it starts, the random stream of one ``(n, d)`` draw.  Each block
-    checks its own chains on its own thread, from one pass over their norms,
-    which overflow does not warn about: a non-finite norm (a diverging
-    chain, whichever the sampler) raises :class:`DivergenceDetected`, and so
-    does a chain of a sphere-preserving sampler on a slerp field that ends
-    off the sphere (see :data:`SPHERE_SAMPLER_RTOL`) or a projected chain
-    that collapses to the origin.  The first bad block of a wave in row
-    order, or the first whose integration raised, is raised before any
-    block of that wave is handed on; no later wave starts."""
+    this process has usable CPUs, each block a unit of :func:`_run_ranges`
+    that writes its rows and its deviation into one shared array of a
+    wave's rows and one of its deviations, both made once per call; so
+    memory stays fixed as ``n`` grows.  Every block's arithmetic is the
+    same as alone, so the outputs do not depend on the CPU count.  Each
+    wave draws its blocks' prior rows in row order before it starts, the
+    random stream of one ``(n, d)`` draw.  Each block checks its own chains,
+    from one pass over their norms, which overflow does not warn about: a
+    non-finite norm (a diverging chain, whichever the sampler) raises
+    :class:`DivergenceDetected`, and so does a chain of a sphere-preserving
+    sampler on a slerp field that ends off the sphere (see
+    :data:`SPHERE_SAMPLER_RTOL`) or a projected chain that collapses to the
+    origin.  The first bad block of a wave in row order, or the first whose
+    integration raised, is raised before any block of that wave is handed
+    on; no later wave starts."""
     if n < 1:
         raise ValueError("need at least one chain")
     _check_sampler(sampler, nfe)
     cond = _check_conditions(field, int(cond))
     on_sphere = field.kind == "slerp" and sampler in SPHERE_SAMPLERS
-    starts = range(0, n, SAMPLE_BLOCK)
-    width = min(len(starts), _usable_cpus())
+    width = min(-(-n // SAMPLE_BLOCK), _usable_cpus())
+    out = _shared_array((min(n, width * SAMPLE_BLOCK), field.d))
+    devs = _shared_array((width,))
 
-    def integrate_block(job):
-        block, z0 = job
-        named = f"rows {block.start}..{block.stop - 1}"
+    def integrate_block(first, z0, j):
+        named = f"rows {first}..{first + len(z0) - 1}"
         work = _StepBuffers(field, len(z0))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -1177,14 +1305,16 @@ def _sample_blocks(field: VelocityField, n: int, sampler: str, nfe: int, cond: i
             raise DivergenceDetected(f"non-finite chains among {named}")
         if on_sphere and dev > SPHERE_SAMPLER_RTOL * field.radius:
             raise DivergenceDetected(f"chains among {named} left the sphere by {dev!r}")
-        return rows, dev
+        out[j * SAMPLE_BLOCK : j * SAMPLE_BLOCK + len(rows)] = rows
+        devs[j] = dev
 
     def waves():
-        for first in range(0, len(starts), width):
-            wave = [range(s, min(s + SAMPLE_BLOCK, n)) for s in starts[first : first + width]]
-            yield from _run_ranges(
-                integrate_block, [(block, prior_rows(field, len(block), rng)) for block in wave]
-            )
+        for start in range(0, n, width * SAMPLE_BLOCK):
+            firsts = range(start, min(start + width * SAMPLE_BLOCK, n), SAMPLE_BLOCK)
+            blocks = [(first, prior_rows(field, min(SAMPLE_BLOCK, n - first), rng)) for first in firsts]
+            _run_ranges(lambda: lambda j: integrate_block(*blocks[j], j), len(blocks))
+            for j, (_, z0) in enumerate(blocks):
+                yield out[j * SAMPLE_BLOCK : j * SAMPLE_BLOCK + len(z0)], float(devs[j])
 
     return waves()
 

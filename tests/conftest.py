@@ -1,5 +1,5 @@
 """Shared pytest wiring: the acceptance verdict summary, and the
-``helpers`` fixture of the train tests.
+``helpers`` fixture of the tests of forked children.
 
 ``test_acceptance.py`` records one (number, status, description) triple per
 criterion; printing happens here, after capture ends, so the verdict lines
@@ -17,9 +17,10 @@ acceptance_verdicts = []
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """The pids of the fill helpers that train forks while the test runs.
-    The process counts as running one thread, whatever pool numpy's BLAS
-    started, so that train may fork one."""
+    """The pids of the children forked while the test runs: train's fill
+    helpers and the takers of ``model._run_ranges``.  The process counts as
+    running one thread, whatever pool numpy's BLAS started, so that both
+    may fork."""
     monkeypatch.setattr(model, "_thread_count", lambda: 1)
     pids, fork = [], os.fork
 

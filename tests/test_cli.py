@@ -506,6 +506,45 @@ def test_train_writes_the_same_files_pinned_to_one_cpu_and_to_two(tmp_path):
     assert files[0] == files[1]
 
 
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="fewer than two usable CPUs"
+)
+def test_paths_and_swap_write_the_same_bytes_pinned_to_one_cpu_and_to_two(tmp_path):
+    # the takers' real gate, unpatched: a fresh interpreter whose BLAS runs
+    # one thread forks a taker only on two CPUs; each container holds 3
+    # blocks of the default size
+    cpus = sorted(os.sched_getaffinity(0))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(slfm.__file__).parents[1]))
+    rng = np.random.default_rng(7)
+    anchor, substitute = tmp_path / "a.slfm", tmp_path / "s.slfm"
+    container.write_container(anchor, rng.standard_normal((40, 16, 32, 32)).astype(np.float32))
+    container.write_container(substitute, 3.0 * rng.standard_normal((40, 16, 32, 32)).astype(np.float32))
+    runs = []
+    for mask in (cpus[:1], cpus[:2]):
+        out = tmp_path / str(len(mask))
+        out.mkdir()
+        commands = [
+            ["paths", "--synthetic", "gauss-shells:d=16,r0=4.0,r1=3.0,cv=0.1", "--kind", kind,
+             "--pairs", "256", "--grid", "11"]
+            for kind in ("linear", "shell")
+        ] + [
+            ["paths", "--synthetic", "sphere:d=16,R=4.0", "--kind", "slerp", "--pairs", "256",
+             "--grid", "11", "--format", "json"],
+            ["swap", str(anchor), str(substitute), "--out-direction", str(out / "dir.slfm"),
+             "--out-radius", str(out / "rad.slfm")],
+        ]
+        printed = []
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "slfm.cli", *argv], env=env, capture_output=True, text=True,
+                timeout=120, preexec_fn=lambda: os.sched_setaffinity(0, mask),
+            )
+            assert done.returncode == 0 and done.stderr == "", done.stderr
+            printed.append(done.stdout)
+        runs.append((printed, (out / "dir.slfm").read_bytes(), (out / "rad.slfm").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_train_divergence_with_its_helper_leaves_no_child(tmp_path, capsys, monkeypatch, helpers):
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     argv = ["train", "--out", str(tmp_path / "m.slfm"), "--seed", "0", "--lr", "1e308"]
@@ -587,6 +626,12 @@ _BAD_TRAINING_SETS = {
     "string-spread": (_dataset_edit(spread="wide"), "extra.dataset"),
     "dataset-radius-square-overflows": (_dataset_edit(radius=1e200), "extra.dataset"),
     "field-radius-square-overflows": (lambda meta: meta.update(radius=1e200), "radius"),
+    # a field on another sphere than its training set's: the histogram would
+    # count chains of the wrong sphere
+    "field-radius-differs": (
+        lambda meta: meta.update(radius=2.0), f"radius {math.sqrt(3)!r} is not the field's 2.0"
+    ),
+    "field-radius-tiny": (lambda meta: meta.update(radius=1e-10), "is not the field's 1e-10"),
     "dataset-d-differs": (_dataset_edit(d=4), "extra.dataset"),
     "dataset-in-other-dimension": (_move_set_to_4d, "dimension 4"),
 }
@@ -715,17 +760,39 @@ _SIDECAR_KEYS = [
 ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(key=st.sampled_from(_SIDECAR_KEYS), delete=st.booleans(), value=_JSON_VALUES)
-def test_sample_survives_any_sidecar_edit(trained, tmp_path_factory, key, delete, value):
+_CONFIG_KEYS = [
+    "batch_size", "grad_clip", "learning_rate", "loss_kind", "seed", "shift", "steps",
+    "time_mean", "time_sampling", "time_std", "weight_decay", "unknown",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    edit=st.sampled_from(["replace", "delete", "config-replace", "config-delete", "widths-entry", "widths-append"]),
+    key=st.sampled_from(_SIDECAR_KEYS),
+    inner=st.sampled_from(_CONFIG_KEYS),
+    index=st.integers(0, 3),
+    value=_JSON_VALUES,
+)
+def test_sample_survives_any_sidecar_edit(trained, tmp_path_factory, edit, key, inner, index, value):
     # one top-level key of the sidecar replaced by any JSON value, or
-    # deleted: the checkpoint is used (exit 0) or refused in one ERROR line
-    # (exit 2), never with a traceback or a numpy warning
+    # deleted; one key of its config replaced or deleted; one entry of its
+    # widths replaced, or one appended: the checkpoint is used (exit 0) or
+    # refused in one ERROR line (exit 2), never with a traceback or a numpy
+    # warning
     def apply(meta):
-        if delete:
-            meta.pop(key)
-        else:
+        if edit == "replace":
             meta[key] = value
+        elif edit == "delete":
+            meta.pop(key)
+        elif edit == "config-replace":
+            meta["config"][inner] = value
+        elif edit == "config-delete":
+            meta["config"].pop(inner, None)
+        elif edit == "widths-entry":
+            meta["widths"][index % len(meta["widths"])] = value
+        else:
+            meta["widths"].append(value)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_usable_cpus", lambda: 1)

@@ -402,13 +402,14 @@ def test_profile_does_not_depend_on_the_cpu_count(monkeypatch, kind, points):
 
 
 def test_profile_with_more_threads_than_cores_matches_one_cpu(monkeypatch):
-    # eight slices, switching threads every microsecond: each slice still
-    # writes only its own points of the shared curves
+    # eight takers, switching threads every microsecond: each point still
+    # writes only its own values of the shared curves
     z0, z1 = _mixed_regime_path_pairs(PathKind.SHELL, np.random.default_rng(16))
     grid = np.linspace(0.0, 1.0, 37)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     alone = _profile_columns(path_profile(z0, z1, PathKind.SHELL, grid))
     monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)  # takers are threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -436,7 +437,9 @@ def test_one_point_profile_starts_no_thread(monkeypatch):
     def start(self):
         raise AssertionError("a one-point grid started a thread")
 
+    # takers of two points would be threads, as beside another thread
     monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)
     monkeypatch.setattr(threading.Thread, "start", start)
     z0, z1 = _mixed_regime_path_pairs(PathKind.SHELL, np.random.default_rng(15))
     profile = path_profile(z0, z1, PathKind.SHELL, np.array([0.5]))

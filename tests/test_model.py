@@ -11,6 +11,7 @@ import pickle
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slfm import container, model, sphere
+from slfm import container, diagnostics, model, sphere
 from slfm.errors import (
     ContainerFormatError,
     DimensionMismatch,
@@ -1585,8 +1586,9 @@ def test_sample_in_small_blocks_matches_one_block(monkeypatch, sampler):
 
     monkeypatch.setattr(model, "SAMPLE_BLOCK", 7)
     monkeypatch.setattr(model, "integrate", integrate_block)
-    # waves of two blocks: the 6-row block is the only one of the last wave
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    # waves of two blocks: the 6-row block is the only one of the last wave;
+    # the takers are threads, whose calls this process sees
+    _on_threads(monkeypatch, 2)
     blocked = sample(field, 20, sampler, 6, 2, np.random.default_rng(53))
     assert blocks == [7, 7, 6]
     assert_allclose(blocked.outputs, whole.outputs, rtol=0, atol=1e-12)
@@ -1838,9 +1840,10 @@ def test_sample_with_overflowing_field_raises_divergence(sampler):
 
 def test_sample_checks_each_block(monkeypatch):
     # a block whose chains all stay finite passes; the second block diverges
-    # and is named by its rows, and the third, in the next wave of two, is
-    # never integrated.  Blocks of a wave run at once, so the finite block is
-    # told by its rows, not by call order
+    # and is named by its rows, and the third, of 2 rows, in the next wave of
+    # two, is never integrated.  Blocks of a wave run at once, so the finite
+    # block is told by its rows, not by call order, and the caller runs the
+    # second again if a taker thread ran it first
     monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     field = _overflowing_field(np.random.default_rng(64))
@@ -1855,7 +1858,7 @@ def test_sample_checks_each_block(monkeypatch):
     monkeypatch.setattr(model, "integrate", integrate_block)
     with pytest.raises(DivergenceDetected, match="rows 4..7$"):
         sample(field, 10, "euler", 2, 0, np.random.default_rng(65))
-    assert calls == [4, 4]
+    assert set(calls) == {4}
 
 
 @pytest.mark.parametrize("sampler", model.SAMPLERS)
@@ -1879,6 +1882,7 @@ def test_sample_with_more_threads_than_cores_matches_one_cpu(monkeypatch):
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     alone = sample(field, 50, "euler_project", 6, 0, np.random.default_rng(77)).outputs
     monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)  # takers are threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1920,24 +1924,39 @@ def test_sample_names_the_earliest_bad_block_of_a_wave(monkeypatch):
     assert caught == []
 
 
-def test_sample_raises_a_worker_error_in_the_caller(monkeypatch):
-    # a MemoryError on a worker thread reaches the caller once every thread
-    # of the wave has been joined
+def _sample_raising_in_a_block(monkeypatch):
+    """sample of 10 chains in blocks of 4 on 3 CPUs, whose block of rows
+    4..7 raises a MemoryError wherever it runs."""
     monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
     field = _tiny_field(np.random.default_rng(73), kind="slerp")
+    second = prior_rows(field, 10, np.random.default_rng(74))[4:8]
     integrate_all = model.integrate
 
     def integrate_block(vel_fn, z0, *args):
-        if threading.current_thread() is not threading.main_thread():
+        if np.array_equal(z0, second):
             raise MemoryError("no room for a block")
         return integrate_all(vel_fn, z0, *args)
 
     monkeypatch.setattr(model, "integrate", integrate_block)
     threads = threading.active_count()
-    with pytest.raises(MemoryError, match="no room for a block"):
+    with pytest.raises(MemoryError, match="^no room for a block$"):
         sample(field, 10, "exp_map", 2, 0, np.random.default_rng(74))
     assert threading.active_count() == threads
+
+
+def test_sample_raises_a_worker_error_in_the_caller(monkeypatch):
+    # the error reaches the caller, with its own message, once every taker
+    # thread of the wave has been joined
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)
+    _sample_raising_in_a_block(monkeypatch)
+
+
+def test_sample_raises_a_forked_takers_error_in_the_caller(monkeypatch, helpers):
+    # the same once both forked takers of the wave have been reaped
+    _sample_raising_in_a_block(monkeypatch)
+    assert len(helpers) == 2
+    _no_child_left()
 
 
 def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
@@ -1963,60 +1982,106 @@ def test_usable_cpus_without_an_affinity_mask_counts_every_cpu(monkeypatch, affi
     assert model._usable_cpus() == (count or 1)
 
 
-def test_run_ranges_returns_in_range_order():
-    # all four ranges meet at a barrier, so they end in any order
-    barrier = threading.Barrier(4, timeout=60)
-
-    def fn(r):
-        barrier.wait()
-        return list(r)
-
-    ranges = [range(0, 3), range(3, 5), range(5, 9), range(9, 10)]
-    assert model._run_ranges(fn, ranges) == [list(r) for r in ranges]
+def _on_threads(monkeypatch, cpus):
+    """``cpus`` usable CPUs whose takers of units are threads, as beside
+    another thread: their calls are this process's to see."""
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)
 
 
-def test_run_ranges_raises_the_first_range_error():
-    # the second range raises first in time; the first range's error, the
-    # one a loop in range order would raise, is the one that comes out
+def _meeting(fn, takers):
+    """A ``make_run`` for _run_ranges whose ``takers`` takers each meet the
+    others at a barrier before their first unit, so that each holds one
+    unit at once, and then run ``fn(i)``; a later unit runs at once."""
+    barrier, met = threading.Barrier(takers, timeout=60), set()
+
+    def make_run():
+        def run(i):
+            if threading.get_ident() not in met:
+                met.add(threading.get_ident())
+                barrier.wait()
+            fn(i)
+
+        return run
+
+    return make_run
+
+
+def test_run_ranges_returns_in_range_order(monkeypatch):
+    # four units on four takers, which meet at a barrier, so they end in any
+    # order; each writes its own result into a shared array
+    _on_threads(monkeypatch, 4)
+    out = model._shared_array((4,), np.int64)
+
+    def fn(i):
+        out[i] = 10 * i + 1
+
+    model._run_ranges(_meeting(fn, 4), 4)
+    assert out.tolist() == [1, 11, 21, 31]
+
+
+def test_run_ranges_raises_the_first_range_error(monkeypatch):
+    # the second unit raises first in time; the first unit's error, the one
+    # a loop in unit order would raise, is the one that comes out, whichever
+    # taker ran which unit
+    _on_threads(monkeypatch, 2)
     raised = threading.Event()
 
     def fn(i):
         if i == 0:
             assert raised.wait(timeout=60)
-            raise ValueError("first range")
+            raise ValueError("first unit")
         try:
-            raise KeyError("second range")
+            raise KeyError("second unit")
         finally:
             raised.set()
 
-    with pytest.raises(ValueError, match="first range"):
-        model._run_ranges(fn, [0, 1])
+    with pytest.raises(ValueError, match="first unit"):
+        model._run_ranges(lambda: fn, 2)
 
 
-def _overflow_off_main(i):
-    # only the range on a worker thread overflows
-    if threading.current_thread() is threading.main_thread():
-        return None
-    return np.full(2, 1e308) * 10.0
+def _overflow(i, attempts):
+    # unit 1 overflows wherever it runs; each attempt records whether it
+    # ran on the main thread and the error state it ran under
+    attempts.append((i, threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+    return np.full(2, 1e308) * 10.0 if i else None
 
 
-def test_run_ranges_raises_a_worker_overflow_under_the_callers_errstate():
+def test_run_ranges_raises_a_worker_overflow_under_the_callers_errstate(monkeypatch):
+    # each taker, the thread as the caller, runs under the caller's
+    # errstate; the overflow of unit 1 comes out of the caller, which runs
+    # unit 1 again if the thread ran it first
+    _on_threads(monkeypatch, 2)
+    attempts = []
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            model._run_ranges(_overflow_off_main, [0, 1])
+            model._run_ranges(_meeting(lambda i: _overflow(i, attempts), 2), 2)
+    assert {main for _, main, _ in attempts} == {True, False}
+    assert {over for *_, over in attempts} == {"raise"}
 
 
-def test_run_ranges_ignores_a_worker_overflow_under_the_callers_errstate():
+def test_run_ranges_ignores_a_worker_overflow_under_the_callers_errstate(monkeypatch):
+    _on_threads(monkeypatch, 2)
+    attempts, out = [], model._shared_array((2, 2))
+
+    def fn(i):
+        value = _overflow(i, attempts)
+        if i:
+            out[i] = value
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with np.errstate(over="ignore"):
-            first, second = model._run_ranges(_overflow_off_main, [0, 1])
-    assert first is None and np.all(np.isinf(second))
-    assert caught == []
+            model._run_ranges(_meeting(fn, 2), 2)
+    assert np.all(np.isinf(out[1])) and caught == []
+    assert sorted(main for _, main, _ in attempts) == [False, True]
+    assert {over for *_, over in attempts} == {"ignore"}
 
 
-def test_run_ranges_joins_every_thread_before_it_raises():
-    # the first range raises at once, the three on worker threads later
+def test_run_ranges_joins_every_thread_before_it_raises(monkeypatch):
+    # unit 0 raises at once, the three others later
+    _on_threads(monkeypatch, 4)
+
     def fn(i):
         if i:
             threading.Event().wait(0.05)
@@ -2024,18 +2089,167 @@ def test_run_ranges_joins_every_thread_before_it_raises():
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="range 0"):
-        model._run_ranges(fn, [0, 1, 2, 3])
+        model._run_ranges(lambda: fn, 4)
     assert threading.active_count() == threads
 
 
-def test_run_ranges_of_one_range_starts_no_thread(monkeypatch):
+def test_run_ranges_of_one_range_starts_no_thread(monkeypatch, helpers):
+    # one unit runs on the caller's thread, with no pipe, thread or child
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
 
+    def no_pipe():
+        raise AssertionError("a pipe was made")
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(model.threading, "Thread", no_thread)
-    assert model._run_ranges(lambda r: (r, threading.current_thread()), ["only"]) == [
-        ("only", threading.current_thread())
-    ]
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    ran = []
+    model._run_ranges(lambda: lambda i: ran.append((i, threading.current_thread())), 1)
+    assert ran == [(0, threading.current_thread())] and helpers == []
+
+
+# ---------------------------------------------------------------------------
+# forked takers of units: a taker only speeds a run up
+
+
+def _unit_commands(tmp_path, monkeypatch):
+    """One command of each caller of _run_ranges, each of several units: a
+    9-point profile, 5-block stats and swap of containers of 4 KiB blocks,
+    and 10 chains of a checkpoint in blocks of 4."""
+    monkeypatch.setattr(container, "BLOCK_BYTES", 4096)
+    monkeypatch.setattr(model, "SAMPLE_BLOCK", 4)
+    rng = np.random.default_rng(95)
+    anchor, substitute, ckpt = tmp_path / "a.slfm", tmp_path / "s.slfm", tmp_path / "m.slfm"
+    container.write_container(anchor, rng.standard_normal((37, 8, 3, 5)).astype(np.float32))
+    container.write_container(substitute, 3.0 * rng.standard_normal((37, 8, 3, 5)).astype(np.float32))
+    model.save_checkpoint(ckpt, _tiny_field(rng, kind="slerp"))
+    return {
+        "paths": ["paths", "--synthetic", "gauss-shells:d=8,r0=2.0,r1=3.0,cv=0.1", "--kind", "shell",
+                  "--grid", "9", "--pairs", "64"],
+        "stats": ["stats", str(anchor), "--project", "2.0"],
+        "swap": ["swap", str(anchor), str(substitute), "--out-direction", str(tmp_path / "dir.slfm"),
+                 "--out-radius", str(tmp_path / "rad.slfm")],
+        "sample": ["sample", str(ckpt), "--seed", "3", "--n", "10", "--nfe", "3", "--out",
+                   str(tmp_path / "out.slfm")],
+    }
+
+
+def _run_command(argv, capsys, tmp_path):
+    """Exit code, stdout and the bytes of every output file of ``argv``."""
+    from slfm.cli import main
+
+    code = main(argv)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name in ("dir.slfm", "rad.slfm", "out.slfm")}
+    return code, capsys.readouterr().out, written
+
+
+def _killing_in_children(monkeypatch, command, when):
+    """Each forked taker kills itself: before its first unit, in the middle
+    of a unit (for stats and swap, after it wrote wrong values there), or
+    after its last unit."""
+    parent, take = os.getpid(), model._take
+
+    def in_child():
+        return os.getpid() != parent
+
+    def taking(units, runs, done, run):
+        if in_child() and when == "before":
+            _die()
+        take(units, runs, done, run)
+        if in_child() and when == "after":
+            _die()
+
+    monkeypatch.setattr(model, "_take", taking)
+    if when != "mid":
+        return
+    owner, name = {
+        "paths": (diagnostics, "_offshell_rows"),
+        "stats": (sphere, "_plane_norms_into"),
+        "swap": (container.BlockWriter, "write_at"),
+        "sample": (model, "_forward_rows"),
+    }[command]
+    real = getattr(owner, name)
+
+    def dying(*args, **kwargs):
+        if in_child():
+            if command == "stats":
+                args[1][...] = np.nan  # the unit's norms
+            if command == "swap":
+                real(*args[:3], 2.0 * np.asarray(args[3]), *args[4:])
+            _die()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, dying)
+
+
+@pytest.mark.parametrize("when", ["none", "before", "mid", "after"])
+@pytest.mark.parametrize("command", ["paths", "stats", "swap", "sample"])
+def test_a_killed_taker_leaves_the_same_outputs(tmp_path, capsys, monkeypatch, helpers, command, when):
+    argv = _unit_commands(tmp_path, monkeypatch)[command]
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    alone = _run_command(argv, capsys, tmp_path)
+    assert alone[0] == 0 and helpers == []
+    if when != "none":
+        _killing_in_children(monkeypatch, command, when)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    with _deadline(60):
+        assert _run_command(argv, capsys, tmp_path) == alone
+    assert len(helpers) == 2
+    _no_child_left()
+
+
+def test_a_forked_takers_error_is_raised_by_the_caller_in_unit_order(monkeypatch, helpers):
+    # the caller holds unit 0 until the taker has raised on unit 1, then
+    # raises on unit 3 itself: unit 1's error comes out, run again in the
+    # caller, with its own type and message
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    parent, tried = os.getpid(), model._shared_array((4,), np.uint8)
+
+    def make_run():
+        def run(i):
+            if os.getpid() != parent:
+                tried[i] = 1
+            elif i == 0:
+                while not tried[1]:
+                    time.sleep(0.001)
+            if i == 1:
+                raise LookupError("unit 1")
+            if i == 3:
+                raise ValueError("unit 3")
+
+        return run
+
+    with _deadline(60):
+        with pytest.raises(LookupError, match="^unit 1$"):
+            model._run_ranges(make_run, 4)
+    assert tried[1] and len(helpers) == 1
+    _no_child_left()
+
+
+def test_an_interrupted_caller_reaps_every_forked_taker(monkeypatch, helpers):
+    # both takers hold a unit that would last a minute when the caller's
+    # unit is interrupted
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    parent, started = os.getpid(), model._shared_array((4,), np.uint8)
+
+    def make_run():
+        def run(i):
+            if os.getpid() != parent:
+                started[i] = 1
+                time.sleep(60)
+            while started.sum() < 2:
+                time.sleep(0.001)
+            raise KeyboardInterrupt
+
+        return run
+
+    began = time.monotonic()
+    with _deadline(30):
+        with pytest.raises(KeyboardInterrupt):
+            model._run_ranges(make_run, 4)
+    assert time.monotonic() - began < 20 and len(helpers) == 2
+    _no_child_left()
 
 
 def test_assignment_histogram_far_out_radius_does_not_overflow():

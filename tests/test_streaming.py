@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slfm import container, diagnostics, model, sphere
-from slfm.cli import _run_slices, main
+from slfm.cli import _run_blocks, main
 from slfm.errors import ContainerFormatError
 
 HEADER_BYTES = container._HEADER.size
@@ -372,14 +372,20 @@ RANGE_CASES = {
 }
 
 
-def test_block_slices_split_whole_blocks_in_file_order(small_blocks):
-    shape = (37, 8, 3, 5)  # 8 items to a block, 5 blocks
-    assert container.block_slices(shape, 1) == [range(0, 37)]
-    assert container.block_slices(shape, 2) == [range(0, 16), range(16, 37)]
-    assert container.block_slices(shape, 3) == [range(0, 8), range(8, 24), range(24, 37)]
-    assert container.block_slices(shape, 8) == [range(i, min(i + 8, 37)) for i in range(0, 37, 8)]
-    assert container.block_slices((0, 4, 2, 2), 8) == [range(0, 0)]
-    assert container.block_slices((3, 4, 0, 2), 8) == [range(0, 3)]
+def test_blocks_run_one_unit_each_in_file_order(monkeypatch, small_blocks):
+    # 8 items to a block: 5 blocks, the last of 5 items; items without
+    # payload make one block
+    for shape, blocks in (
+        ((37, 8, 3, 5), [range(i, min(i + 8, 37)) for i in range(0, 37, 8)]),
+        ((5, 8, 3, 5), [range(0, 5)]),
+        ((0, 4, 2, 2), []),
+        ((3, 4, 0, 2), [range(0, 3)]),
+    ):
+        seen = []
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        _run_blocks(lambda: seen.append, shape)
+        assert seen == blocks
+        assert container.block_shape(shape) == (len(blocks[0]) if blocks else 0,) + shape[1:]
 
 
 def _outputs(tmp_path, capsys, anchor, substitute):
@@ -424,8 +430,10 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch, c
 
 @pytest.mark.parametrize(("n", "threads"), [(1, 0), (8, 0), (9, 1)], ids=["one-item", "one-block", "two-blocks"])
 def test_a_one_block_container_starts_no_thread(tmp_path, capsys, monkeypatch, small_blocks, n, threads):
-    # 480-byte items, 8 to a block
+    # 480-byte items, 8 to a block; takers would be threads, as beside
+    # another thread
     monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
@@ -478,16 +486,21 @@ def test_the_first_error_in_file_order_wins(tmp_path, capsys, monkeypatch, small
 
 def test_payload_cut_while_a_range_streams_ends_early(tmp_path, monkeypatch, small_blocks):
     # the length check passed at open; the cut lies in the fourth of five
-    # blocks, so in the last range of blocks whenever there are two
+    # blocks, and the fifth block, past it, reads nothing
     path = tmp_path / "lat.slfm"
     _latents(path, (37, 8, 3, 5), seed=25)
     errors = []
     for cpus in CPU_COUNTS:
         monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         with container.BlockReader(path) as reader:
+
+            def reading():
+                buffer = container.BlockBuffer()
+                return lambda items: reader.read(items, buffer)
+
             os.truncate(path, HEADER_BYTES + 3 * 4096)
             with pytest.raises(ContainerFormatError, match="ended early") as caught:
-                _run_slices(lambda items: [None for _ in reader.blocks(items)], reader.shape)
+                _run_blocks(reading, reader.shape)
             errors.append(str(caught.value))
         _latents(path, (37, 8, 3, 5), seed=25)
     assert errors == [errors[0]] * len(CPU_COUNTS)
@@ -572,7 +585,10 @@ def test_streamed_outputs_reach_disk_before_they_are_renamed(tmp_path, capsys, m
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("run", ["swap", "sample"])
 def test_write_back_hints_cover_every_payload_byte_once(tmp_path, capsys, monkeypatch, small_blocks, run, cpus):
+    # the hints of every block are this process's to see: takers are
+    # threads, as beside another thread
     monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)
     inputs = _streamed_inputs(tmp_path, monkeypatch, run)
     events = _watch_flushes(monkeypatch)
     targets = _stream(tmp_path, run, inputs, "out")
@@ -748,17 +764,19 @@ def _on_cpus(monkeypatch, cpus):
     """Run ``cpus`` ranges of blocks, each waiting for the others before
     every block it reads: all of them hold their buffers at once, the peak
     of ``cpus`` CPUs whatever the threads' timing.  Every container here
-    splits into ranges of as many blocks each."""
+    has a multiple of ``cpus`` blocks, so each taker of blocks takes as
+    many.  The takers are threads, which tracemalloc and the barrier see:
+    the process counts as running another thread."""
     monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(model, "_thread_count", lambda: 2)
     barrier = threading.Barrier(cpus, timeout=60)
-    blocks = container.BlockReader.blocks
+    read = container.BlockReader.read
 
-    def in_lockstep(reader, items=None):
-        for block in blocks(reader, items):
-            barrier.wait()
-            yield block
+    def in_lockstep(reader, items, buffer):
+        barrier.wait()
+        return read(reader, items, buffer)
 
-    monkeypatch.setattr(container.BlockReader, "blocks", in_lockstep)
+    monkeypatch.setattr(container.BlockReader, "read", in_lockstep)
 
 
 def _command_peaks(tmp_path, capsys, monkeypatch, cpus):
